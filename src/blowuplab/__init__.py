@@ -12,7 +12,6 @@ layer potentials on spheres: jump relation, surface integrability).
 """
 
 from .analysis import (
-    analyze_run,
     boundary_set_check,
     estimate_blowup_time,
     fit_rate,
@@ -54,7 +53,6 @@ __all__ = [
     "StopReason",
     "Tabulated",
     "Trajectory",
-    "analyze_run",
     "boundary_flux",
     "boundary_set_check",
     "c2_min",

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import BadRadius, DegenerateExponents, FitFailed
-from .model import FluxFamily, ProblemParams, make_grid, rate_exponents
+from .model import ProblemParams, make_grid, rate_exponents
 from .solver import StopReason, Trajectory
 
 MIN_WINDOW_SAMPLES = 20
@@ -62,10 +62,6 @@ class BlowupFit:
     t_lo: float
     t_hi: float
     n_samples: int
-
-    def __iter__(self):
-        # unpack like the plain tuple (t_hat, c1_hat, c2_hat, residual)
-        return iter((self.t_hat, self.c1_hat, self.c2_hat, self.residual))
 
 
 @dataclass(frozen=True)
@@ -111,25 +107,6 @@ class InteriorReport:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class BlowupReport:
-    """Aggregate of the fit and the diagnostic checks for one run."""
-
-    t_hat: float
-    alpha_hat: float
-    beta_hat: float
-    c1_hat: float
-    c2_hat: float
-    residual: float
-    fit_window: tuple[float, float]
-    rate_sup_u: float
-    rate_sup_v: float
-    rate_trend_u: float
-    rate_trend_v: float
-    interior_sup_u: float
-    interior_sup_v: float
-
-
 def tail_window(traj: Trajectory) -> int:
     """Index where the fit window starts.
 
@@ -154,18 +131,6 @@ def tail_window(traj: Trajectory) -> int:
     return i
 
 
-def _transformed(traj: Trajectory, params: ProblemParams, i0: int):
-    """Family transform of the window samples plus the fixed slopes."""
-    M = traj.M[i0:]
-    N = traj.Nmax[i0:]
-    if params.flux is FluxFamily.EXP_LINEAR:
-        return params.q * M, params.p * N, 0.5, 0.5
-    alpha, beta = rate_exponents(params.p, params.q)
-    if params.flux is FluxFamily.POWER:
-        return np.log(M), np.log(N), alpha / 2.0, beta / 2.0
-    return M, N, alpha / 2.0, beta / 2.0
-
-
 def estimate_blowup_time(
     traj: Trajectory,
     params: ProblemParams,
@@ -188,7 +153,10 @@ def estimate_blowup_time(
         )
     i0 = tail_window(traj)
     t = traj.t[i0:]
-    yu, yv, su, sv = _transformed(traj, params, i0)
+    law = params.flux.transform
+    yu, yv = law(traj.M[i0:], params.q), law(traj.Nmax[i0:], params.p)
+    target_u, target_v = params.flux.rate_targets(params.p, params.q)
+    su, sv = target_u / 2.0, target_v / 2.0
     t_stop = traj.stop.t_stop
     span = float(t[-1] - t[0])
 
@@ -230,9 +198,26 @@ def estimate_blowup_time(
     )
 
 
-def _slope(x: np.ndarray, y: np.ndarray) -> float:
+def slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x."""
     xc = x - x.mean()
     return float(xc @ (y - y.mean()) / (xc @ xc))
+
+
+def tail_trend(
+    gap: np.ndarray, log_pi_u: np.ndarray, log_pi_v: np.ndarray, span: float
+) -> tuple[np.ndarray, float, float]:
+    """Tail mask (gap within a factor span of the last) and the factor
+    by which each log product's trend line against log gap changes
+    across it; nan below MIN_TREND_SAMPLES tail samples."""
+    tail = gap <= gap[-1] * span
+    if int(tail.sum()) < MIN_TREND_SAMPLES:
+        return tail, float("nan"), float("nan")
+    lx = np.log(gap[tail])
+    width = float(lx[-1] - lx[0])
+    trend_u = math.exp(slope(lx, log_pi_u[tail]) * width)
+    trend_v = math.exp(slope(lx, log_pi_v[tail]) * width)
+    return tail, trend_u, trend_v
 
 
 def fit_rate(
@@ -254,9 +239,10 @@ def fit_rate(
             f"{int(usable.sum())} usable samples below t_hat, "
             f"need {MIN_RATE_SAMPLES}"
         )
-    yu, yv, _, _ = _transformed(traj, params, i0)
+    law = params.flux.transform
+    yu, yv = law(traj.M[i0:], params.q), law(traj.Nmax[i0:], params.p)
     x = -np.log(t_hat - t[usable])
-    return 2.0 * _slope(x, yu[usable]), 2.0 * _slope(x, yv[usable])
+    return 2.0 * slope(x, yu[usable]), 2.0 * slope(x, yv[usable])
 
 
 def rate_bound_check(
@@ -283,25 +269,17 @@ def rate_bound_check(
     """
     i0 = tail_window(traj)
     t = traj.t[i0:]
-    if params is None:
-        yu, yv = traj.M[i0:], traj.Nmax[i0:]
-    else:
-        yu, yv, _, _ = _transformed(traj, params, i0)
+    yu, yv = traj.M[i0:], traj.Nmax[i0:]
+    if params is not None:
+        law = params.flux.transform
+        yu, yv = law(yu, params.q), law(yv, params.p)
     gap = t_hat - t
     log_pi_u = yu + 0.5 * alpha * np.log(gap)
     log_pi_v = yv + 0.5 * beta * np.log(gap)
     sup_u = float(np.exp(log_pi_u).max())
     sup_v = float(np.exp(log_pi_v).max())
 
-    tail = gap <= gap[-1] * HALF_DECADE
-    n_tail = int(tail.sum())
-    if n_tail >= MIN_TREND_SAMPLES:
-        lx = np.log(gap[tail])
-        width = float(lx[-1] - lx[0])
-        trend_u = math.exp(_slope(lx, log_pi_u[tail]) * width)
-        trend_v = math.exp(_slope(lx, log_pi_v[tail]) * width)
-    else:
-        trend_u = trend_v = float("nan")
+    tail, trend_u, trend_v = tail_trend(gap, log_pi_u, log_pi_v, HALF_DECADE)
 
     def ok(sup: float, trend: float) -> bool:
         return bool(np.isfinite(sup) and np.isfinite(trend) and trend <= 1.0 + tol)
@@ -311,7 +289,7 @@ def rate_bound_check(
         rate_sup_v=sup_v,
         trend_u=trend_u,
         trend_v=trend_v,
-        tail_samples=n_tail,
+        tail_samples=int(tail.sum()),
         passed_u=ok(sup_u, trend_u),
         passed_v=ok(sup_v, trend_v),
     )
@@ -372,29 +350,19 @@ def boundary_set_check(
     except DegenerateExponents:
         pass
 
-    reached = traj.stop.reason is StopReason.BLOWUP_THRESHOLD
-    if not reached or t_hat is None:
-        return InteriorReport(
-            interior_sup_u=float(su.max()),
-            interior_sup_v=float(sv.max()),
-            boundary_max_u=float(traj.M[-1]),
-            boundary_max_v=float(traj.Nmax[-1]),
-            growth_u=float("nan"),
-            growth_v=float("nan"),
-            argmax_at_boundary=argmax_ok,
-            envelope_u=envelope_u,
-            envelope_v=envelope_v,
-            decade_samples=0,
-            status="inconclusive",
-        )
-
-    t = traj.t[samples]
-    decade = (t_hat - t) <= 10.0 * (t_hat - traj.stop.t_stop)
-    du = su[decade]
-    dv = sv[decade]
-    growth_u = float(du[-1] / du[0] - 1.0)
-    growth_v = float(dv[-1] / dv[0] - 1.0)
-    passed = growth_u < 0.05 and growth_v < 0.05 and argmax_ok
+    growth_u = growth_v = float("nan")
+    decade_samples = 0
+    status = "inconclusive"
+    if traj.stop.reason is StopReason.BLOWUP_THRESHOLD and t_hat is not None:
+        t = traj.t[samples]
+        decade = (t_hat - t) <= 10.0 * (t_hat - traj.stop.t_stop)
+        du = su[decade]
+        dv = sv[decade]
+        growth_u = float(du[-1] / du[0] - 1.0)
+        growth_v = float(dv[-1] / dv[0] - 1.0)
+        decade_samples = int(decade.sum())
+        passed = growth_u < 0.05 and growth_v < 0.05 and argmax_ok
+        status = "pass" if passed else "fail"
     return InteriorReport(
         interior_sup_u=float(su.max()),
         interior_sup_v=float(sv.max()),
@@ -405,40 +373,6 @@ def boundary_set_check(
         argmax_at_boundary=argmax_ok,
         envelope_u=envelope_u,
         envelope_v=envelope_v,
-        decade_samples=int(decade.sum()),
-        status="pass" if passed else "fail",
-    )
-
-
-def analyze_run(
-    traj: Trajectory,
-    params: ProblemParams,
-    residual_max: float = DEFAULT_RESIDUAL_MAX,
-    rate_tol: float = 0.20,
-) -> BlowupReport:
-    """Full diagnostic pass over one completed run."""
-    fit = estimate_blowup_time(traj, params, residual_max=residual_max)
-    alpha_hat, beta_hat = fit_rate(traj, fit.t_hat, params)
-    if params.flux is FluxFamily.EXP_LINEAR:
-        s2u, s2v = 1.0, 1.0
-    else:
-        alpha, beta = rate_exponents(params.p, params.q)
-        s2u, s2v = alpha, beta
-    bound = rate_bound_check(
-        traj, fit.t_hat, s2u, s2v, params=params, tol=rate_tol
-    )
-    return BlowupReport(
-        t_hat=fit.t_hat,
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        c1_hat=fit.c1_hat,
-        c2_hat=fit.c2_hat,
-        residual=fit.residual,
-        fit_window=(fit.t_lo, fit.t_hi),
-        rate_sup_u=bound.rate_sup_u,
-        rate_sup_v=bound.rate_sup_v,
-        rate_trend_u=bound.trend_u,
-        rate_trend_v=bound.trend_v,
-        interior_sup_u=float(traj.sup_u_interior.max()),
-        interior_sup_v=float(traj.sup_v_interior.max()),
+        decade_samples=decade_samples,
+        status=status,
     )

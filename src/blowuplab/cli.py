@@ -46,7 +46,7 @@ from .errors import (
     DominanceViolated,
     FitFailed,
 )
-from .model import FluxFamily, make_grid, rate_exponents, validate_initial_data
+from .model import FluxFamily, make_grid, validate_initial_data
 from .ode import OdeParams, integrate_system, verify_lemma_bounds
 from .potentials import jump_check, sphere_quadrature
 from .solver import COLUMNS, StopReason, Trajectory, run
@@ -56,11 +56,12 @@ SWEEP_COLUMNS = ("p", "q", "N", "flux", "T_hat", "alpha_hat", "beta_hat", "statu
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """The three files every run emits, plus the aggregate verdict."""
+    """The three files every run emits, the report entries and the verdict."""
 
     trajectory: Path
     report: Path
     config_echo: Path
+    entries: dict[str, object]
     status: str
     exit_code: int
 
@@ -81,14 +82,19 @@ def write_trajectory(traj: Trajectory, path: Path) -> None:
             f.write(",".join(cells) + "\n")
 
 
+def _report_text(value: object) -> str:
+    """A report value as write_report writes it."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value}"
+
+
 def write_report(entries: dict[str, object], path: Path) -> None:
     with open(path, "w") as f:
         for key, value in entries.items():
-            if isinstance(value, float):
-                value = repr(value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            f.write(f"{key} = {value}\n")
+            f.write(f"{key} = {_report_text(value)}\n")
 
 
 def read_report(path: Path) -> dict[str, str]:
@@ -100,15 +106,13 @@ def read_report(path: Path) -> dict[str, str]:
     return entries
 
 
-def _rate_targets(params) -> tuple[float, float]:
-    # exp_linear flattens e^{q M} sqrt(T - t), a 1/2-rate for both fields
-    if params.flux is FluxFamily.EXP_LINEAR:
-        return 1.0, 1.0
-    return rate_exponents(params.p, params.q)
-
-
-def _nan_block(prefix: str, keys: tuple[str, ...]) -> dict[str, object]:
-    return {f"{prefix}.{key}": float("nan") for key in keys}
+# report keys of the fit and rate stages, nan when those stages cannot run
+_FIT_KEYS = (
+    "blowup.T_hat", "blowup.c1_hat", "blowup.c2_hat", "blowup.residual",
+    "blowup.window_lo", "blowup.window_hi",
+    "rate.alpha_hat", "rate.beta_hat", "rate.sup_u", "rate.sup_v",
+    "rate.trend_u", "rate.trend_v",
+)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
@@ -134,94 +138,85 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
     }
     statuses: dict[str, str] = {}
 
+    fit = None
     if traj.stop.reason is StopReason.BLOWUP_THRESHOLD:
         try:
             fit = estimate_blowup_time(
                 traj, params, residual_max=config.residual_max
             )
-            rates = fit_rate(traj, fit.t_hat, params)
+            alpha_hat, beta_hat = fit_rate(traj, fit.t_hat, params)
         except FitFailed as exc:
             fit = None
-            report.update(_nan_block(
-                "blowup", ("T_hat", "c1_hat", "c2_hat", "residual",
-                           "window_lo", "window_hi")))
-            report.update(_nan_block(
-                "rate", ("alpha_hat", "beta_hat", "sup_u", "sup_v",
-                         "trend_u", "trend_v")))
             statuses["rate"] = f"fail: {exc}"
-        if fit is not None:
-            alpha_hat, beta_hat = rates
-            target_u, target_v = _rate_targets(params)
-            bound = rate_bound_check(
-                traj, fit.t_hat, target_u, target_v,
-                params=params, tol=config.rate_tol,
-            )
-            report.update({
-                "blowup.T_hat": fit.t_hat,
-                "blowup.c1_hat": fit.c1_hat,
-                "blowup.c2_hat": fit.c2_hat,
-                "blowup.residual": fit.residual,
-                "blowup.window_lo": fit.t_lo,
-                "blowup.window_hi": fit.t_hi,
-                "rate.alpha_hat": alpha_hat,
-                "rate.beta_hat": beta_hat,
-                "rate.sup_u": bound.rate_sup_u,
-                "rate.sup_v": bound.rate_sup_v,
-                "rate.trend_u": bound.trend_u,
-                "rate.trend_v": bound.trend_v,
-            })
-            statuses["rate"] = "pass" if bound.passed else "fail"
-
-            interior = boundary_set_check(
-                traj, params, config.interior_radius,
-                t_hat=fit.t_hat,
-                c1_hat=bound.rate_sup_u, c2_hat=bound.rate_sup_v,
-            )
-            report.update({
-                "boundary.interior_sup_u": interior.interior_sup_u,
-                "boundary.interior_sup_v": interior.interior_sup_v,
-                "boundary.growth_u": interior.growth_u,
-                "boundary.growth_v": interior.growth_v,
-                "boundary.argmax_at_boundary": interior.argmax_at_boundary,
-                "boundary.envelope_u": interior.envelope_u,
-                "boundary.envelope_v": interior.envelope_v,
-            })
-            statuses["boundary"] = interior.status
-
-            if traj.states:
-                grid = make_grid(params.R, solver.N)
-                m_u, m_v = target_u / 2.0, target_v / 2.0
-                for field, m, sup in (
-                    ("u", m_u, bound.rate_sup_u),
-                    ("v", m_v, bound.rate_sup_v),
-                ):
-                    comp = ComparisonParams(
-                        C1=1.0, C2=c2_min(params.n, params.R, m),
-                        m=m, T=fit.t_hat, R=params.R, n=params.n,
-                    )
-                    try:
-                        rep = dominance_check(
-                            traj.states, grid.r, comp, sup,
-                            c1_scale=config.dominance_scale, field=field,
-                        )
-                        report[f"dominance.margin_{field}"] = rep.margin
-                        report[f"dominance.c1_{field}"] = rep.c1
-                        statuses.setdefault("dominance", "pass")
-                    except DominanceViolated as exc:
-                        report[f"dominance.margin_{field}"] = float("nan")
-                        report[f"dominance.c1_{field}"] = float("nan")
-                        statuses["dominance"] = f"fail: {exc}"
-            else:
-                statuses["dominance"] = "skipped: no field snapshots"
     else:
-        report.update(_nan_block(
-            "blowup", ("T_hat", "c1_hat", "c2_hat", "residual",
-                       "window_lo", "window_hi")))
-        report.update(_nan_block(
-            "rate", ("alpha_hat", "beta_hat", "sup_u", "sup_v",
-                     "trend_u", "trend_v")))
         for name in ("rate", "boundary", "dominance"):
             statuses[name] = "inconclusive: run stopped before blow-up"
+
+    if fit is None:
+        report.update(dict.fromkeys(_FIT_KEYS, float("nan")))
+    else:
+        target_u, target_v = params.flux.rate_targets(params.p, params.q)
+        bound = rate_bound_check(
+            traj, fit.t_hat, target_u, target_v,
+            params=params, tol=config.rate_tol,
+        )
+        report.update({
+            "blowup.T_hat": fit.t_hat,
+            "blowup.c1_hat": fit.c1_hat,
+            "blowup.c2_hat": fit.c2_hat,
+            "blowup.residual": fit.residual,
+            "blowup.window_lo": fit.t_lo,
+            "blowup.window_hi": fit.t_hi,
+            "rate.alpha_hat": alpha_hat,
+            "rate.beta_hat": beta_hat,
+            "rate.sup_u": bound.rate_sup_u,
+            "rate.sup_v": bound.rate_sup_v,
+            "rate.trend_u": bound.trend_u,
+            "rate.trend_v": bound.trend_v,
+        })
+        statuses["rate"] = "pass" if bound.passed else "fail"
+
+        interior = boundary_set_check(
+            traj, params, config.interior_radius,
+            t_hat=fit.t_hat,
+            c1_hat=bound.rate_sup_u, c2_hat=bound.rate_sup_v,
+        )
+        report.update({
+            "boundary.interior_sup_u": interior.interior_sup_u,
+            "boundary.interior_sup_v": interior.interior_sup_v,
+            "boundary.growth_u": interior.growth_u,
+            "boundary.growth_v": interior.growth_v,
+            "boundary.argmax_at_boundary": interior.argmax_at_boundary,
+            "boundary.envelope_u": interior.envelope_u,
+            "boundary.envelope_v": interior.envelope_v,
+        })
+        statuses["boundary"] = interior.status
+
+        if traj.states:
+            grid = make_grid(params.R, solver.N)
+            m_u, m_v = target_u / 2.0, target_v / 2.0
+            for field, m, sup in (
+                ("u", m_u, bound.rate_sup_u),
+                ("v", m_v, bound.rate_sup_v),
+            ):
+                comp = ComparisonParams(
+                    C1=1.0, C2=c2_min(params.n, params.R, m),
+                    m=m, T=fit.t_hat, R=params.R, n=params.n,
+                )
+                try:
+                    rep = dominance_check(
+                        traj.states, grid.r, comp, sup,
+                        c1_scale=config.dominance_scale, field=field,
+                    )
+                    report[f"dominance.margin_{field}"] = rep.margin
+                    report[f"dominance.c1_{field}"] = rep.c1
+                    statuses.setdefault("dominance", "pass")
+                except DominanceViolated as exc:
+                    report[f"dominance.margin_{field}"] = float("nan")
+                    report[f"dominance.c1_{field}"] = float("nan")
+                    statuses["dominance"] = f"fail: {exc}"
+        else:
+            statuses["dominance"] = "skipped: no field snapshots"
 
     failed = any(s.startswith("fail") for s in statuses.values())
     all_pass = all(s == "pass" for s in statuses.values())
@@ -241,28 +236,28 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
         trajectory=trajectory_path,
         report=report_path,
         config_echo=config_path,
+        entries=report,
         status=overall,
         exit_code=2 if failed else 0,
     )
 
 
+def _sweep_row(p: float, q: float, N: int, flux: FluxFamily) -> dict[str, str]:
+    return {
+        "p": repr(p), "q": repr(q), "N": str(N), "flux": flux.value,
+        "T_hat": "nan", "alpha_hat": "nan", "beta_hat": "nan",
+    }
+
+
 def _sweep_point(task: tuple[int, ExperimentConfig, str]) -> tuple[int, dict]:
     index, config, run_dir = task
-    row = {
-        "p": repr(config.params.p),
-        "q": repr(config.params.q),
-        "N": str(config.solver.N),
-        "flux": config.params.flux.value,
-        "T_hat": "nan",
-        "alpha_hat": "nan",
-        "beta_hat": "nan",
-    }
+    params = config.params
+    row = _sweep_row(params.p, params.q, config.solver.N, params.flux)
     try:
         artifacts = run_experiment(config, Path(run_dir))
-        report = read_report(artifacts.report)
-        row["T_hat"] = report["blowup.T_hat"]
-        row["alpha_hat"] = report["rate.alpha_hat"]
-        row["beta_hat"] = report["rate.beta_hat"]
+        row["T_hat"] = _report_text(artifacts.entries["blowup.T_hat"])
+        row["alpha_hat"] = _report_text(artifacts.entries["rate.alpha_hat"])
+        row["beta_hat"] = _report_text(artifacts.entries["rate.beta_hat"])
         row["status"] = artifacts.status
     except BlowupLabError as exc:
         row["status"] = f"error: {type(exc).__name__}"
@@ -297,12 +292,9 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
         try:
             point = with_axes_point(config, p=p, q=q, N=N, flux=flux)
         except ValueError as exc:
-            invalid[index] = {
-                "p": repr(p), "q": repr(q), "N": str(N), "flux": flux.value,
-                "T_hat": "nan", "alpha_hat": "nan", "beta_hat": "nan",
-                # the status cell must stay a single CSV field
-                "status": f"invalid: {exc}".replace(",", ";"),
-            }
+            invalid[index] = _sweep_row(p, q, N, flux)
+            # the status cell must stay a single CSV field
+            invalid[index]["status"] = f"invalid: {exc}".replace(",", ";")
             continue
         tasks.append((index, point, str(run_dir)))
 
@@ -327,7 +319,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.output_dir or config.output_dir)
     artifacts = run_experiment(config, out_dir)
     if not args.quiet:
-        report = read_report(artifacts.report)
+        report = {k: _report_text(v) for k, v in artifacts.entries.items()}
         print(f"stop: {report['run.stop_reason']} at t = {report['run.t_stop']}")
         if not report["rate.status"].startswith("inconclusive"):
             print(f"T_hat = {report.get('blowup.T_hat')}")
@@ -374,11 +366,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_ode(args) -> int:
-    params = OdeParams(
-        p=args.p, q=args.q, c=args.c, T=args.T,
-        A0=args.A0, B0=args.B0, t0=args.t0,
-    )
-    series = integrate_system(params, args.stop_frac, n_samples=args.samples)
+    # the library rejects out-of-range arguments with ValueError
+    try:
+        params = OdeParams(
+            p=args.p, q=args.q, c=args.c, T=args.T,
+            A0=args.A0, B0=args.B0, t0=args.t0,
+        )
+        series = integrate_system(params, args.stop_frac, n_samples=args.samples)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = verify_lemma_bounds(series, params)
     if not args.quiet:
         alpha, beta = params.exponents
@@ -395,17 +391,20 @@ def _cmd_oracle_ode(args) -> int:
 
 def _cmd_oracle_jump(args) -> int:
     quad = sphere_quadrature(args.R, args.m)
-    if args.distances:
-        distances = [float(v) for v in args.distances.split(",")]
-    else:
-        distances = [f * args.R for f in (0.16, 0.12, 0.09, 0.06, 0.04)]
     x0 = np.array([0.0, 0.0, args.R])
     density = args.density
-
-    report = jump_check(
-        x0, lambda pts, tau: density, args.window, quad,
-        distances, steps=args.steps, tol_jump=args.tol,
-    )
+    # the library rejects out-of-range arguments with ValueError
+    try:
+        if args.distances:
+            distances = [float(v) for v in args.distances.split(",")]
+        else:
+            distances = [f * args.R for f in (0.16, 0.12, 0.09, 0.06, 0.04)]
+        report = jump_check(
+            x0, lambda pts, tau: density, args.window, quad,
+            distances, steps=args.steps, tol_jump=args.tol,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not args.quiet:
         print(f"jump = {report.jump!r}")
         print(f"target = {report.target!r}")
@@ -479,10 +478,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BlowupLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BlowupLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,8 @@ defaults below, chosen to match the reference p = q = 2 experiment.
 Values are plain `key = value` lines, diff-friendly on purpose; lists
 are comma-separated. Unknown sections or keys are rejected rather than
 ignored so a typo cannot silently revert a knob to its default. Runs
-are seed-free and deterministic; `deterministic = true` is accepted in
-[output] for the echo's sake but cannot be switched off.
+are seed-free and deterministic, so [output] deterministic accepts only
+true; the echo always writes it.
 """
 
 from __future__ import annotations
@@ -78,13 +78,16 @@ class SweepAxes:
 class ExperimentConfig:
     params: ProblemParams
     solver: SolverConfig
-    interior_radius: float
     rate_tol: float
     residual_max: float
     dominance_scale: float
     output_dir: str
     sweep: SweepAxes
-    deterministic: bool = True
+
+    @property
+    def interior_radius(self) -> float:
+        """The radius a of the interior check; the solver records at it."""
+        return self.solver.interior_radius
 
 
 def _parse_flux(raw: str) -> FluxFamily:
@@ -240,7 +243,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         params=params,
         solver=solver,
-        interior_radius=interior_radius,
         rate_tol=anal.real("rate_tol", 0.20),
         residual_max=anal.real("residual_max", 0.5),
         dominance_scale=anal.real("dominance_scale", 1.0),
@@ -310,7 +312,7 @@ def render_config(config: ExperimentConfig) -> str:
         "",
         "[output]",
         f"dir = {config.output_dir}",
-        f"deterministic = {'true' if config.deterministic else 'false'}",
+        "deterministic = true",
         "",
         "[sweep]",
         f"p = {', '.join(repr(v) for v in axes.p)}",

@@ -20,6 +20,7 @@ which control the expected growth of boundary maxima near blow-up.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -41,10 +42,60 @@ TOL_IC = 1e-10
 MIN_NODES = 16
 
 
+def rate_exponents(p: float, q: float) -> tuple[float, float]:
+    """Growth exponents (alpha, beta) for the exponent pair (p, q).
+
+    alpha = (p+1)/(pq-1) governs the u series and beta = (q+1)/(pq-1) the
+    v series. They satisfy p*beta = alpha + 1 and q*alpha = beta + 1.
+
+    Raises
+    ------
+    DegenerateExponents
+        If p*q <= 1, where no blow-up rate of this form exists.
+    """
+    if p * q <= 1.0:
+        raise DegenerateExponents(f"p*q must exceed 1, got p={p}, q={q}")
+    denom = p * q - 1.0
+    return (p + 1.0) / denom, (q + 1.0) / denom
+
+
+def _exp(arg: float) -> float:
+    return float(np.exp(arg))
+
+
 class FluxFamily(enum.Enum):
-    EXP_POWER = "exp_power"
-    POWER = "power"
-    EXP_LINEAR = "exp_linear"
+    """The flux families, each with every fact that sets it apart.
+
+    For a driving field with boundary value w and exponent e (p or q):
+    arg(w, e) is the flux exponent argument the stop criterion watches,
+    from_arg(arg) the flux, and arg_limit the argument at which exp()
+    would overflow. transform(M, e) is the modulus transform y in the
+    rate law y = log C - s log(T - t) of the field with boundary modulus
+    M, rate_targets(p, q) gives 2 s for u and v (exp_linear flattens
+    e^{qM} (T - t)^{1/2}: a 1/2-rate for both), and p and q must exceed
+    min_exponent.
+    """
+
+    EXP_POWER = (
+        "exp_power", lambda w, e: w**e, _exp, EXP_GUARD,
+        lambda M, e: M, rate_exponents, 1,
+    )
+    POWER = (
+        "power", lambda w, e: w**e, float, math.inf,
+        lambda M, e: np.log(M), rate_exponents, 1,
+    )
+    EXP_LINEAR = (
+        "exp_linear", lambda w, e: e * w, _exp, EXP_GUARD,
+        lambda M, e: e * M, lambda p, q: (1.0, 1.0), 0,
+    )
+
+    def __new__(cls, value, arg, from_arg, arg_limit, transform, rate_targets, low):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.arg, member.from_arg, member.arg_limit = arg, from_arg, arg_limit
+        member.transform, member.rate_targets = transform, rate_targets
+        member.min_exponent = low
+        return member
 
 
 @dataclass(frozen=True)
@@ -101,18 +152,12 @@ class ProblemParams:
             raise ValueError(f"R must be positive, got {self.R}")
         if self.n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
-        if self.flux in (FluxFamily.EXP_POWER, FluxFamily.POWER):
-            if self.p <= 1 or self.q <= 1:
-                raise ValueError(
-                    f"{self.flux.value} requires p > 1 and q > 1, "
-                    f"got p={self.p}, q={self.q}"
-                )
-        else:
-            if self.p <= 0 or self.q <= 0:
-                raise ValueError(
-                    f"exp_linear requires p > 0 and q > 0, "
-                    f"got p={self.p}, q={self.q}"
-                )
+        low = self.flux.min_exponent
+        if self.p <= low or self.q <= low:
+            raise ValueError(
+                f"{self.flux.value} requires p > {low} and q > {low}, "
+                f"got p={self.p}, q={self.q}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,23 +205,6 @@ def make_grid(R: float, N: int) -> RadialGrid:
     return RadialGrid(N=N, R=R, dr=dr, r=r)
 
 
-def rate_exponents(p: float, q: float) -> tuple[float, float]:
-    """Growth exponents (alpha, beta) for the exponent pair (p, q).
-
-    alpha = (p+1)/(pq-1) governs the u series and beta = (q+1)/(pq-1) the
-    v series. They satisfy p*beta = alpha + 1 and q*alpha = beta + 1.
-
-    Raises
-    ------
-    DegenerateExponents
-        If p*q <= 1, where no blow-up rate of this form exists.
-    """
-    if p * q <= 1.0:
-        raise DegenerateExponents(f"p*q must exceed 1, got p={p}, q={q}")
-    denom = p * q - 1.0
-    return (p + 1.0) / denom, (q + 1.0) / denom
-
-
 def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     """Outward normal flux induced by a boundary value w of the driving field.
 
@@ -198,30 +226,37 @@ def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     """
     if w < 0:
         raise ValueError(f"flux argument must be nonnegative, got {w}")
-    if flux is FluxFamily.EXP_POWER:
-        arg = w**e
-        if arg >= EXP_GUARD:
-            raise FluxOverflow(f"exponent argument {arg:.3g} >= {EXP_GUARD}")
-        return float(np.exp(arg))
-    if flux is FluxFamily.POWER:
-        return float(w**e)
-    if flux is FluxFamily.EXP_LINEAR:
-        arg = e * w
-        if arg >= EXP_GUARD:
-            raise FluxOverflow(f"exponent argument {arg:.3g} >= {EXP_GUARD}")
-        return float(np.exp(arg))
-    raise ValueError(f"unknown flux family {flux!r}")
+    arg = flux.arg(w, e)
+    if arg >= flux.arg_limit:
+        raise FluxOverflow(f"exponent argument {arg:.3g} >= {flux.arg_limit}")
+    return flux.from_arg(arg)
 
 
-def _interior_laplacian(f: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
-    """Radial Laplacian at nodes 0 .. N-2 (no boundary closure needed)."""
+def radial_laplacian(
+    field: np.ndarray, grid: RadialGrid, n: int, ghost: float
+) -> np.ndarray:
+    """Discrete radial Laplacian on the full grid.
+
+    Parameters
+    ----------
+    field : ndarray
+        Nodal values, length grid.N.
+    ghost : float
+        Value at the ghost node r = R + dr; the caller fixes it from the
+        boundary condition (see solver.apply_neumann). Centered
+        differences with the ghost make the boundary node second order.
+    """
     dr = grid.dr
-    out = np.empty(grid.N - 1)
+    f = field
+    out = np.empty(grid.N)
     # r = 0: symmetry gives Delta f = n * f'' with mirror node f[-1] = f[1]
     out[0] = 2.0 * n * (f[1] - f[0]) / dr**2
     second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dr**2
     drift = (n - 1) / grid.r[1:-1] * (f[2:] - f[:-2]) / (2.0 * dr)
-    out[1:] = second + drift
+    out[1:-1] = second + drift
+    out[-1] = (ghost - 2.0 * f[-1] + f[-2]) / dr**2 + (n - 1) / grid.R * (
+        ghost - f[-2]
+    ) / (2.0 * dr)
     return out
 
 
@@ -268,7 +303,8 @@ def validate_initial_data(
             )
         )
 
-        lap = _interior_laplacian(f, grid, n)
+        # interior nodes only: the ghost is arbitrary, its node dropped
+        lap = radial_laplacian(f, grid, n, float(f[-2]))[:-1]
         worst = int(lap.argmin())
         checks.append(
             ConditionCheck(

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .analysis import slope, tail_trend
 from .errors import FitFailed, ParamsTooStiff
 from .model import rate_exponents
 
@@ -62,7 +63,6 @@ CAP_MARGIN = 1e-2
 DIVERGENCE_FACTOR = 100.0
 
 MIN_SERIES_SAMPLES = 10
-MIN_TREND_SAMPLES = 3
 TAIL_DECADE = 10.0
 
 RTOL = 1e-10
@@ -120,10 +120,9 @@ class OdeSeries:
 class LemmaReport:
     """Outcome of the terminal rate check on one series.
 
-    Iterates as (alpha_fit, beta_fit, c_a, c_b, passed). c_a and c_b
-    are the measured suprema of A (T-t)^{alpha/2} and B (T-t)^{beta/2}
-    over the final decade of the gap, the empirical constants in the
-    bounds A <= C (T-t)^{-alpha/2}. The trends are the fitted change of
+    c_a and c_b are the measured suprema of A (T-t)^{alpha/2} and
+    B (T-t)^{beta/2} over the final decade of the gap, the empirical
+    constants in the bounds A <= C (T-t)^{-alpha/2}. The trends are the fitted change of
     those products across that decade; only an increase past trend_tol
     counts against the bound, a decrease supports it.
     """
@@ -136,9 +135,6 @@ class LemmaReport:
     trend_b: float
     tail_samples: int
     passed: bool
-
-    def __iter__(self):
-        return iter((self.alpha_fit, self.beta_fit, self.c_a, self.c_b, self.passed))
 
 
 def self_similar_constants(p: float, q: float, c: float) -> tuple[float, float]:
@@ -255,11 +251,6 @@ def integrate_system(
     return OdeSeries(t=t, A=np.exp(la), B=np.exp(lb), capped=capped)
 
 
-def _slope(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    return float(xc @ (y - y.mean()) / (xc @ xc))
-
-
 def verify_lemma_bounds(
     series: OdeSeries,
     params: OdeParams,
@@ -296,22 +287,14 @@ def verify_lemma_bounds(
     x = -np.log(gap)
     log_a = np.log(series.A)
     log_b = np.log(series.B)
-    alpha_fit = 2.0 * _slope(x, log_a)
-    beta_fit = 2.0 * _slope(x, log_b)
+    alpha_fit = 2.0 * slope(x, log_a)
+    beta_fit = 2.0 * slope(x, log_b)
 
     log_pi_a = log_a + 0.5 * alpha * np.log(gap)
     log_pi_b = log_b + 0.5 * beta * np.log(gap)
-    tail = gap <= gap[-1] * TAIL_DECADE
-    n_tail = int(tail.sum())
+    tail, trend_a, trend_b = tail_trend(gap, log_pi_a, log_pi_b, TAIL_DECADE)
     c_a = float(np.exp(log_pi_a[tail]).max())
     c_b = float(np.exp(log_pi_b[tail]).max())
-    if n_tail >= MIN_TREND_SAMPLES:
-        lx = np.log(gap[tail])
-        width = float(lx[-1] - lx[0])
-        trend_a = math.exp(_slope(lx, log_pi_a[tail]) * width)
-        trend_b = math.exp(_slope(lx, log_pi_b[tail]) * width)
-    else:
-        trend_a = trend_b = float("nan")
 
     def ok(fit: float, target: float, sup: float, trend: float) -> bool:
         return bool(
@@ -328,6 +311,6 @@ def verify_lemma_bounds(
         c_b=c_b,
         trend_a=trend_a,
         trend_b=trend_b,
-        tail_samples=n_tail,
+        tail_samples=int(tail.sum()),
         passed=ok(alpha_fit, alpha, c_a, trend_a) and ok(beta_fit, beta, c_b, trend_b),
     )

@@ -137,10 +137,14 @@ def sphere_quadrature(R: float, m: int) -> SphereQuadrature:
     return SphereQuadrature(n=3, R=R, nodes=nodes, weights=weights)
 
 
-def _sigma_panels(window: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights for int_0^window d sigma, panels halving
+def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for int_0^{t - t1} d sigma, panels halving
     toward sigma = 0 and the last panel closing the gap to zero."""
-    uppers = window * 0.5 ** np.arange(steps)
+    if t1 >= t:
+        raise BadWindow(f"need t1 < t, got t1 = {t1}, t = {t}")
+    if steps < 4:
+        raise ValueError(f"steps = {steps} is too few panels, need at least 4")
+    uppers = (t - t1) * 0.5 ** np.arange(steps)
     lowers = np.append(uppers[1:], 0.0)
     mid = 0.5 * (uppers + lowers)
     half = 0.5 * (uppers - lowers)
@@ -166,6 +170,32 @@ def _density_block(
     return block
 
 
+def _layer_sum(
+    x: np.ndarray,
+    quad: SphereQuadrature,
+    sigma: np.ndarray,
+    omega: np.ndarray,
+    density: np.ndarray,
+    eta: np.ndarray | None = None,
+) -> float:
+    """The layer at x as a kernel sum over the density block.
+
+    With a unit vector eta the kernel is differentiated along eta in x,
+    giving the layer's normal derivative. At a boundary point x that
+    integrand behaves like 1/|x - y|, the borderline the polar rule
+    integrates exactly, so this converges where one-sided finite
+    differences at the boundary stall.
+    """
+    vec = x - quad.nodes
+    d2 = (vec**2).sum(axis=1)
+    kernel = (4.0 * np.pi * sigma) ** (-quad.n / 2.0) * np.exp(
+        -d2[:, None] / (4.0 * sigma[None, :])
+    )
+    if eta is not None:
+        kernel = kernel * (-(vec @ eta)[:, None] / (2.0 * sigma[None, :]))
+    return float(quad.weights @ (kernel * density) @ omega)
+
+
 def single_layer(
     x,
     t: float,
@@ -181,48 +211,11 @@ def single_layer(
     quadrature node makes the kernel singular and returns inf; the
     nodes never include the poles, so polar-axis evaluation is safe.
     """
-    if t1 >= t:
-        raise BadWindow(f"need t1 < t, got t1 = {t1}, t = {t}")
-    if steps < 4:
-        raise ValueError(f"steps = {steps} is too few panels, need at least 4")
+    sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
     _inside(x, quad)
-    d2 = ((quad.nodes - x) ** 2).sum(axis=1)
-    sigma, omega = _sigma_panels(t - t1, steps)
-    kernel = (4.0 * np.pi * sigma) ** (-quad.n / 2.0) * np.exp(
-        -d2[:, None] / (4.0 * sigma[None, :])
-    )
     density = _density_block(phi, quad, t, sigma)
-    return float(quad.weights @ (kernel * density) @ omega)
-
-
-def _boundary_flux_direct(
-    x0: np.ndarray,
-    eta: np.ndarray,
-    phi: Callable,
-    t: float,
-    t1: float,
-    quad: SphereQuadrature,
-    steps: int,
-) -> float:
-    """Normal derivative of the layer evaluated directly at x0 on S_R.
-
-    Differentiating the kernel analytically leaves an integrand that
-    behaves like 1/|x0 - y| near x0, precisely the borderline the polar
-    rule integrates exactly, so this converges where one-sided finite
-    differences at the boundary stall.
-    """
-    vec = x0 - quad.nodes
-    d2 = (vec**2).sum(axis=1)
-    proj = vec @ eta
-    sigma, omega = _sigma_panels(t - t1, steps)
-    kernel = (
-        (4.0 * np.pi * sigma) ** (-quad.n / 2.0)
-        * np.exp(-d2[:, None] / (4.0 * sigma[None, :]))
-        * (-proj[:, None] / (2.0 * sigma[None, :]))
-    )
-    density = _density_block(phi, quad, t, sigma)
-    return float(quad.weights @ (kernel * density) @ omega)
+    return _layer_sum(x, quad, sigma, omega, density)
 
 
 @dataclass(frozen=True)
@@ -277,16 +270,21 @@ def jump_check(
             f"or stop farther out"
         )
     eta = x0 / r0
+    # every evaluation shares t and the sigma panels, so one density block
+    sigma, omega = _sigma_panels(t, t1, steps)
+    density = _density_block(phi, quad, t, sigma)
 
     def u_at(dist: float) -> float:
-        return single_layer(x0 - dist * eta, t, phi, t1, quad, steps=steps)
+        x = x0 - dist * eta
+        _inside(x, quad)
+        return _layer_sum(x, quad, sigma, omega, density)
 
     derivs = np.empty(d.size)
     for i, di in enumerate(d):
         h = di / 8.0
         derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
 
-    boundary = _boundary_flux_direct(x0, eta, phi, t, t1, quad, steps)
+    boundary = _layer_sum(x0, quad, sigma, omega, density, eta=eta)
     degree = min(2, d.size - 1)
     interior_limit = float(np.polynomial.polynomial.polyfit(d, derivs, degree)[0])
     jump = boundary - interior_limit

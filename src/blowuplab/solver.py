@@ -35,12 +35,12 @@ from .errors import (
 from .model import (
     EXP_GUARD,
     FieldState,
-    FluxFamily,
     InvalidInitialData,
     ProblemParams,
     RadialGrid,
     boundary_flux,
     make_grid,
+    radial_laplacian,
     validate_initial_data,
 )
 
@@ -146,33 +146,6 @@ COLUMNS = (
 )
 
 
-def radial_laplacian(
-    field: np.ndarray, grid: RadialGrid, n: int, ghost: float
-) -> np.ndarray:
-    """Discrete radial Laplacian on the full grid.
-
-    Parameters
-    ----------
-    field : ndarray
-        Nodal values, length grid.N.
-    ghost : float
-        Value at the ghost node r = R + dr; the caller fixes it from the
-        boundary condition (see apply_neumann). Centered differences with
-        the ghost make the boundary node second order.
-    """
-    dr = grid.dr
-    f = field
-    out = np.empty(grid.N)
-    out[0] = 2.0 * n * (f[1] - f[0]) / dr**2
-    second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dr**2
-    drift = (n - 1) / grid.r[1:-1] * (f[2:] - f[:-2]) / (2.0 * dr)
-    out[1:-1] = second + drift
-    out[-1] = (ghost - 2.0 * f[-1] + f[-2]) / dr**2 + (n - 1) / grid.R * (
-        ghost - f[-2]
-    ) / (2.0 * dr)
-    return out
-
-
 def apply_neumann(
     state: FieldState, params: ProblemParams, grid: RadialGrid
 ) -> tuple[float, float]:
@@ -198,9 +171,8 @@ def flux_exponent_args(
     guard. The power family has no exponential but the same quantities
     serve as a scale-free stop measure.
     """
-    if params.flux is FluxFamily.EXP_LINEAR:
-        return params.q * u_bdry, params.p * v_bdry
-    return u_bdry**params.q, v_bdry**params.p
+    arg = params.flux.arg
+    return arg(u_bdry, params.q), arg(v_bdry, params.p)
 
 
 def adapt_dt(
@@ -252,16 +224,6 @@ def step(
     return FieldState(t=state.t + dt, u=u, v=v)
 
 
-def _flux_for_record(params: ProblemParams, w: float, e: float) -> float:
-    # recording only: past the stop the argument may exceed the guard,
-    # in which case inf is the honest value to write
-    if params.flux is FluxFamily.POWER:
-        return float(w**e)
-    arg = e * w if params.flux is FluxFamily.EXP_LINEAR else w**e
-    with np.errstate(over="ignore"):
-        return float(np.exp(arg))
-
-
 class _Recorder:
     def __init__(self, params: ProblemParams, grid: RadialGrid, config: SolverConfig):
         self.params = params
@@ -282,6 +244,11 @@ class _Recorder:
         p = self.params
         u, v = state.u, state.v
         k = self.n_interior
+        arg_u, arg_v = flux_exponent_args(p, float(u[-1]), float(v[-1]))
+        # unguarded: past the stop the argument may exceed the overflow
+        # guard, in which case inf is the honest value to write
+        with np.errstate(over="ignore"):
+            flux_u, flux_v = p.flux.from_arg(arg_u), p.flux.from_arg(arg_v)
         row = (
             state.t,
             dt,
@@ -291,8 +258,8 @@ class _Recorder:
             int(v.argmax()),
             float(u[:k].max()),
             float(v[:k].max()),
-            _flux_for_record(p, float(u[-1]), p.q),
-            _flux_for_record(p, float(v[-1]), p.p),
+            flux_u,
+            flux_v,
         )
         self.rows.append(row)
         sample_index = len(self.rows) - 1
@@ -310,18 +277,13 @@ class _Recorder:
         self.state_samples.append(last_sample)
 
     def build(self, stop: StopInfo, steps: int) -> Trajectory:
-        cols = list(zip(*self.rows))
+        # each row holds one value per name in COLUMNS, in that order
+        columns = {
+            name: np.array(values, dtype=int if name.startswith("argmax") else float)
+            for name, values in zip(COLUMNS, zip(*self.rows))
+        }
         return Trajectory(
-            t=np.array(cols[0], dtype=float),
-            dt=np.array(cols[1], dtype=float),
-            M=np.array(cols[2], dtype=float),
-            Nmax=np.array(cols[3], dtype=float),
-            argmax_u=np.array(cols[4], dtype=int),
-            argmax_v=np.array(cols[5], dtype=int),
-            sup_u_interior=np.array(cols[6], dtype=float),
-            sup_v_interior=np.array(cols[7], dtype=float),
-            flux_u=np.array(cols[8], dtype=float),
-            flux_v=np.array(cols[9], dtype=float),
+            **columns,
             states=tuple(self.states),
             state_samples=np.array(self.state_samples, dtype=int),
             stop=stop,

@@ -6,7 +6,6 @@ import pytest
 
 from blowuplab.analysis import (
     BlowupFit,
-    analyze_run,
     boundary_set_check,
     estimate_blowup_time,
     fit_rate,
@@ -103,7 +102,7 @@ class TestEstimateBlowupTime:
         t = np.linspace(0.5, 0.995, 400)
         M = 1.0 - 0.5 * np.log(1.0 - t)
         fit = estimate_blowup_time(synthetic(t, M, M), exp_power_params())
-        t_hat, c1, c2, residual = fit
+        t_hat, c1, c2, residual = fit.t_hat, fit.c1_hat, fit.c2_hat, fit.residual
         assert t_hat == fit.t_hat
         assert (c1, c2, residual) == (fit.c1_hat, fit.c2_hat, fit.residual)
 
@@ -319,16 +318,3 @@ class TestBoundarySetCheck:
         assert report.status == "inconclusive"
         assert not report.passed
         assert math.isnan(report.growth_u)
-
-
-class TestAnalyzeRun:
-    def test_reference_run_report(self, reference_run):
-        params, traj = reference_run
-        report = analyze_run(traj, params)
-        assert traj.stop.t_stop < report.t_hat
-        assert report.fit_window[1] <= traj.stop.t_stop
-        assert report.alpha_hat <= 1.1
-        assert report.beta_hat <= 1.1
-        assert np.isfinite(report.rate_sup_u)
-        assert report.rate_trend_u <= 1.2
-        assert report.interior_sup_u < report.c1_hat * 10

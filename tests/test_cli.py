@@ -79,6 +79,17 @@ class TestRunExperiment:
         assert float(report["rate.alpha_hat"]) <= 1.1
         assert float(report["rate.beta_hat"]) <= 1.1
 
+    def test_reference_run_fit_brackets_the_stop(self, ref_run):
+        _, _, report = ref_run
+        t_stop = float(report["run.t_stop"])
+        assert t_stop < float(report["blowup.T_hat"])
+        assert float(report["blowup.window_hi"]) <= t_stop
+        assert math.isfinite(float(report["rate.sup_u"]))
+        assert float(report["rate.trend_u"]) <= 1.2
+        assert float(report["boundary.interior_sup_u"]) < (
+            float(report["blowup.c1_hat"]) * 10
+        )
+
     def test_artifact_files_exist(self, ref_run):
         _, artifacts, _ = ref_run
         assert artifacts.trajectory.exists()
@@ -250,6 +261,19 @@ class TestMain:
                      "--stop-frac", "0.99"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ode", "--p", "2", "--q", "2", "--c", "-1"],
+        ["ode", "--p", "2", "--q", "2", "--stop-frac", "1.5"],
+        ["jump", "--steps", "2"],
+        ["jump", "--distances", "0.04,0.16"],
+    ])
+    def test_oracle_out_of_range_argument_is_operational_error(self, argv, capsys):
+        code = main(["oracle", *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
     def test_oracle_jump_verb(self, capsys):
         code = main(["oracle", "jump", "--R", "1.0", "--m", "24"])

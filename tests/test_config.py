@@ -42,7 +42,7 @@ class TestParseDefaults:
         assert config.residual_max == 0.5
         assert config.dominance_scale == 1.0
         assert config.output_dir == "runs"
-        assert config.deterministic is True
+        assert "deterministic = true" in render_config(config).splitlines()
 
     def test_problem_fields(self):
         config = parse_config(MINIMAL)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from blowuplab.errors import (
     DegenerateExponents,
@@ -45,6 +47,13 @@ class TestRateExponents:
             assert p * beta == pytest.approx(alpha + 1.0, rel=1e-12)
             assert q * alpha == pytest.approx(beta + 1.0, rel=1e-12)
 
+    @given(p=st.floats(0.05, 50.0), q=st.floats(0.05, 50.0))
+    def test_identities_property(self, p, q):
+        assume(p * q > 1.0 + 1e-6)
+        alpha, beta = rate_exponents(p, q)
+        assert p * beta == pytest.approx(alpha + 1.0, rel=1e-12)
+        assert q * alpha == pytest.approx(beta + 1.0, rel=1e-12)
+
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 0.5), (0.5, 1.5), (0.1, 0.1)])
     def test_degenerate_product(self, p, q):
         with pytest.raises(DegenerateExponents):
@@ -81,6 +90,26 @@ class TestBoundaryFlux:
     def test_negative_boundary_value(self):
         with pytest.raises(ValueError):
             boundary_flux(FluxFamily.EXP_POWER, -0.1, 2.0)
+
+    CLOSED_FORMS = {
+        FluxFamily.EXP_POWER: lambda w, e: float(np.exp(w**e)),
+        FluxFamily.POWER: lambda w, e: w**e,
+        FluxFamily.EXP_LINEAR: lambda w, e: float(np.exp(e * w)),
+    }
+
+    @given(
+        family=st.sampled_from(list(FluxFamily)),
+        w=st.floats(0.0, 1e3),
+        e=st.floats(0.0, 8.0, exclude_min=True),
+    )
+    def test_matches_the_family_table(self, family, w, e):
+        # below the guard the flux is the table's flux of the table's
+        # argument, and that is the closed form the family names
+        assume(e > family.min_exponent)
+        arg = family.arg(w, e)
+        assume(arg < EXP_GUARD)
+        assert boundary_flux(family, w, e) == family.from_arg(arg)
+        assert boundary_flux(family, w, e) == self.CLOSED_FORMS[family](w, e)
 
 
 class TestMakeGrid:

@@ -241,7 +241,9 @@ class TestVerifyLemmaBounds:
         params = OdeParams(p=2.0, q=2.0, c=0.5, T=1.0, A0=1.0, B0=1.0)
         series = integrate_system(params, 1.0 - 1e-5)
         report = verify_lemma_bounds(series, params)
-        alpha_fit, beta_fit, c_a, c_b, passed = report
+        alpha_fit, beta_fit, c_a, c_b, passed = (
+            report.alpha_fit, report.beta_fit, report.c_a, report.c_b, report.passed
+        )
         assert alpha_fit == report.alpha_fit
         assert c_b == report.c_b
         assert passed is report.passed

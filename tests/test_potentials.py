@@ -328,6 +328,36 @@ class TestJumpCheck:
         np.testing.assert_allclose(report.boundary_term, -0.12615659860176573, rtol=1e-6)
         np.testing.assert_allclose(report.interior_limit, 0.37546333171783824, rtol=1e-6)
 
+    def test_derivatives_match_single_layer(self):
+        # one density block shared by every evaluation gives the same bits
+        # as separate single_layer calls, also for a density varying in
+        # place and time
+        q = sphere_quadrature(1.0, 12)
+
+        def density(pts, tau):
+            return 1.0 + tau + pts[:, 2]
+
+        report = jump_check(self.POLE, density, 0.05, q, [0.3, 0.2], steps=8)
+        for d, derivative in zip(report.distances, report.derivatives):
+            h = d / 8.0
+            inner, outer = (
+                single_layer((1.0 - dist) * self.POLE, 0.05, density, 0.0, q, steps=8)
+                for dist in (d - h, d + h)
+            )
+            assert derivative == (inner - outer) / (2.0 * h)
+
+    def test_density_evaluated_once_per_sigma_node(self):
+        calls = []
+
+        def density(pts, tau):
+            calls.append(tau)
+            return 1.0
+
+        q = sphere_quadrature(1.0, 24)
+        jump_check(self.POLE, density, 0.05, q, self.DISTANCES, steps=48)
+        # four Gauss nodes per panel, plus the target value phi(x0, t)
+        assert len(calls) == 48 * 4 + 1
+
     def test_rejects_distances_below_resolution(self):
         q = sphere_quadrature(1.0, 24)
         with pytest.raises(ResolutionError):

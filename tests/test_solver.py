@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab.errors import InvalidInitialData, StepUnderflow
 from blowuplab.model import (
@@ -47,6 +49,26 @@ class TestRadialLaplacian:
         ghost = a + b * (grid.R + grid.dr) ** 2
         lap = radial_laplacian(f, grid, n, ghost)
         assert np.allclose(lap, 2.0 * n * b, atol=1e-10)
+
+    @settings(deadline=None)
+    @given(
+        N=st.integers(16, 400),
+        R=st.floats(0.1, 10.0),
+        n=st.sampled_from([1, 2, 3]),
+        a=st.floats(0.0, 10.0),
+        b=st.floats(-5.0, 5.0),
+    )
+    def test_exact_on_random_quadratics(self, N, R, n, a, b):
+        # the same exactness for any grid and ball: the only error is the
+        # roundoff of second differences of values of size a + |b| R^2
+        grid = make_grid(R, N)
+        f = a + b * grid.r**2
+        ghost = a + b * (grid.R + grid.dr) ** 2
+        lap = radial_laplacian(f, grid, n, ghost)
+        # (the floor covers subnormal a and b, where eps is not relative)
+        roundoff = 64 * np.finfo(float).eps * (a + abs(b) * R * R) / grid.dr**2
+        roundoff += 1e-300
+        assert np.abs(lap - 2.0 * n * b).max() <= roundoff
 
     def test_second_order_on_quartic(self):
         # Delta r^4 = (4n + 8) r^2; the truncation error scales as dr^2
