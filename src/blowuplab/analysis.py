@@ -44,6 +44,7 @@ MIN_RATE_SAMPLES = 10
 MIN_TREND_SAMPLES = 3
 HALF_DECADE = math.sqrt(10.0)
 DEFAULT_RESIDUAL_MAX = 0.5
+DEFAULT_RATE_TOL = 0.20
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def rate_bound_check(
     alpha: float,
     beta: float,
     params: ProblemParams | None = None,
-    tol: float = 0.20,
+    tol: float = DEFAULT_RATE_TOL,
 ) -> RateBoundReport:
     """Upper rate estimate diagnostic.
 

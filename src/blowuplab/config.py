@@ -1,63 +1,29 @@
 """Experiment configuration: a small INI dialect over the library types.
 
-A config file has up to five sections. [problem] is the only one with
-required keys (p, q, R, n, flux); everything else falls back to the
-defaults below, chosen to match the reference p = q = 2 experiment.
-
-    [problem]   p, q, R, n, flux        (required)
-                u0_base = 0.5           u0 = u0_base + u0_quad r^2
-                u0_quad = 0.5
-                v0_base = 0.5           v0 = v0_base + v0_quad r^2
-                v0_quad = 0.5
-    [solver]    N = 201                 grid nodes
-                cfl = 0.4               diffusion step fraction
-                growth_cap = 0.1        max relative boundary growth per step
-                u_stop = 600.0          blow-up stop threshold
-                t_end =                 optional hard time limit
-                record_every = 10       sample cadence in accepted steps
-                state_every = 1         field snapshot cadence in samples
-    [analysis]  interior_radius = 0.5   the radius a of the interior check
-                rate_tol = 0.2          one-sided trend tolerance
-                residual_max = 0.5      fit residual gate
-                dominance_scale = 1.0   amplitude headroom for the envelope
-    [output]    dir = runs
-    [sweep]     p, q, N, flux           axes; omitted axes reuse [problem]
-                max_runs = 64
-
-Values are plain `key = value` lines, diff-friendly on purpose; lists
-are comma-separated. Unknown sections or keys are rejected rather than
-ignored so a typo cannot silently revert a knob to its default. Runs
-are seed-free and deterministic, so [output] deterministic accepts only
-true; the echo always writes it.
+`_KEYS` below lists every section and key, in the order the `config.ini`
+echo writes them, with the dataclass field each key sets; those fields
+hold the defaults. Only [problem] p, q, R, n and flux are required, and
+the [sweep] axes default to the base point. Values are plain
+`key = value` lines, lists comma-separated. Unknown sections or keys
+are refused, so a typo cannot silently revert a knob to its default,
+and so are non-finite numbers. Runs are seed-free and deterministic, so
+[output] deterministic accepts only true; the echo always writes it.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
+from .analysis import DEFAULT_RATE_TOL, DEFAULT_RESIDUAL_MAX
 from .errors import ConfigError
 from .model import FluxFamily, ProblemParams, QuadraticRadial
 from .solver import SolverConfig
-
-_SECTIONS = {
-    "problem": {
-        "p", "q", "R", "n", "flux",
-        "u0_base", "u0_quad", "v0_base", "v0_quad",
-    },
-    "solver": {
-        "N", "cfl", "growth_cap", "u_stop", "t_end",
-        "record_every", "state_every",
-    },
-    "analysis": {
-        "interior_radius", "rate_tol", "residual_max", "dominance_scale",
-    },
-    "output": {"dir", "deterministic"},
-    "sweep": {"p", "q", "N", "flux", "max_runs"},
-}
-
-_REQUIRED = ("p", "q", "R", "n", "flux")
 
 
 @dataclass(frozen=True)
@@ -68,7 +34,11 @@ class SweepAxes:
     q: tuple[float, ...]
     N: tuple[int, ...]
     flux: tuple[FluxFamily, ...]
-    max_runs: int
+    max_runs: int = 64
+
+    def __post_init__(self):
+        if self.max_runs < 1:
+            raise ValueError(f"max_runs must be positive, got {self.max_runs}")
 
     def __len__(self) -> int:
         return len(self.p) * len(self.q) * len(self.N) * len(self.flux)
@@ -78,16 +48,42 @@ class SweepAxes:
 class ExperimentConfig:
     params: ProblemParams
     solver: SolverConfig
-    rate_tol: float
-    residual_max: float
-    dominance_scale: float
-    output_dir: str
     sweep: SweepAxes
+    rate_tol: float = DEFAULT_RATE_TOL
+    residual_max: float = DEFAULT_RESIDUAL_MAX
+    dominance_scale: float = 1.0
+    output_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.interior_radius >= self.params.R:
+            raise ValueError(
+                f"interior_radius = {self.interior_radius} "
+                f"must be below R = {self.params.R}"
+            )
+        if self.dominance_scale <= 0:
+            raise ValueError(
+                f"dominance_scale must be positive, got {self.dominance_scale}"
+            )
 
     @property
     def interior_radius(self) -> float:
         """The radius a of the interior check; the solver records at it."""
         return self.solver.interior_radius
+
+
+class _Kind(NamedTuple):
+    """How one key's value is read from and written to the INI text."""
+
+    parse: Callable[[str], Any]
+    show: Callable[[Any], str]
+    many: bool = False
+
+
+def _real(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 def _parse_flux(raw: str) -> FluxFamily:
@@ -98,58 +94,67 @@ def _parse_flux(raw: str) -> FluxFamily:
         raise ConfigError(f"unknown flux {raw.strip()!r}, expected one of: {valid}")
 
 
-class _Section:
-    """One config section with typed, error-annotated getters."""
-
-    def __init__(self, name: str, data: dict[str, str]):
-        self.name = name
-        self.data = data
-
-    def _fetch(self, key: str, default, caster):
-        raw = self.data.get(key, "")
-        if raw.strip() == "":
-            if default is _MISSING:
-                raise ConfigError(f"missing required key [{self.name}] {key}")
-            return default
-        try:
-            return caster(raw.strip())
-        except ConfigError:
-            raise
-        except (ValueError, TypeError):
-            raise ConfigError(f"cannot parse [{self.name}] {key} = {raw.strip()!r}")
-
-    def real(self, key, default=None):
-        return self._fetch(key, default, float)
-
-    def integer(self, key, default=None):
-        return self._fetch(key, default, int)
-
-    def flag(self, key, default):
-        def to_bool(s: str) -> bool:
-            low = s.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(s)
-
-        return self._fetch(key, default, to_bool)
-
-    def real_list(self, key, default):
-        return self._fetch(
-            key, default, lambda s: tuple(float(v) for v in s.split(","))
-        )
-
-    def int_list(self, key, default):
-        return self._fetch(key, default, lambda s: tuple(int(v) for v in s.split(",")))
-
-    def flux_list(self, key, default):
-        return self._fetch(
-            key, default, lambda s: tuple(_parse_flux(v) for v in s.split(","))
-        )
+def _deterministic(raw: str) -> bool:
+    if raw.lower() in ("false", "no", "0", "off"):
+        raise ConfigError("runs are always deterministic; the flag cannot be off")
+    if raw.lower() not in ("true", "yes", "1", "on"):
+        raise ValueError(raw)
+    return True
 
 
-_MISSING = object()
+def _many(kind: _Kind) -> _Kind:
+    return _Kind(lambda raw: tuple(kind.parse(v) for v in raw.split(",")),
+                 lambda values: ", ".join(kind.show(v) for v in values), many=True)
+
+
+# only t_end can be None ("no time limit"); the echo leaves it empty
+_REAL = _Kind(_real, lambda v: "" if v is None else repr(v))
+_INT = _Kind(int, str)
+_FLUX = _Kind(_parse_flux, lambda f: f.value)
+_TEXT = _Kind(str, str)
+# checked, never stored: there is no field to turn off
+_ALWAYS_TRUE = _Kind(_deterministic, lambda _: "true")
+
+# section -> key -> (ExperimentConfig attribute path, kind), in echo order
+_KEYS: dict[str, dict[str, tuple[str | None, _Kind]]] = {
+    "problem": {
+        "p": ("params.p", _REAL),
+        "q": ("params.q", _REAL),
+        "R": ("params.R", _REAL),
+        "n": ("params.n", _INT),
+        "flux": ("params.flux", _FLUX),
+        "u0_base": ("params.initial.a_u", _REAL),
+        "u0_quad": ("params.initial.b_u", _REAL),
+        "v0_base": ("params.initial.a_v", _REAL),
+        "v0_quad": ("params.initial.b_v", _REAL),
+    },
+    "solver": {
+        "N": ("solver.N", _INT),
+        "cfl": ("solver.cfl", _REAL),
+        "growth_cap": ("solver.growth_cap", _REAL),
+        "u_stop": ("solver.u_stop", _REAL),
+        "t_end": ("solver.t_end", _REAL),
+        "record_every": ("solver.record_every", _INT),
+        "state_every": ("solver.state_every", _INT),
+    },
+    "analysis": {
+        "interior_radius": ("solver.interior_radius", _REAL),
+        "rate_tol": ("rate_tol", _REAL),
+        "residual_max": ("residual_max", _REAL),
+        "dominance_scale": ("dominance_scale", _REAL),
+    },
+    "output": {
+        "dir": ("output_dir", _TEXT),
+        "deterministic": (None, _ALWAYS_TRUE),
+    },
+    "sweep": {
+        "p": ("sweep.p", _many(_REAL)),
+        "q": ("sweep.q", _many(_REAL)),
+        "N": ("sweep.N", _many(_INT)),
+        "flux": ("sweep.flux", _many(_FLUX)),
+        "max_runs": ("sweep.max_runs", _INT),
+    },
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -165,90 +170,43 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not parseable: {exc}")
 
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTIONS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    def section(name: str) -> _Section:
-        if parser.has_section(name):
-            return _Section(name, dict(parser[name]))
-        return _Section(name, {})
-
-    prob = section("problem")
-    for key in _REQUIRED:
-        if prob.data.get(key, "").strip() == "":
+    # owner path ("" is the ExperimentConfig itself) -> field -> value
+    given: dict[str, dict[str, Any]] = defaultdict(dict)
+    for section, keys in _KEYS.items():
+        data = parser[section] if parser.has_section(section) else {}
+        for key, (path, kind) in keys.items():
+            raw = data.get(key, "").strip()
+            if not raw:
+                # an axis written with no value is an error, not a default
+                if kind.many and key in data:
+                    raise ConfigError(f"sweep axis {key} is empty")
+                continue
+            try:
+                value = kind.parse(raw)
+            except ValueError:
+                raise ConfigError(f"cannot parse [{section}] {key} = {raw!r}")
+            if path is not None:
+                owner, _, field = path.rpartition(".")
+                given[owner][field] = value
+    for key in ("p", "q", "R", "n", "flux"):
+        if key not in given["params"]:
             raise ConfigError(f"missing required key [problem] {key}")
 
-    flux = _parse_flux(prob.data["flux"])
-    initial = QuadraticRadial(
-        a_u=prob.real("u0_base", 0.5),
-        b_u=prob.real("u0_quad", 0.5),
-        a_v=prob.real("v0_base", 0.5),
-        b_v=prob.real("v0_quad", 0.5),
-    )
     try:
-        params = ProblemParams(
-            p=prob.real("p", _MISSING),
-            q=prob.real("q", _MISSING),
-            R=prob.real("R", _MISSING),
-            n=prob.integer("n", _MISSING),
-            flux=flux,
-            initial=initial,
-        )
+        initial = QuadraticRadial(**given["params.initial"])
+        params = ProblemParams(initial=initial, **given["params"])
+        solver = SolverConfig(**given["solver"])
+        sweep = SweepAxes(**{"p": (params.p,), "q": (params.q,), "N": (solver.N,),
+                             "flux": (params.flux,), **given["sweep"]})
+        return ExperimentConfig(params=params, solver=solver, sweep=sweep, **given[""])
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-    solv = section("solver")
-    anal = section("analysis")
-    interior_radius = anal.real("interior_radius", 0.5)
-    try:
-        solver = SolverConfig(
-            N=solv.integer("N", 201),
-            cfl=solv.real("cfl", 0.4),
-            growth_cap=solv.real("growth_cap", 0.1),
-            u_stop=solv.real("u_stop", 600.0),
-            t_end=solv.real("t_end", None),
-            record_every=solv.integer("record_every", 10),
-            state_every=solv.integer("state_every", 1),
-            interior_radius=interior_radius,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if interior_radius >= params.R:
-        raise ConfigError(
-            f"interior_radius = {interior_radius} must be below R = {params.R}"
-        )
-
-    out = section("output")
-    if not out.flag("deterministic", True):
-        raise ConfigError("runs are always deterministic; the flag cannot be off")
-
-    sweep_sec = section("sweep")
-    # a key written with no value is an explicit empty axis, not a default
-    for axis in ("p", "q", "N", "flux"):
-        if axis in sweep_sec.data and sweep_sec.data[axis].strip() == "":
-            raise ConfigError(f"sweep axis {axis} is empty")
-    axes = SweepAxes(
-        p=sweep_sec.real_list("p", (params.p,)),
-        q=sweep_sec.real_list("q", (params.q,)),
-        N=sweep_sec.int_list("N", (solver.N,)),
-        flux=sweep_sec.flux_list("flux", (params.flux,)),
-        max_runs=sweep_sec.integer("max_runs", 64),
-    )
-    if axes.max_runs < 1:
-        raise ConfigError(f"max_runs must be positive, got {axes.max_runs}")
-
-    return ExperimentConfig(
-        params=params,
-        solver=solver,
-        rate_tol=anal.real("rate_tol", 0.20),
-        residual_max=anal.real("residual_max", 0.5),
-        dominance_scale=anal.real("dominance_scale", 1.0),
-        output_dir=out.data.get("dir", "runs").strip() or "runs",
-        sweep=axes,
-    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -279,46 +237,13 @@ def render_config(config: ExperimentConfig) -> str:
     The output parses back to an identical config, which is what the
     per-run echo file is for.
     """
-    params, solver, axes = config.params, config.solver, config.sweep
-    initial = params.initial
-    if not isinstance(initial, QuadraticRadial):
+    if not isinstance(config.params.initial, QuadraticRadial):
         raise ConfigError("only quadratic radial initial data can be serialized")
-    lines = [
-        "[problem]",
-        f"p = {params.p!r}",
-        f"q = {params.q!r}",
-        f"R = {params.R!r}",
-        f"n = {params.n}",
-        f"flux = {params.flux.value}",
-        f"u0_base = {initial.a_u!r}",
-        f"u0_quad = {initial.b_u!r}",
-        f"v0_base = {initial.a_v!r}",
-        f"v0_quad = {initial.b_v!r}",
-        "",
-        "[solver]",
-        f"N = {solver.N}",
-        f"cfl = {solver.cfl!r}",
-        f"growth_cap = {solver.growth_cap!r}",
-        f"u_stop = {solver.u_stop!r}",
-        f"t_end = {'' if solver.t_end is None else repr(solver.t_end)}",
-        f"record_every = {solver.record_every}",
-        f"state_every = {solver.state_every}",
-        "",
-        "[analysis]",
-        f"interior_radius = {config.interior_radius!r}",
-        f"rate_tol = {config.rate_tol!r}",
-        f"residual_max = {config.residual_max!r}",
-        f"dominance_scale = {config.dominance_scale!r}",
-        "",
-        "[output]",
-        f"dir = {config.output_dir}",
-        "deterministic = true",
-        "",
-        "[sweep]",
-        f"p = {', '.join(repr(v) for v in axes.p)}",
-        f"q = {', '.join(repr(v) for v in axes.q)}",
-        f"N = {', '.join(str(v) for v in axes.N)}",
-        f"flux = {', '.join(f.value for f in axes.flux)}",
-        f"max_runs = {axes.max_runs}",
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in _KEYS.items():
+        lines = [f"[{section}]"]
+        for key, (path, kind) in keys.items():
+            value = None if path is None else attrgetter(path)(config)
+            lines.append(f"{key} = {kind.show(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

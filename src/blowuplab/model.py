@@ -107,10 +107,10 @@ class QuadraticRadial:
     the constant 2*n*b.
     """
 
-    a_u: float
-    b_u: float
-    a_v: float
-    b_v: float
+    a_u: float = 0.5
+    b_u: float = 0.5
+    a_v: float = 0.5
+    b_v: float = 0.5
 
     def evaluate(self, grid: "RadialGrid") -> tuple[np.ndarray, np.ndarray]:
         r2 = grid.r * grid.r

@@ -243,6 +243,16 @@ class TestMain:
         assert code == 1
         assert "missing required key" in capsys.readouterr().err
 
+    def test_nonpositive_dominance_scale_is_operational_error(self, tmp_path, capsys):
+        # the reference run would reach the dominance check with this scale
+        path = self.write(tmp_path, REFERENCE + "\n[analysis]\ndominance_scale = -1\n")
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "dominance_scale" in err
+
     def test_unreadable_config_is_operational_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "none.ini")])
         assert code == 1

@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blowuplab.config import (
     ExperimentConfig,
@@ -12,7 +15,8 @@ from blowuplab.config import (
     with_axes_point,
 )
 from blowuplab.errors import ConfigError
-from blowuplab.model import FluxFamily, QuadraticRadial, Tabulated
+from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial, Tabulated
+from blowuplab.solver import EXP_GUARD, SolverConfig
 
 MINIMAL = """\
 [problem]
@@ -151,6 +155,32 @@ class TestParseRejections:
         with pytest.raises(ConfigError, match="max_runs"):
             parse_config(MINIMAL + "[sweep]\nmax_runs = 0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section, key", [
+        *[("problem", k) for k in
+          ("p", "q", "R", "u0_base", "u0_quad", "v0_base", "v0_quad")],
+        ("solver", "t_end"),
+        *[("analysis", k) for k in
+          ("interior_radius", "rate_tol", "residual_max", "dominance_scale")],
+        ("sweep", "p"),
+        ("sweep", "q"),
+    ])
+    def test_non_finite_number(self, section, key, value):
+        raw = f"2, {value}" if section == "sweep" else value
+        if section == "problem":
+            kept = [ln for ln in MINIMAL.splitlines() if not ln.startswith(f"{key} ")]
+            text = "\n".join(kept) + f"\n{key} = {raw}\n"
+        else:
+            text = MINIMAL + f"[{section}]\n{key} = {raw}\n"
+        message = re.escape(f"cannot parse [{section}] {key} = '{raw}'")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize("scale", ["-1", "0"])
+    def test_nonpositive_dominance_scale(self, scale):
+        with pytest.raises(ConfigError, match="dominance_scale must be positive"):
+            parse_config(MINIMAL + f"[analysis]\ndominance_scale = {scale}\n")
+
 
 class TestLoadConfig:
     def test_reads_a_file(self, tmp_path):
@@ -195,7 +225,74 @@ max_runs = 16
             with_axes_point(config, p=0.5, q=2.0, N=201, flux=FluxFamily.POWER)
 
 
+# the exact config.ini of MINIMAL: key order, repr floats, the empty t_end
+ECHO_MINIMAL = "\n".join([
+    "[problem]", "p = 2.0", "q = 2.0", "R = 1.0", "n = 2", "flux = exp_power",
+    "u0_base = 0.5", "u0_quad = 0.5", "v0_base = 0.5", "v0_quad = 0.5", "",
+    "[solver]", "N = 201", "cfl = 0.4", "growth_cap = 0.1", "u_stop = 600.0",
+    "t_end = ", "record_every = 10", "state_every = 1", "",
+    "[analysis]", "interior_radius = 0.5", "rate_tol = 0.2", "residual_max = 0.5",
+    "dominance_scale = 1.0", "",
+    "[output]", "dir = runs", "deterministic = true", "",
+    "[sweep]", "p = 2.0", "q = 2.0", "N = 201", "flux = exp_power", "max_runs = 64",
+]) + "\n"
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+def _open(low, high):
+    return st.floats(low, high, exclude_min=True, exclude_max=True, **FINITE)
+
+
+def _axis(values):
+    return st.lists(values, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def experiment_configs(draw):
+    flux = draw(st.sampled_from(FluxFamily))
+    exponent = _open(flux.min_exponent, 50.0)
+    R = draw(st.floats(1e-3, 1e6))
+    params = ProblemParams(
+        p=draw(exponent), q=draw(exponent), R=R, n=draw(st.sampled_from((1, 2, 3))),
+        flux=flux, initial=QuadraticRadial(*draw(st.lists(
+            st.floats(**FINITE), min_size=4, max_size=4))),
+    )
+    solver = SolverConfig(
+        N=draw(st.integers(16, 10_000)),
+        cfl=draw(st.floats(0.0, 0.5, exclude_min=True)),
+        growth_cap=draw(st.floats(0.0, 0.5, exclude_min=True)),
+        u_stop=draw(_open(0.0, EXP_GUARD)),
+        t_end=draw(st.none() | _open(0.0, 1e6)),
+        record_every=draw(st.integers(1, 1000)),
+        state_every=draw(st.integers(0, 1000)),
+        interior_radius=draw(_open(0.0, R)),
+    )
+    sweep = SweepAxes(
+        p=draw(_axis(exponent)), q=draw(_axis(exponent)),
+        N=draw(_axis(st.integers(16, 10_000))),
+        flux=draw(_axis(st.sampled_from(FluxFamily))),
+        max_runs=draw(st.integers(1, 10_000)),
+    )
+    return ExperimentConfig(
+        params=params, solver=solver, sweep=sweep,
+        rate_tol=draw(st.floats(**FINITE)),
+        residual_max=draw(st.floats(**FINITE)),
+        dominance_scale=draw(_open(0.0, 1e6)),
+        # an INI value loses leading blanks and a " #" comment, and an empty
+        # dir means the default, so only such directory names can round-trip
+        output_dir=draw(st.text("abcxyz0189_-./", min_size=1, max_size=12)),
+    )
+
+
 class TestRenderConfig:
+    def test_golden_echo_of_minimal(self):
+        assert render_config(parse_config(MINIMAL)) == ECHO_MINIMAL
+
+    @given(experiment_configs())
+    def test_round_trip_of_any_valid_config(self, config):
+        assert parse_config(render_config(config)) == config
+
     def test_round_trip_identity(self):
         config = parse_config(MINIMAL + """
 [solver]
