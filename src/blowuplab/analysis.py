@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import BadRadius, DegenerateExponents, FitFailed
-from .model import ProblemParams, make_grid, rate_exponents
+from .errors import BadRadius, FitFailed
+from .model import ProblemParams, interior_nodes, make_grid
 from .solver import StopReason, Trajectory
 
 MIN_WINDOW_SAMPLES = 20
@@ -132,6 +132,19 @@ def tail_window(traj: Trajectory) -> int:
     return i
 
 
+def _window(
+    traj: Trajectory, params: ProblemParams | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t and the transformed moduli y_u, y_v on the fit window (plain M
+    and Nmax when params is None)."""
+    i0 = tail_window(traj)
+    t, yu, yv = traj.t[i0:], traj.M[i0:], traj.Nmax[i0:]
+    if params is not None:
+        law = params.flux.transform
+        yu, yv = law(yu, params.q), law(yv, params.p)
+    return t, yu, yv
+
+
 def estimate_blowup_time(
     traj: Trajectory,
     params: ProblemParams,
@@ -152,10 +165,7 @@ def estimate_blowup_time(
         raise FitFailed(
             f"run stopped on {traj.stop.reason.value}, not the blow-up threshold"
         )
-    i0 = tail_window(traj)
-    t = traj.t[i0:]
-    law = params.flux.transform
-    yu, yv = law(traj.M[i0:], params.q), law(traj.Nmax[i0:], params.p)
+    t, yu, yv = _window(traj, params)
     target_u, target_v = params.flux.rate_targets(params.p, params.q)
     su, sv = target_u / 2.0, target_v / 2.0
     t_stop = traj.stop.t_stop
@@ -232,16 +242,13 @@ def fit_rate(
     is 1 (slope 1/2). The growth laws are one-sided upper estimates, so
     values below the theoretical exponents are expected on real runs.
     """
-    i0 = tail_window(traj)
-    t = traj.t[i0:]
+    t, yu, yv = _window(traj, params)
     usable = t < t_hat
     if int(usable.sum()) < MIN_RATE_SAMPLES:
         raise FitFailed(
             f"{int(usable.sum())} usable samples below t_hat, "
             f"need {MIN_RATE_SAMPLES}"
         )
-    law = params.flux.transform
-    yu, yv = law(traj.M[i0:], params.q), law(traj.Nmax[i0:], params.p)
     x = -np.log(t_hat - t[usable])
     return 2.0 * slope(x, yu[usable]), 2.0 * slope(x, yv[usable])
 
@@ -268,12 +275,7 @@ def rate_bound_check(
     verdict. With fewer than MIN_TREND_SAMPLES tail samples the trends
     are nan and the check fails.
     """
-    i0 = tail_window(traj)
-    t = traj.t[i0:]
-    yu, yv = traj.M[i0:], traj.Nmax[i0:]
-    if params is not None:
-        law = params.flux.transform
-        yu, yv = law(yu, params.q), law(yv, params.p)
+    t, yu, yv = _window(traj, params)
     gap = t_hat - t
     log_pi_u = yu + 0.5 * alpha * np.log(gap)
     log_pi_v = yv + 0.5 * beta * np.log(gap)
@@ -305,8 +307,7 @@ def _interior_series(traj: Trajectory, params: ProblemParams, a: float):
             f"a = {a} differs from the recorded interior radius "
             f"{traj.config.interior_radius} and the run kept no snapshots"
         )
-    grid = make_grid(params.R, traj.config.N)
-    k = int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
+    k = interior_nodes(make_grid(params.R, traj.config.N), a)
     su = np.array([s.u[:k].max() for s in traj.states])
     sv = np.array([s.v[:k].max() for s in traj.states])
     return su, sv, traj.state_samples
@@ -328,9 +329,10 @@ def boundary_set_check(
     boundary node in every recorded sample. A run stopped for any other
     reason is inconclusive: interior bounds then hold trivially.
 
-    The comparison-function envelopes C (R^2 - a^2)^{-2m} with
-    m = alpha/2 resp. beta/2 are evaluated for whichever prefactors are
-    supplied. They are reported, not gated on.
+    The comparison-function envelopes C (R^2 - a^2)^{-2m} with m half the
+    family's rate target for u resp. v (alpha/2 and beta/2; 1/2 for
+    exp_linear, see FluxFamily.rate_targets) are evaluated for whichever
+    prefactors are supplied. They are reported, not gated on.
     """
     if not 0.0 < a < params.R:
         raise BadRadius(f"interior radius must lie in (0, R), got {a}")
@@ -341,15 +343,12 @@ def boundary_set_check(
     )
 
     envelope_u = envelope_v = float("nan")
-    try:
-        alpha, beta = rate_exponents(params.p, params.q)
-        shrink = (params.R**2 - a**2) ** -2.0
-        if c1_hat is not None:
-            envelope_u = c1_hat * shrink ** (alpha / 2.0)
-        if c2_hat is not None:
-            envelope_v = c2_hat * shrink ** (beta / 2.0)
-    except DegenerateExponents:
-        pass
+    target_u, target_v = params.flux.rate_targets(params.p, params.q)
+    shrink = (params.R**2 - a**2) ** -2.0
+    if c1_hat is not None:
+        envelope_u = c1_hat * shrink ** (target_u / 2.0)
+    if c2_hat is not None:
+        envelope_v = c2_hat * shrink ** (target_v / 2.0)
 
     growth_u = growth_v = float("nan")
     decade_samples = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -63,6 +64,15 @@ class ExperimentConfig:
         if self.dominance_scale <= 0:
             raise ValueError(
                 f"dominance_scale must be positive, got {self.dominance_scale}"
+            )
+        # the config.ini echo must parse back to the same directory: an INI
+        # value loses surrounding blanks, ends at a line break, reads empty
+        # as the default, and "#" after "dir = " or a blank starts a comment
+        d = self.output_dir
+        if not d or d != d.strip() or re.search(r"[\r\n]|(^|\s)#", d):
+            raise ValueError(
+                "output_dir must be non-empty, without surrounding blanks, "
+                f"line breaks or '#' at the start or after a blank, got {d!r}"
             )
 
     @property

@@ -205,6 +205,11 @@ def make_grid(R: float, N: int) -> RadialGrid:
     return RadialGrid(N=N, R=R, dr=dr, r=r)
 
 
+def interior_nodes(grid: RadialGrid, a: float) -> int:
+    """Number of nodes with r <= a (a tiny slack counts exact node hits)."""
+    return int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
+
+
 def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     """Outward normal flux induced by a boundary value w of the driving field.
 

@@ -11,7 +11,10 @@ The first term is the diffusion limit, the second caps the relative growth
 of the fields per step so the runaway near blow-up is traced rather than
 jumped over. Runs stop on one of three conditions: the flux exponent
 argument at the boundary exceeds u_stop (the expected ending for blowing-up
-solutions), simulated time reaches t_end, or dt underflows.
+solutions), simulated time reaches t_end, or dt underflows: it falls below
+UNDERFLOW_FACTOR * dr^2, or t + dt rounds back to t. A step that cannot
+advance t is refused before it touches the fields, so every recorded
+sample after the first has dt > 0 and t strictly increases.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
@@ -27,11 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FluxOverflow,
-    NumericalBlowupGuard,
-    StepUnderflow,
-)
+from .errors import NumericalBlowupGuard, StepUnderflow
 from .model import (
     EXP_GUARD,
     FieldState,
@@ -39,6 +38,7 @@ from .model import (
     ProblemParams,
     RadialGrid,
     boundary_flux,
+    interior_nodes,
     make_grid,
     radial_laplacian,
     validate_initial_data,
@@ -217,79 +217,17 @@ def step(
     dt = adapt_dt(state, config, (rate_u, rate_v), grid)
     if config.t_end is not None:
         dt = min(dt, config.t_end - state.t)
+    t = state.t + dt
+    if t == state.t:
+        raise StepUnderflow(
+            f"t + dt == t: dt = {dt:.3e} is below the resolution "
+            f"of t = {state.t:.6g}"
+        )
     u = state.u + dt * rate_u
     v = state.v + dt * rate_v
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise NumericalBlowupGuard(f"non-finite field values at t = {state.t:.6g}")
-    return FieldState(t=state.t + dt, u=u, v=v)
-
-
-class _Recorder:
-    def __init__(self, params: ProblemParams, grid: RadialGrid, config: SolverConfig):
-        self.params = params
-        self.config = config
-        # nodes with r <= interior_radius (tiny slack for exact node hits)
-        self.n_interior = int(
-            np.searchsorted(grid.r, config.interior_radius * (1.0 + 1e-12), side="right")
-        )
-        self.rows: list[tuple] = []
-        self.states: list[FieldState] = []
-        self.state_samples: list[int] = []
-        self.last_step_recorded = -1
-
-    def record(self, state: FieldState, dt: float, step_index: int) -> None:
-        if step_index == self.last_step_recorded:
-            return
-        self.last_step_recorded = step_index
-        p = self.params
-        u, v = state.u, state.v
-        k = self.n_interior
-        arg_u, arg_v = flux_exponent_args(p, float(u[-1]), float(v[-1]))
-        # unguarded: past the stop the argument may exceed the overflow
-        # guard, in which case inf is the honest value to write
-        with np.errstate(over="ignore"):
-            flux_u, flux_v = p.flux.from_arg(arg_u), p.flux.from_arg(arg_v)
-        row = (
-            state.t,
-            dt,
-            float(u.max()),
-            float(v.max()),
-            int(u.argmax()),
-            int(v.argmax()),
-            float(u[:k].max()),
-            float(v[:k].max()),
-            flux_u,
-            flux_v,
-        )
-        self.rows.append(row)
-        sample_index = len(self.rows) - 1
-        if self.config.state_every and sample_index % self.config.state_every == 0:
-            self.states.append(state)
-            self.state_samples.append(sample_index)
-
-    def force_state(self, state: FieldState) -> None:
-        if not self.config.state_every:
-            return
-        last_sample = len(self.rows) - 1
-        if self.state_samples and self.state_samples[-1] == last_sample:
-            return
-        self.states.append(state)
-        self.state_samples.append(last_sample)
-
-    def build(self, stop: StopInfo, steps: int) -> Trajectory:
-        # each row holds one value per name in COLUMNS, in that order
-        columns = {
-            name: np.array(values, dtype=int if name.startswith("argmax") else float)
-            for name, values in zip(COLUMNS, zip(*self.rows))
-        }
-        return Trajectory(
-            **columns,
-            states=tuple(self.states),
-            state_samples=np.array(self.state_samples, dtype=int),
-            stop=stop,
-            steps=steps,
-            config=self.config,
-        )
+    return FieldState(t=t, u=u, v=v)
 
 
 def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
@@ -326,60 +264,71 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
 
     u0, v0 = params.initial.evaluate(grid)
     state = FieldState(t=0.0, u=u0, v=v0)
-    rec = _Recorder(params, grid, config)
-    rec.record(state, 0.0, step_index=0)
+    k = interior_nodes(grid, config.interior_radius)
+    rows: list[tuple] = []
+    states: list[FieldState] = []
+    state_samples: list[int] = []
 
-    steps = 0
-    last_dt = 0.0
+    # each pass visits one state: decide whether it is the stop state,
+    # sample it, then advance; so no state is ever sampled twice
+    steps, dt, detail, reason = 0, 0.0, "", None
     while True:
-        if config.t_end is not None and state.t >= config.t_end:
-            stop = _stop(StopReason.TIME_LIMIT, state, params)
-            break
-        try:
-            new = step(state, params, grid, config)
-        except StepUnderflow as exc:
-            stop = _stop(StopReason.STEP_UNDERFLOW, state, params, detail=str(exc))
-            break
-        except NumericalBlowupGuard as exc:
-            # non-finite values mean the discrete solution left float range;
-            # report it as the blow-up ending it is, with the diagnostic
-            stop = _stop(
-                StopReason.BLOWUP_THRESHOLD, state, params, detail=str(exc)
-            )
-            break
-        steps += 1
-        last_dt = new.t - state.t
-        state = new
         arg_u, arg_v = flux_exponent_args(
             params, float(state.u[-1]), float(state.v[-1])
         )
-        if max(arg_u, arg_v) > config.u_stop:
-            stop = _stop(StopReason.BLOWUP_THRESHOLD, state, params)
+        # the threshold applies to stepped states: the initial data always
+        # take one step
+        if steps and max(arg_u, arg_v) > config.u_stop:
+            reason = StopReason.BLOWUP_THRESHOLD
+        elif config.t_end is not None and state.t >= config.t_end:
+            reason = StopReason.TIME_LIMIT
+        else:
+            try:
+                new = step(state, params, grid, config)
+            except StepUnderflow as exc:
+                reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
+            except NumericalBlowupGuard as exc:
+                # non-finite values mean the discrete solution left float
+                # range; report it as the blow-up ending it is
+                reason, detail = StopReason.BLOWUP_THRESHOLD, str(exc)
+
+        # the stop state is always the last sample and, with snapshots
+        # on, the last snapshot
+        if reason is not None or steps % config.record_every == 0:
+            u, v = state.u, state.v
+            # unguarded: past the stop the argument may exceed the overflow
+            # guard, in which case inf is the honest value to write
+            with np.errstate(over="ignore"):
+                flux_u = params.flux.from_arg(arg_u)
+                flux_v = params.flux.from_arg(arg_v)
+            # one value per name in COLUMNS, in that order
+            rows.append((
+                state.t, dt,
+                float(u.max()), float(v.max()), int(u.argmax()), int(v.argmax()),
+                float(u[:k].max()), float(v[:k].max()),
+                flux_u, flux_v,
+            ))
+            sample = len(rows) - 1
+            if config.state_every and (
+                reason is not None or sample % config.state_every == 0
+            ):
+                states.append(state)
+                state_samples.append(sample)
+        if reason is not None:
             break
-        if steps % config.record_every == 0:
-            rec.record(state, last_dt, step_index=steps)
+        steps += 1
+        dt = new.t - state.t
+        state = new
 
-    # the stop state is always the final sample (record() dedupes if the
-    # loop already wrote it)
-    rec.record(stop.last_state, last_dt, step_index=steps)
-    rec.force_state(stop.last_state)
-    return rec.build(stop, steps)
-
-
-def _stop(
-    reason: StopReason,
-    state: FieldState,
-    params: ProblemParams,
-    detail: str = "",
-) -> StopInfo:
-    arg_u, arg_v = flux_exponent_args(
-        params, float(state.u[-1]), float(state.v[-1])
-    )
-    return StopInfo(
-        reason=reason,
-        t_stop=state.t,
-        last_state=state,
-        arg_u=arg_u,
-        arg_v=arg_v,
-        detail=detail,
+    columns = {
+        name: np.array(values, dtype=int if name.startswith("argmax") else float)
+        for name, values in zip(COLUMNS, zip(*rows))
+    }
+    return Trajectory(
+        **columns,
+        states=tuple(states),
+        state_samples=np.array(state_samples, dtype=int),
+        stop=StopInfo(reason, state.t, state, arg_u, arg_v, detail),
+        steps=steps,
+        config=config,
     )

@@ -293,6 +293,19 @@ class TestBoundarySetCheck:
             fit.c1_hat / (1.0 - 0.99**2), rel=1e-12
         )
 
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 3.0)])
+    def test_exp_linear_envelope_uses_the_family_rate(self, p, q):
+        # exp_linear's rate target is 1 for both fields, so m = 1/2
+        # whatever p and q are
+        params = dataclasses.replace(
+            exp_power_params(), p=p, q=q, flux=FluxFamily.EXP_LINEAR
+        )
+        t = np.linspace(0.0, 1.0, 30)
+        traj = synthetic(t, 1.0 + t, 1.0 + t)
+        report = boundary_set_check(traj, params, 0.5, c1_hat=2.5, c2_hat=3.0)
+        assert report.envelope_u == pytest.approx(2.5 / (1.0 - 0.5**2), rel=1e-12)
+        assert report.envelope_v == pytest.approx(3.0 / (1.0 - 0.5**2), rel=1e-12)
+
     def test_snapshot_path_matches_recorded_radius(self, reference_run):
         params, traj = reference_run
         fit = estimate_blowup_time(traj, params)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blowuplab.config import (
@@ -279,18 +279,30 @@ def experiment_configs(draw):
         rate_tol=draw(st.floats(**FINITE)),
         residual_max=draw(st.floats(**FINITE)),
         dominance_scale=draw(_open(0.0, 1e6)),
-        # an INI value loses leading blanks and a " #" comment, and an empty
-        # dir means the default, so only such directory names can round-trip
-        output_dir=draw(st.text("abcxyz0189_-./", min_size=1, max_size=12)),
     )
+
+
+# directory names: INI-significant blanks, "#" and line breaks among
+# ordinary path characters and any other text
+_DIR_TEXT = st.text(
+    st.sampled_from("ab0_-./ #\t\n\r") | st.characters(), max_size=12
+)
 
 
 class TestRenderConfig:
     def test_golden_echo_of_minimal(self):
         assert render_config(parse_config(MINIMAL)) == ECHO_MINIMAL
 
-    @given(experiment_configs())
-    def test_round_trip_of_any_valid_config(self, config):
+    @given(experiment_configs(), _DIR_TEXT)
+    @example(parse_config(MINIMAL), " x")
+    @example(parse_config(MINIMAL), "a #b")
+    @example(parse_config(MINIMAL), "")
+    def test_round_trip_of_any_valid_config(self, config, output_dir):
+        # an output_dir the echo could not carry is refused at construction
+        try:
+            config = dataclasses.replace(config, output_dir=output_dir)
+        except ValueError:
+            return
         assert parse_config(render_config(config)) == config
 
     def test_round_trip_identity(self):

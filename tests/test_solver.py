@@ -166,6 +166,17 @@ class TestStep:
         new = step(state, params, grid, config)
         assert new.t == pytest.approx(1e-7, abs=1e-20)
 
+    def test_step_that_cannot_advance_t_underflows(self):
+        # dt = cfl dr^2 = 1.6e-4 is far above UNDERFLOW_FACTOR dr^2 but
+        # below half an ulp of t = 1e15 (0.0625), so t + dt == t
+        grid = make_grid(1.0, 51)
+        params = exp_power_params()
+        u0, v0 = params.initial.evaluate(grid)
+        state = FieldState(t=1e15, u=u0, v=v0)
+        assert 0.4 * grid.dr**2 < np.spacing(state.t) / 2
+        with pytest.raises(StepUnderflow, match="t \\+ dt == t"):
+            step(state, params, grid, SolverConfig(N=51))
+
 
 @pytest.fixture(scope="module")
 def blowup_run():
@@ -189,14 +200,52 @@ class TestRun:
         _, config, traj = blowup_run
         assert min(traj.stop.arg_u, traj.stop.arg_v) > config.u_stop / 4.0
 
-    def test_sample_bookkeeping(self, blowup_run):
-        _, _, traj = blowup_run
+    @pytest.mark.parametrize("stop", [
+        (StopReason.BLOWUP_THRESHOLD, dict(N=101, u_stop=9.0)),
+        (StopReason.TIME_LIMIT, dict(N=101, t_end=1e-4)),
+        (StopReason.STEP_UNDERFLOW, dict(N=41, u_stop=699.0)),
+    ], ids=lambda stop: stop[0].value)
+    @pytest.mark.parametrize("state_every", [0, 1, 3])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_sample_bookkeeping(self, record_every, state_every, stop):
+        reason, solver_keys = stop
+        config = SolverConfig(
+            record_every=record_every, state_every=state_every, **solver_keys
+        )
+        traj = run(exp_power_params(), config)
+        assert traj.stop.reason is reason
+        # every record_every-th step plus the stop state, none twice
+        assert len(traj) == traj.steps // record_every + 1 + (
+            traj.steps % record_every != 0
+        )
         assert traj.t[0] == 0.0
         assert traj.dt[0] == 0.0
-        assert traj.t[-1] == traj.stop.t_stop
         assert np.all(np.diff(traj.t) > 0)
-        assert len(traj.states) == len(traj)
-        assert np.array_equal(traj.state_samples, np.arange(len(traj)))
+        last = traj.stop.last_state
+        assert traj.t[-1] == traj.stop.t_stop == last.t
+        assert traj.M[-1] == last.u.max()
+        assert traj.Nmax[-1] == last.v.max()
+        if not state_every:
+            assert traj.states == () and len(traj.state_samples) == 0
+            return
+        assert traj.states[-1] is last
+        assert traj.state_samples[-1] == len(traj) - 1
+        assert np.array_equal(
+            traj.state_samples[:-1], np.arange(0, len(traj) - 1, state_every)
+        )
+        assert len(traj.states) == len(traj.state_samples)
+
+    @pytest.mark.parametrize("flux, exponent", [
+        (FluxFamily.EXP_POWER, 2.0), (FluxFamily.EXP_LINEAR, 1.0),
+    ])
+    def test_five_key_run_never_records_a_stalled_step(self, flux, exponent):
+        # the default u_stop = 600 is out of reach here: the run ends on
+        # the first step whose t + dt rounds back to t, not after it
+        params = exp_power_params(p=exponent, q=exponent, flux=flux)
+        traj = run(params, SolverConfig(N=101))
+        assert traj.stop.reason is StopReason.STEP_UNDERFLOW
+        assert np.all(traj.dt[1:] > 0)
+        assert np.all(np.diff(traj.t) > 0)
 
     def test_moduli_nondecreasing(self, blowup_run):
         _, _, traj = blowup_run

@@ -1,0 +1,82 @@
+"""Print the sha256 of every artifact of a fixed matrix of runs.
+
+A refactor that must leave the scientific artifacts byte-identical is
+checked by running this script on both trees and diffing the output:
+
+    PYTHONPATH=<tree>/src python3 tools/artifact_digests.py > digests.txt
+
+Each config of the matrix goes through `cli.run_experiment` and the
+benchmark's sweep config through the `sweep` verb (`cli.sweep` with one
+worker), all inside a temporary directory. The output has one
+`name/file sha256` line per artifact and one `name exit code` line per
+run, in a fixed order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from blowuplab import cli
+from blowuplab.config import parse_config
+
+REPO = Path(__file__).resolve().parent.parent
+SWEEP_CONFIG = REPO / "perfbench" / "configs" / "sweep_power_pq.ini"
+
+
+def _ini(flux: str, p: float, q: float, n: int = 2, N: int = 101, **solver) -> str:
+    lines = ["[problem]", f"p = {p}", f"q = {q}", "R = 1.0", f"n = {n}",
+             f"flux = {flux}", "[solver]", f"N = {N}"]
+    lines += [f"{key} = {value}" for key, value in solver.items()]
+    return "\n".join(lines) + "\n"
+
+
+def matrix() -> dict[str, str]:
+    """Run name -> INI text of the reference matrix."""
+    runs = {}
+    for n in (1, 2, 3):
+        runs[f"el_n{n}"] = _ini("exp_linear", 1, 1, n, u_stop=9.0, record_every=2)
+        runs[f"ep_n{n}"] = _ini("exp_power", 2, 2, n, u_stop=9.0, record_every=2)
+        runs[f"pw_n{n}"] = _ini("power", 2, 2, n)
+    ep_n2 = runs["ep_n2"]
+    runs["residual"] = ep_n2 + "[analysis]\nresidual_max = 1e-9\n"
+    runs["t_end_0.01"] = _ini("exp_power", 2, 2, N=201, t_end=0.01)
+    runs["t_end_0.001"] = _ini("power", 2, 2, t_end=0.001)
+    runs["state_every_0"] = ep_n2 + "state_every = 0\n"
+    runs["pw_p2q3_sparse"] = _ini("power", 2, 3, record_every=7, state_every=3)
+    return runs
+
+
+def _digests(root: Path, name: str) -> list[str]:
+    return [
+        f"{name}/{path.relative_to(root).as_posix()} "
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        for path in sorted(root.rglob("*")) if path.is_file()
+    ]
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in matrix().items():
+            out = Path(tmp) / name
+            try:
+                code = cli.run_experiment(parse_config(text), out).exit_code
+            except Exception as exc:  # the digest lists failures, never hides them
+                code = f"1 ({type(exc).__name__}: {exc})"
+            lines += _digests(out, name) if out.exists() else []
+            lines.append(f"{name} exit {code}")
+        # the sweep verb runs cli.sweep serially and sets the exit status
+        out = Path(tmp) / "sweep"
+        code = cli.main(["sweep", str(SWEEP_CONFIG), "--output-dir", str(out),
+                         "--quiet"])
+        lines += _digests(out, "sweep")
+        lines.append(f"sweep exit {code}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
