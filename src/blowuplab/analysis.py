@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import BadRadius, FitFailed
 from .model import ProblemParams, interior_nodes, make_grid
@@ -179,6 +178,9 @@ def estimate_blowup_time(
         return float(
             np.sum((ru - ru.mean()) ** 2) + np.sum((rv - rv.mean()) ** 2)
         )
+
+    # imported here so that importing blowuplab does not load scipy
+    from scipy.optimize import minimize_scalar
 
     # T in (t_stop, t_stop + 10 * span]; the lower end only pins the
     # bracket, the objective blows up as T -> t_stop because the final

@@ -299,6 +299,9 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
         tasks.append((index, point, str(run_dir)))
 
     if max_parallel > 1 and len(tasks) > 1:
+        # loaded once here, before the workers fork, so that they share it
+        # rather than each importing it for its first blow-up fit
+        import scipy.optimize  # noqa: F401
         with ProcessPoolExecutor(max_workers=max_parallel) as pool:
             results = dict(pool.map(_sweep_point, tasks))
     else:

@@ -237,32 +237,92 @@ def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     return flux.from_arg(arg)
 
 
+class RadialLaplacian:
+    """Discrete radial Laplacian of one grid and dimension.
+
+    It acts on a field of shape (rows, N), each row closed at r = R by its
+    own ghost value at r = R + dr, which the caller fixes from the
+    boundary condition (see solver.apply_neumann). Centered differences
+    with the ghost make the boundary node second order; at r = 0 symmetry
+    gives Delta f = n * f'' with the mirror node f[-1] = f[1]. The drift
+    coefficients (n - 1) / r and the work buffers are set up once, so
+    interior() allocates no array; at_ends() works on Python floats.
+    """
+
+    def __init__(self, grid: RadialGrid, n: int, rows: int):
+        self.dr2 = grid.dr**2
+        self.two_dr = 2.0 * grid.dr
+        self.origin = 2.0 * n
+        self.drift_R = (n - 1) / grid.R
+        # the nodes at_ends() reads: f[0], f[1], f[-2], f[-1]
+        self.end_nodes = np.array([0, 1, grid.N - 2, grid.N - 1])
+        # interior() sweeps the rows as one flat array: between two rows
+        # lie the end nodes, which get coefficient 0 and are overwritten
+        drift = (n - 1) / grid.r[1:-1]
+        self.drift = np.concatenate([drift, np.zeros(2)] * rows)[:-2]
+        self._work = np.empty((2, rows * grid.N - 2))
+
+    def interior(self, F: np.ndarray, out: np.ndarray) -> None:
+        """Write the Laplacian at the nodes 0 < r < R into out[:, 1:-1].
+
+        F and out have shape (rows, N) and out is C-contiguous. The end
+        nodes between rows, out[:-1, -1] and out[1:, 0], get values that
+        only at_ends() may fill.
+        """
+        second, drift = self._work
+        f = F.reshape(-1)
+        f0, f1, f2 = f[:-2], f[1:-1], f[2:]
+        # (f2 - 2 f1 + f0) / dr^2 + (n - 1) / r * (f2 - f0) / (2 dr),
+        # evaluated left to right
+        np.subtract(f2, f0, drift)
+        np.multiply(self.drift, drift, drift)
+        np.divide(drift, self.two_dr, drift)
+        np.multiply(f1, 2.0, second)
+        np.subtract(f2, second, second)
+        np.add(second, f0, second)
+        np.divide(second, self.dr2, second)
+        np.add(second, drift, out.reshape(-1)[1:-1])
+
+    def at_ends(
+        self, f0: float, f1: float, fm: float, fN: float, ghost: float
+    ) -> tuple[float, float]:
+        """The Laplacian at r = 0 and r = R of one row.
+
+        f0, f1, fm, fN are its values at the nodes end_nodes.
+        """
+        return (
+            self.origin * (f1 - f0) / self.dr2,
+            (ghost - 2.0 * fN + fm) / self.dr2
+            + self.drift_R * (ghost - fm) / self.two_dr,
+        )
+
+
 def radial_laplacian(
-    field: np.ndarray, grid: RadialGrid, n: int, ghost: float
+    field: np.ndarray, grid: RadialGrid, n: int, ghost
 ) -> np.ndarray:
-    """Discrete radial Laplacian on the full grid.
+    """Discrete radial Laplacian on the full grid (see RadialLaplacian).
 
     Parameters
     ----------
     field : ndarray
-        Nodal values, length grid.N.
-    ghost : float
-        Value at the ghost node r = R + dr; the caller fixes it from the
-        boundary condition (see solver.apply_neumann). Centered
-        differences with the ghost make the boundary node second order.
+        Nodal values, shape (grid.N,) or (rows, grid.N).
+    ghost : float or sequence of float
+        Value at the ghost node r = R + dr, one per row.
     """
-    dr = grid.dr
-    f = field
-    out = np.empty(grid.N)
-    # r = 0: symmetry gives Delta f = n * f'' with mirror node f[-1] = f[1]
-    out[0] = 2.0 * n * (f[1] - f[0]) / dr**2
-    second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dr**2
-    drift = (n - 1) / grid.r[1:-1] * (f[2:] - f[:-2]) / (2.0 * dr)
-    out[1:-1] = second + drift
-    out[-1] = (ghost - 2.0 * f[-1] + f[-2]) / dr**2 + (n - 1) / grid.R * (
-        ghost - f[-2]
-    ) / (2.0 * dr)
-    return out
+    field = np.asarray(field, dtype=float)
+    F = field.reshape(-1, grid.N)
+    ghosts = np.ravel(ghost).tolist()
+    if len(ghosts) != len(F):
+        raise ValueError(
+            f"need one ghost per row: {len(F)} rows, {len(ghosts)} ghosts"
+        )
+    lap = RadialLaplacian(grid, n, len(F))
+    out = np.empty(F.shape)
+    lap.interior(F, out)
+    ends = F.take(lap.end_nodes, axis=1).tolist()
+    for row, values, g in zip(out, ends, ghosts):
+        row[0], row[-1] = lap.at_ends(*values, g)
+    return out.reshape(field.shape)
 
 
 def validate_initial_data(

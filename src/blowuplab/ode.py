@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analysis import slope, tail_trend
 from .errors import FitFailed, ParamsTooStiff
@@ -207,6 +206,9 @@ def integrate_system(
 
     hit_cap.terminal = True
     hit_cap.direction = 1.0
+
+    # imported here so that importing blowuplab does not load scipy
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

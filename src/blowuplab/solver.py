@@ -16,6 +16,15 @@ UNDERFLOW_FACTOR * dr^2, or t + dt rounds back to t. A step that cannot
 advance t is refused before it touches the fields, so every recorded
 sample after the first has dt > 0 and t strictly increases.
 
+The state is one (2, N) float64 array F with u in row 0 and v in row 1.
+One kernel (_Kernel.advance) updates it: one model.RadialLaplacian call
+for both rows, with the drift coefficients and the work buffers set up
+once per run, the ghost, flux and end-node arithmetic on Python floats,
+and F + dt * Delta F written into a second buffer that run() swaps with
+F. run() builds a FieldState only for snapshots and the stop state;
+step() is a thin wrapper that takes one FieldState through the same
+kernel, so there is one update rule.
+
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
 are cfl < 0.50, 0.41, 0.33 for n = 1, 2, 3. The default cfl of 0.4 is fine
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +47,19 @@ from .model import (
     InvalidInitialData,
     ProblemParams,
     RadialGrid,
+    RadialLaplacian,
     boundary_flux,
     interior_nodes,
     make_grid,
-    radial_laplacian,
+    radial_laplacian,  # noqa: F401  (re-exported: the one Laplacian)
     validate_initial_data,
 )
 
 log = logging.getLogger(__name__)
+
+# whole-array max and min of the flat per-step arrays, without the
+# keyword handling of ndarray.max and ndarray.min
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 # dt below this multiple of dr^2 means the run cannot advance
 UNDERFLOW_FACTOR = 1e-16
@@ -146,6 +161,15 @@ COLUMNS = (
 )
 
 
+def _ghosts(
+    params: ProblemParams, two_dr: float, um: float, uN: float, vm: float, vN: float
+) -> tuple[float, float]:
+    """apply_neumann on the boundary values u[-2], u[-1], v[-2], v[-1]."""
+    fu = boundary_flux(params.flux, vN, params.p)
+    fv = boundary_flux(params.flux, uN, params.q)
+    return um + two_dr * fu, vm + two_dr * fv
+
+
 def apply_neumann(
     state: FieldState, params: ProblemParams, grid: RadialGrid
 ) -> tuple[float, float]:
@@ -154,11 +178,11 @@ def apply_neumann(
     u's outward derivative equals the flux induced by v at the boundary
     and vice versa: (ghost - f[N-2]) / (2 dr) = flux.
     """
-    fu = boundary_flux(params.flux, float(state.v[-1]), params.p)
-    fv = boundary_flux(params.flux, float(state.u[-1]), params.q)
-    ghost_u = float(state.u[-2]) + 2.0 * grid.dr * fu
-    ghost_v = float(state.v[-2]) + 2.0 * grid.dr * fv
-    return ghost_u, ghost_v
+    return _ghosts(
+        params, 2.0 * grid.dr,
+        float(state.u[-2]), float(state.u[-1]),
+        float(state.v[-2]), float(state.v[-1]),
+    )
 
 
 def flux_exponent_args(
@@ -175,6 +199,20 @@ def flux_exponent_args(
     return arg(u_bdry, params.q), arg(v_bdry, params.p)
 
 
+def _dt(
+    config: SolverConfig, dr2: float, max_rate: float, peak: float, t: float
+) -> float:
+    """adapt_dt given max |rates| and max(u, v) at time t."""
+    dt = config.cfl * dr2
+    if max_rate > 0.0:
+        dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
+    if dt < UNDERFLOW_FACTOR * dr2:
+        raise StepUnderflow(
+            f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
+        )
+    return dt
+
+
 def adapt_dt(
     state: FieldState,
     config: SolverConfig,
@@ -189,19 +227,60 @@ def adapt_dt(
         When the step falls below UNDERFLOW_FACTOR * dr^2 and the run
         cannot advance in float64.
     """
-    dr2 = grid.dr**2
-    dt = config.cfl * dr2
-    max_rate = max(
-        float(np.abs(rates[0]).max()), float(np.abs(rates[1]).max())
-    )
-    if max_rate > 0.0:
-        peak = max(float(state.u.max()), float(state.v.max()))
-        dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
-    if dt < UNDERFLOW_FACTOR * dr2:
-        raise StepUnderflow(
-            f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {state.t:.6g}"
-        )
-    return dt
+    max_rate = max(float(np.abs(rates[0]).max()), float(np.abs(rates[1]).max()))
+    peak = max(float(state.u.max()), float(state.v.max()))
+    return _dt(config, grid.dr**2, max_rate, peak, state.t)
+
+
+class _Kernel:
+    """The forward-Euler update of the state F = [u; v] of shape (2, N).
+
+    It is built once per run and holds the Laplacian, with its
+    coefficients, and the rate buffer, so a step allocates no array.
+    """
+
+    def __init__(self, params: ProblemParams, grid: RadialGrid, config: SolverConfig):
+        self.params, self.config = params, config
+        self.lap = RadialLaplacian(grid, params.n, rows=2)
+        self.rates = np.empty((2, grid.N))
+        self._rates_flat = self.rates.reshape(-1)
+
+    def end_values(self, F: np.ndarray) -> list[list[float]]:
+        """u and v at the nodes 0, 1, N-2, N-1, as Python floats."""
+        return F.take(self.lap.end_nodes, axis=1).tolist()
+
+    def advance(
+        self, t: float, F: np.ndarray, ends: list[list[float]], peak: float,
+        out: np.ndarray,
+    ) -> tuple[float, float]:
+        """Write the state one step after (t, F) into out.
+
+        ends is self.end_values(F) and peak is F.max(). Returns the new
+        time and the new state's max, which is the next step's peak.
+        """
+        params, config, lap, G = self.params, self.config, self.lap, self.rates
+        (u0, u1, um, uN), (v0, v1, vm, vN) = ends
+        ghost_u, ghost_v = _ghosts(params, lap.two_dr, um, uN, vm, vN)
+        lap.interior(F, G)
+        G[0, 0], G[0, -1] = lap.at_ends(u0, u1, um, uN, ghost_u)
+        G[1, 0], G[1, -1] = lap.at_ends(v0, v1, vm, vN, ghost_v)
+        g = self._rates_flat
+        # max(max G, -min G) is max |G|, NaN included
+        dt = _dt(config, lap.dr2, max(float(_max(g)), -float(_min(g))), peak, t)
+        if config.t_end is not None:
+            dt = min(dt, config.t_end - t)
+        if t + dt == t:
+            raise StepUnderflow(
+                f"t + dt == t: dt = {dt:.3e} is below the resolution "
+                f"of t = {t:.6g}"
+            )
+        np.add(F, np.multiply(G, dt, G), out)
+        # every value is finite exactly when the max and the min are
+        o = out.reshape(-1)
+        hi, lo = float(_max(o)), float(_min(o))
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise NumericalBlowupGuard(f"non-finite field values at t = {t:.6g}")
+        return t + dt, hi
 
 
 def step(
@@ -211,22 +290,11 @@ def step(
     config: SolverConfig,
 ) -> FieldState:
     """One forward-Euler update with the ghost-node Neumann closure."""
-    ghost_u, ghost_v = apply_neumann(state, params, grid)
-    rate_u = radial_laplacian(state.u, grid, params.n, ghost_u)
-    rate_v = radial_laplacian(state.v, grid, params.n, ghost_v)
-    dt = adapt_dt(state, config, (rate_u, rate_v), grid)
-    if config.t_end is not None:
-        dt = min(dt, config.t_end - state.t)
-    t = state.t + dt
-    if t == state.t:
-        raise StepUnderflow(
-            f"t + dt == t: dt = {dt:.3e} is below the resolution "
-            f"of t = {state.t:.6g}"
-        )
-    u = state.u + dt * rate_u
-    v = state.v + dt * rate_v
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise NumericalBlowupGuard(f"non-finite field values at t = {state.t:.6g}")
+    F = np.array((state.u, state.v), dtype=float)
+    kernel = _Kernel(params, grid, config)
+    out = np.empty_like(F)
+    t, _ = kernel.advance(state.t, F, kernel.end_values(F), float(F.max()), out)
+    u, v = out
     return FieldState(t=t, u=u, v=v)
 
 
@@ -262,29 +330,30 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         failed = [c.name for c in report.checks if not c.passed]
         raise InvalidInitialData(f"initial data failed: {', '.join(failed)}")
 
-    u0, v0 = params.initial.evaluate(grid)
-    state = FieldState(t=0.0, u=u0, v=v0)
+    F = np.array(params.initial.evaluate(grid), dtype=float)
+    out = np.empty_like(F)
+    kernel = _Kernel(params, grid, config)
     k = interior_nodes(grid, config.interior_radius)
     rows: list[tuple] = []
     states: list[FieldState] = []
     state_samples: list[int] = []
 
-    # each pass visits one state: decide whether it is the stop state,
-    # sample it, then advance; so no state is ever sampled twice
+    # each pass visits one state (t, F): decide whether it is the stop
+    # state, sample it, then advance; so no state is ever sampled twice
+    t, peak = 0.0, float(F.max())
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
-        arg_u, arg_v = flux_exponent_args(
-            params, float(state.u[-1]), float(state.v[-1])
-        )
+        ends = kernel.end_values(F)
+        arg_u, arg_v = flux_exponent_args(params, ends[0][-1], ends[1][-1])
         # the threshold applies to stepped states: the initial data always
         # take one step
         if steps and max(arg_u, arg_v) > config.u_stop:
             reason = StopReason.BLOWUP_THRESHOLD
-        elif config.t_end is not None and state.t >= config.t_end:
+        elif config.t_end is not None and t >= config.t_end:
             reason = StopReason.TIME_LIMIT
         else:
             try:
-                new = step(state, params, grid, config)
+                t_new, peak = kernel.advance(t, F, ends, peak, out)
             except StepUnderflow as exc:
                 reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
             except NumericalBlowupGuard as exc:
@@ -295,7 +364,6 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         # the stop state is always the last sample and, with snapshots
         # on, the last snapshot
         if reason is not None or steps % config.record_every == 0:
-            u, v = state.u, state.v
             # unguarded: past the stop the argument may exceed the overflow
             # guard, in which case inf is the honest value to write
             with np.errstate(over="ignore"):
@@ -303,23 +371,26 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
                 flux_v = params.flux.from_arg(arg_v)
             # one value per name in COLUMNS, in that order
             rows.append((
-                state.t, dt,
-                float(u.max()), float(v.max()), int(u.argmax()), int(v.argmax()),
-                float(u[:k].max()), float(v[:k].max()),
+                t, dt,
+                *F.max(axis=1).tolist(), *F.argmax(axis=1).tolist(),
+                *F[:, :k].max(axis=1).tolist(),
                 flux_u, flux_v,
             ))
             sample = len(rows) - 1
             if config.state_every and (
                 reason is not None or sample % config.state_every == 0
             ):
-                states.append(state)
+                # the buffers are reused, so a snapshot owns a copy
+                states.append(FieldState(t, *F.copy()))
                 state_samples.append(sample)
         if reason is not None:
             break
         steps += 1
-        dt = new.t - state.t
-        state = new
+        dt = t_new - t
+        t = t_new
+        F, out = out, F
 
+    last = states[-1] if config.state_every else FieldState(t, *F.copy())
     columns = {
         name: np.array(values, dtype=int if name.startswith("argmax") else float)
         for name, values in zip(COLUMNS, zip(*rows))
@@ -328,7 +399,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         **columns,
         states=tuple(states),
         state_samples=np.array(state_samples, dtype=int),
-        stop=StopInfo(reason, state.t, state, arg_u, arg_v, detail),
+        stop=StopInfo(reason, t, last, arg_u, arg_v, detail),
         steps=steps,
         config=config,
     )

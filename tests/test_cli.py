@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import blowuplab
 
 from blowuplab.cli import (
     SWEEP_COLUMNS,
@@ -292,3 +298,26 @@ class TestMain:
         assert "verdict: pass" in out
         jump = float(out.split("jump = ")[1].splitlines()[0])
         assert jump == pytest.approx(-0.5, abs=0.05)
+
+
+def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
+    # scipy is imported by the two functions that call it, so a fresh
+    # process that only validates a config never pays for it
+    ini = tmp_path / "five_keys.ini"
+    ini.write_text("[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = exp_power\n")
+    script = (
+        "import sys\n"
+        "from blowuplab.cli import main\n"
+        "SCIPY = ('scipy.optimize', 'scipy.integrate')\n"
+        "loaded = {m for m in SCIPY if m in sys.modules}\n"
+        f"code = main(['validate', {str(ini)!r}, '--quiet'])\n"
+        "loaded |= {m for m in SCIPY if m in sys.modules}\n"
+        "print(code, sorted(loaded))\n"
+    )
+    src = str(Path(blowuplab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[0] == "0 []"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowuplab.errors import InvalidInitialData, StepUnderflow
+from blowuplab.errors import InvalidInitialData, NumericalBlowupGuard, StepUnderflow
 from blowuplab.model import (
     FieldState,
     FluxFamily,
@@ -16,7 +16,9 @@ from blowuplab.model import (
     make_grid,
 )
 from blowuplab.solver import (
+    COLUMNS,
     STABLE_CFL,
+    UNDERFLOW_FACTOR,
     SolverConfig,
     StopReason,
     adapt_dt,
@@ -69,6 +71,26 @@ class TestRadialLaplacian:
         roundoff = 64 * np.finfo(float).eps * (a + abs(b) * R * R) / grid.dr**2
         roundoff += 1e-300
         assert np.abs(lap - 2.0 * n * b).max() <= roundoff
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_the_reference_formula_bit_for_bit(self, n):
+        # a (2, N) field with a ghost per row gives, row by row, what the
+        # per-field formula gives, and so does each row on its own
+        grid = make_grid(1.0, 41)
+        F = np.random.default_rng(n).random((2, grid.N)) * 10.0
+        ghosts = (1.5, 7.25)
+        both = radial_laplacian(F, grid, n, ghosts)
+        for row, ghost, lap in zip(F, ghosts, both):
+            want = _reference_laplacian(row, grid, n, ghost)
+            np.testing.assert_array_equal(lap, want, strict=True)
+            np.testing.assert_array_equal(
+                radial_laplacian(row, grid, n, ghost), want, strict=True
+            )
+
+    def test_one_ghost_per_row(self):
+        grid = make_grid(1.0, 41)
+        with pytest.raises(ValueError, match="one ghost per row"):
+            radial_laplacian(np.ones((2, grid.N)), grid, 2, 1.0)
 
     def test_second_order_on_quartic(self):
         # Delta r^4 = (4n + 8) r^2; the truncation error scales as dr^2
@@ -176,6 +198,34 @@ class TestStep:
         assert 0.4 * grid.dr**2 < np.spacing(state.t) / 2
         with pytest.raises(StepUnderflow, match="t \\+ dt == t"):
             step(state, params, grid, SolverConfig(N=51))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interior_value_trips_the_guard(self, bad):
+        grid = make_grid(1.0, 41)
+        params = exp_power_params()
+        u0, v0 = params.initial.evaluate(grid)
+        u0[10] = bad
+        state = FieldState(t=0.0, u=u0, v=v0)
+        with pytest.raises(NumericalBlowupGuard, match="non-finite"):
+            step(state, params, grid, SolverConfig(N=41))
+
+    def test_iterated_steps_reproduce_the_run(self):
+        # one update rule: step() from the initial data walks through the
+        # very states run() records, bit for bit
+        params = exp_power_params(flux=FluxFamily.POWER)
+        config = SolverConfig(N=41, record_every=1)
+        traj = run(params, config)
+        grid = make_grid(params.R, config.N)
+        u0, v0 = params.initial.evaluate(grid)
+        state = FieldState(t=0.0, u=u0, v=v0)
+        for i in range(1, traj.steps + 1):
+            new = step(state, params, grid, config)
+            assert new.t == traj.t[i]
+            assert new.t - state.t == traj.dt[i]
+            np.testing.assert_array_equal(new.u, traj.states[i].u, strict=True)
+            np.testing.assert_array_equal(new.v, traj.states[i].v, strict=True)
+            state = new
+        assert traj.steps == len(traj) - 1 > 100
 
 
 @pytest.fixture(scope="module")
@@ -338,3 +388,158 @@ class TestRun:
         config = SolverConfig(N=101, t_end=1e-4, record_every=10)
         traj = run(params, config)
         assert traj.stop.reason is StopReason.TIME_LIMIT
+
+
+# -- bit-for-bit reference ---------------------------------------------------
+#
+# A plain per-field forward-Euler loop with the formulas of the original
+# two-array stepper, written out here so the fused (2, N) kernel is checked
+# against code it shares nothing with but boundary_flux.
+
+
+def _reference_laplacian(f, grid, n, ghost):
+    dr = grid.dr
+    out = np.empty(grid.N)
+    out[0] = 2.0 * n * (f[1] - f[0]) / dr**2
+    second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dr**2
+    drift = (n - 1) / grid.r[1:-1] * (f[2:] - f[:-2]) / (2.0 * dr)
+    out[1:-1] = second + drift
+    out[-1] = (ghost - 2.0 * f[-1] + f[-2]) / dr**2 + (n - 1) / grid.R * (
+        ghost - f[-2]
+    ) / (2.0 * dr)
+    return out
+
+
+def _reference_step(t, u, v, params, grid, config):
+    fu = boundary_flux(params.flux, float(v[-1]), params.p)
+    fv = boundary_flux(params.flux, float(u[-1]), params.q)
+    ghost_u = float(u[-2]) + 2.0 * grid.dr * fu
+    ghost_v = float(v[-2]) + 2.0 * grid.dr * fv
+    rate_u = _reference_laplacian(u, grid, params.n, ghost_u)
+    rate_v = _reference_laplacian(v, grid, params.n, ghost_v)
+    dr2 = grid.dr**2
+    dt = config.cfl * dr2
+    max_rate = max(float(np.abs(rate_u).max()), float(np.abs(rate_v).max()))
+    if max_rate > 0.0:
+        peak = max(float(u.max()), float(v.max()))
+        dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
+    if dt < UNDERFLOW_FACTOR * dr2:
+        raise StepUnderflow(
+            f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
+        )
+    if config.t_end is not None:
+        dt = min(dt, config.t_end - t)
+    if t + dt == t:
+        raise StepUnderflow(
+            f"t + dt == t: dt = {dt:.3e} is below the resolution of t = {t:.6g}"
+        )
+    new_u = u + dt * rate_u
+    new_v = v + dt * rate_v
+    if not (np.all(np.isfinite(new_u)) and np.all(np.isfinite(new_v))):
+        raise NumericalBlowupGuard(f"non-finite field values at t = {t:.6g}")
+    return t + dt, new_u, new_v
+
+
+def _reference_run(params, config):
+    """Columns, snapshots (t, u, v), their sample indices, steps and stop."""
+    grid = make_grid(params.R, config.N)
+    k = int(np.searchsorted(grid.r, config.interior_radius * (1.0 + 1e-12),
+                            side="right"))
+    t, (u, v) = 0.0, params.initial.evaluate(grid)
+    rows, snapshots, samples = [], [], []
+    steps, dt, detail, reason = 0, 0.0, "", None
+    while True:
+        arg_u = params.flux.arg(float(u[-1]), params.q)
+        arg_v = params.flux.arg(float(v[-1]), params.p)
+        if steps and max(arg_u, arg_v) > config.u_stop:
+            reason = StopReason.BLOWUP_THRESHOLD
+        elif config.t_end is not None and t >= config.t_end:
+            reason = StopReason.TIME_LIMIT
+        else:
+            try:
+                new = _reference_step(t, u, v, params, grid, config)
+            except StepUnderflow as exc:
+                reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
+            except NumericalBlowupGuard as exc:
+                reason, detail = StopReason.BLOWUP_THRESHOLD, str(exc)
+        if reason is not None or steps % config.record_every == 0:
+            with np.errstate(over="ignore"):
+                flux_u = params.flux.from_arg(arg_u)
+                flux_v = params.flux.from_arg(arg_v)
+            rows.append((
+                t, dt, float(u.max()), float(v.max()),
+                int(u.argmax()), int(v.argmax()),
+                float(u[:k].max()), float(v[:k].max()), flux_u, flux_v,
+            ))
+            if config.state_every and (
+                reason is not None or (len(rows) - 1) % config.state_every == 0
+            ):
+                snapshots.append((t, u, v))
+                samples.append(len(rows) - 1)
+        if reason is not None:
+            break
+        steps += 1
+        dt = new[0] - t
+        t, u, v = new
+    columns = dict(zip(COLUMNS, (np.array(c) for c in zip(*rows))))
+    stop = (reason, detail, t, arg_u, arg_v)
+    return columns, snapshots, samples, steps, stop
+
+
+def _family(flux, e, n, **solver):
+    params = ProblemParams(
+        p=e, q=e, R=1.0, n=n, flux=flux,
+        initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
+    )
+    return params, SolverConfig(N=41, **solver)
+
+
+REFERENCE_CASES = {
+    **{f"exp_power_n{n}": _family(FluxFamily.EXP_POWER, 2.0, n, u_stop=9.0,
+                                   record_every=1) for n in (1, 2, 3)},
+    **{f"exp_linear_n{n}": _family(FluxFamily.EXP_LINEAR, 1.0, n, u_stop=9.0,
+                                    record_every=1) for n in (1, 2, 3)},
+    **{f"power_n{n}": _family(FluxFamily.POWER, 2.0, n, record_every=1)
+       for n in (1, 2, 3)},
+    "power_sparse": _family(FluxFamily.POWER, 2.0, 2, record_every=7,
+                            state_every=3),
+    "power_t_end": _family(FluxFamily.POWER, 2.0, 2, t_end=0.05,
+                           record_every=3),
+    "exp_power_underflow": _family(FluxFamily.EXP_POWER, 2.0, 2, u_stop=699.0,
+                                   record_every=5, state_every=2),
+}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_run_matches_the_per_field_loop_bit_for_bit(self, name):
+        params, config = REFERENCE_CASES[name]
+        traj = run(params, config)
+        columns, snapshots, samples, steps, stop = _reference_run(params, config)
+        for column in COLUMNS:
+            got, want = getattr(traj, column), columns[column]
+            assert got.dtype == want.dtype, column
+            np.testing.assert_array_equal(got, want, err_msg=column, strict=True)
+        assert traj.steps == steps
+        assert traj.state_samples.tolist() == samples
+        # every snapshot is compared after the run has ended, so an early
+        # one that shared a buffer with a later state would differ here
+        assert len(traj.states) == len(snapshots)
+        for state, (t, u, v) in zip(traj.states, snapshots):
+            assert state.t == t
+            np.testing.assert_array_equal(state.u, u, strict=True)
+            np.testing.assert_array_equal(state.v, v, strict=True)
+        reason, detail, t_stop, arg_u, arg_v = stop
+        assert traj.stop.reason is reason
+        assert traj.stop.detail == detail
+        assert traj.stop.t_stop == t_stop == traj.stop.last_state.t
+        assert (traj.stop.arg_u, traj.stop.arg_v) == (arg_u, arg_v)
+        np.testing.assert_array_equal(traj.stop.last_state.u, snapshots[-1][1])
+        np.testing.assert_array_equal(traj.stop.last_state.v, snapshots[-1][2])
+
+    def test_reference_cases_cover_every_stop_reason(self):
+        reasons = {
+            _reference_run(*REFERENCE_CASES[name])[4][0]
+            for name in ("power_t_end", "exp_power_underflow", "power_n2")
+        }
+        assert reasons == set(StopReason)

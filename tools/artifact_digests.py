@@ -6,17 +6,22 @@ checked by running this script on both trees and diffing the output:
     PYTHONPATH=<tree>/src python3 tools/artifact_digests.py > digests.txt
 
 Each config of the matrix goes through `cli.run_experiment` and the
-benchmark's sweep config through the `sweep` verb (`cli.sweep` with one
-worker), all inside a temporary directory. The output has one
-`name/file sha256` line per artifact and one `name exit code` line per
-run, in a fixed order.
+benchmark's sweep config through the `sweep` verb, once serially and once
+with two worker processes (the two trees must digest alike), all inside a
+temporary directory. The stdout of `validate` on the sweep config, `oracle
+jump --m 48` and `oracle ode --p 2 --q 2 --c 0.5` is digested too. The
+output has one `name/file sha256` line per artifact, one `name/stdout
+sha256` line per verb whose output is digested and one `name exit code`
+line per run, in a fixed order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from blowuplab import cli
@@ -52,9 +57,21 @@ def matrix() -> dict[str, str]:
 def _digests(root: Path, name: str) -> list[str]:
     return [
         f"{name}/{path.relative_to(root).as_posix()} "
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        f"{_sha256(path.read_bytes())}"
         for path in sorted(root.rglob("*")) if path.is_file()
     ]
+
+
+# verbs whose stdout is digested: name -> blowuplab arguments
+STDOUT_VERBS = {
+    "validate_sweep": ["validate", str(SWEEP_CONFIG)],
+    "oracle_jump_m48": ["oracle", "jump", "--m", "48"],
+    "oracle_ode": ["oracle", "ode", "--p", "2", "--q", "2", "--c", "0.5"],
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main() -> int:
@@ -68,12 +85,19 @@ def main() -> int:
                 code = f"1 ({type(exc).__name__}: {exc})"
             lines += _digests(out, name) if out.exists() else []
             lines.append(f"{name} exit {code}")
-        # the sweep verb runs cli.sweep serially and sets the exit status
-        out = Path(tmp) / "sweep"
-        code = cli.main(["sweep", str(SWEEP_CONFIG), "--output-dir", str(out),
-                         "--quiet"])
-        lines += _digests(out, "sweep")
-        lines.append(f"sweep exit {code}")
+        # the sweep verb runs cli.sweep and sets the exit status
+        for name, workers in (("sweep", "1"), ("sweep_parallel2", "2")):
+            out = Path(tmp) / name
+            code = cli.main(["sweep", str(SWEEP_CONFIG), "--output-dir",
+                             str(out), "--max-parallel", workers, "--quiet"])
+            lines += _digests(out, name)
+            lines.append(f"{name} exit {code}")
+    for name, argv in STDOUT_VERBS.items():
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = cli.main(argv)
+        lines.append(f"{name}/stdout {_sha256(stdout.getvalue().encode())}")
+        lines.append(f"{name} exit {code}")
     print("\n".join(lines))
     return 0
 
