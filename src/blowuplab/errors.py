@@ -16,9 +16,8 @@ class DegenerateExponents(BlowupLabError):
 class FluxOverflow(BlowupLabError):
     """Flux exponent argument reached the overflow guard.
 
-    A run that stops on its threshold never evaluates the flux this far,
-    so seeing this means the stop threshold was set too close to the
-    double-precision exp() limit.
+    In a run only the initial data can get there: u_stop lies below the
+    guard and each stepped state's threshold test runs before its flux.
     """
 
 
@@ -31,7 +30,7 @@ class GridTooCoarse(BlowupLabError):
 
 
 class StepUnderflow(BlowupLabError):
-    """Adaptive step fell below the resolvable floor (1e-16 * dr^2)."""
+    """The step cannot advance t: dt < 1e-16 * dr^2, or t + dt == t."""
 
 
 class NumericalBlowupGuard(BlowupLabError):

@@ -242,7 +242,7 @@ class RadialLaplacian:
 
     It acts on a field of shape (rows, N), each row closed at r = R by its
     own ghost value at r = R + dr, which the caller fixes from the
-    boundary condition (see solver.apply_neumann). Centered differences
+    boundary condition (see solver._Kernel.advance). Centered differences
     with the ghost make the boundary node second order; at r = 0 symmetry
     gives Delta f = n * f'' with the mirror node f[-1] = f[1]. The drift
     coefficients (n - 1) / r and the work buffers are set up once, so
@@ -345,8 +345,8 @@ def validate_initial_data(
     this compatibility; the mismatch only produces a transient.
     """
     u0, v0 = spec.evaluate(grid)
-    checks = []
-    for name, f in (("u0", u0), ("v0", v0)):
+    fields = (("u0", u0), ("v0", v0))
+    for name, f in fields:
         if not np.all(np.isfinite(f)):
             raise InvalidInitialData(f"{name} contains non-finite values")
         if f.min() < 0:
@@ -355,6 +355,11 @@ def validate_initial_data(
             )
         if f.max() == 0.0:
             raise InvalidInitialData(f"{name} is identically zero")
+    # interior nodes only: the ghosts are arbitrary, their node dropped
+    laps = radial_laplacian((u0, v0), grid, n, (u0[-2], v0[-2]))[:, :-1]
+
+    checks = []
+    for (name, f), lap in zip(fields, laps):
         scale = 1.0 + float(f.max())
 
         diffs = np.diff(f)
@@ -368,8 +373,6 @@ def validate_initial_data(
             )
         )
 
-        # interior nodes only: the ghost is arbitrary, its node dropped
-        lap = radial_laplacian(f, grid, n, float(f[-2]))[:-1]
         worst = int(lap.argmin())
         checks.append(
             ConditionCheck(

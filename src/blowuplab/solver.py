@@ -51,7 +51,6 @@ from .model import (
     boundary_flux,
     interior_nodes,
     make_grid,
-    radial_laplacian,  # noqa: F401  (re-exported: the one Laplacian)
     validate_initial_data,
 )
 
@@ -161,77 +160,6 @@ COLUMNS = (
 )
 
 
-def _ghosts(
-    params: ProblemParams, two_dr: float, um: float, uN: float, vm: float, vN: float
-) -> tuple[float, float]:
-    """apply_neumann on the boundary values u[-2], u[-1], v[-2], v[-1]."""
-    fu = boundary_flux(params.flux, vN, params.p)
-    fv = boundary_flux(params.flux, uN, params.q)
-    return um + two_dr * fu, vm + two_dr * fv
-
-
-def apply_neumann(
-    state: FieldState, params: ProblemParams, grid: RadialGrid
-) -> tuple[float, float]:
-    """Ghost values closing the coupled Neumann conditions.
-
-    u's outward derivative equals the flux induced by v at the boundary
-    and vice versa: (ghost - f[N-2]) / (2 dr) = flux.
-    """
-    return _ghosts(
-        params, 2.0 * grid.dr,
-        float(state.u[-2]), float(state.u[-1]),
-        float(state.v[-2]), float(state.v[-1]),
-    )
-
-
-def flux_exponent_args(
-    params: ProblemParams, u_bdry: float, v_bdry: float
-) -> tuple[float, float]:
-    """Exponent arguments (from u, from v) that the stop criterion watches.
-
-    For the exponential families these are the arguments of exp() in the
-    two fluxes; the run must stop while they are far below the overflow
-    guard. The power family has no exponential but the same quantities
-    serve as a scale-free stop measure.
-    """
-    arg = params.flux.arg
-    return arg(u_bdry, params.q), arg(v_bdry, params.p)
-
-
-def _dt(
-    config: SolverConfig, dr2: float, max_rate: float, peak: float, t: float
-) -> float:
-    """adapt_dt given max |rates| and max(u, v) at time t."""
-    dt = config.cfl * dr2
-    if max_rate > 0.0:
-        dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
-    if dt < UNDERFLOW_FACTOR * dr2:
-        raise StepUnderflow(
-            f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
-        )
-    return dt
-
-
-def adapt_dt(
-    state: FieldState,
-    config: SolverConfig,
-    rates: tuple[np.ndarray, np.ndarray],
-    grid: RadialGrid,
-) -> float:
-    """Adaptive step for the current right-hand sides.
-
-    Raises
-    ------
-    StepUnderflow
-        When the step falls below UNDERFLOW_FACTOR * dr^2 and the run
-        cannot advance in float64.
-    """
-    max_rate = max(float(np.abs(rates[0]).max()), float(np.abs(rates[1]).max()))
-    peak = max(float(state.u.max()), float(state.v.max()))
-    return _dt(config, grid.dr**2, max_rate, peak, state.t)
-
-
 class _Kernel:
     """The forward-Euler update of the state F = [u; v] of shape (2, N).
 
@@ -260,13 +188,23 @@ class _Kernel:
         """
         params, config, lap, G = self.params, self.config, self.lap, self.rates
         (u0, u1, um, uN), (v0, v1, vm, vN) = ends
-        ghost_u, ghost_v = _ghosts(params, lap.two_dr, um, uN, vm, vN)
+        # Neumann closure: u's outward derivative is the flux induced by
+        # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) = flux
+        ghost_u = um + lap.two_dr * boundary_flux(params.flux, vN, params.p)
+        ghost_v = vm + lap.two_dr * boundary_flux(params.flux, uN, params.q)
         lap.interior(F, G)
         G[0, 0], G[0, -1] = lap.at_ends(u0, u1, um, uN, ghost_u)
         G[1, 0], G[1, -1] = lap.at_ends(v0, v1, vm, vN, ghost_v)
         g = self._rates_flat
         # max(max G, -min G) is max |G|, NaN included
-        dt = _dt(config, lap.dr2, max(float(_max(g)), -float(_min(g))), peak, t)
+        max_rate = max(float(_max(g)), -float(_min(g)))
+        dt = config.cfl * lap.dr2
+        if max_rate > 0.0:
+            dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
+        if dt < UNDERFLOW_FACTOR * lap.dr2:
+            raise StepUnderflow(
+                f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
+            )
         if config.t_end is not None:
             dt = min(dt, config.t_end - t)
         if t + dt == t:
@@ -309,8 +247,9 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     InvalidInitialData
         If the initial data fail validation.
     FluxOverflow
-        If u_stop was set so close to the overflow guard that a single
-        step overshot it.
+        If the initial data already put a flux exponent argument at the
+        overflow guard. A stepped state never does: u_stop lies below the
+        guard and each state's threshold test runs before its flux.
     """
     grid = make_grid(params.R, config.N)
     if config.interior_radius >= params.R:
@@ -344,7 +283,9 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
         ends = kernel.end_values(F)
-        arg_u, arg_v = flux_exponent_args(params, ends[0][-1], ends[1][-1])
+        # the flux exponent arguments that the stop criterion watches
+        arg_u = params.flux.arg(ends[0][-1], params.q)
+        arg_v = params.flux.arg(ends[1][-1], params.p)
         # the threshold applies to stepped states: the initial data always
         # take one step
         if steps and max(arg_u, arg_v) > config.u_stop:

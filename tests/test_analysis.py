@@ -331,3 +331,20 @@ class TestBoundarySetCheck:
         assert report.status == "inconclusive"
         assert not report.passed
         assert math.isnan(report.growth_u)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_final_decade_needs_three_samples(self, k):
+        # flat interior suprema and the maxima at the boundary: only the
+        # sample count in the final decade of t_hat - t decides
+        gaps = np.r_[[1.0, 0.5, 0.2], np.geomspace(0.009, 0.001, k)]
+        traj = synthetic(1.0 - gaps, 2.0 - gaps, 2.0 - gaps)
+        report = boundary_set_check(traj, exp_power_params(), 0.5, t_hat=1.0)
+        assert report.decade_samples == k
+        assert report.growth_u == report.growth_v == 0.0
+        if k < 3:
+            assert report.status == (
+                f"fail: {k} samples in the final decade of t_hat - t, need 3"
+            )
+            assert not report.passed
+        else:
+            assert report.status == "pass"

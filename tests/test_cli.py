@@ -259,6 +259,17 @@ class TestMain:
         assert err.startswith("error: ")
         assert "dominance_scale" in err
 
+    def test_flux_overflow_in_the_initial_data_is_operational_error(
+        self, tmp_path, capsys
+    ):
+        path = self.write(tmp_path, REFERENCE.replace(
+            "flux = exp_power", "flux = exp_power\nu0_base = 26\nv0_base = 26"
+        ))
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: exponent argument 702 >= 700.0\n"
+
     def test_unreadable_config_is_operational_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "none.ini")])
         assert code == 1

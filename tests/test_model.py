@@ -112,6 +112,17 @@ class TestBoundaryFlux:
         assert boundary_flux(family, w, e) == self.CLOSED_FORMS[family](w, e)
 
 
+class TestFluxExponentArgs:
+    def test_families(self):
+        # arg(w, e) for u = 2 with q = 2 and for v = 3 with p = 3
+        for family, want in (
+            (FluxFamily.EXP_POWER, (4.0, 27.0)),
+            (FluxFamily.POWER, (4.0, 27.0)),
+            (FluxFamily.EXP_LINEAR, (4.0, 9.0)),
+        ):
+            assert (family.arg(2.0, 2.0), family.arg(3.0, 3.0)) == want
+
+
 class TestMakeGrid:
     def test_basic(self):
         grid = make_grid(2.0, 41)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowuplab.errors import InvalidInitialData, NumericalBlowupGuard, StepUnderflow
+from blowuplab.errors import (
+    FluxOverflow,
+    InvalidInitialData,
+    NumericalBlowupGuard,
+    StepUnderflow,
+)
 from blowuplab.model import (
     FieldState,
     FluxFamily,
@@ -14,6 +19,7 @@ from blowuplab.model import (
     Tabulated,
     boundary_flux,
     make_grid,
+    radial_laplacian,
 )
 from blowuplab.solver import (
     COLUMNS,
@@ -21,10 +27,6 @@ from blowuplab.solver import (
     UNDERFLOW_FACTOR,
     SolverConfig,
     StopReason,
-    adapt_dt,
-    apply_neumann,
-    flux_exponent_args,
-    radial_laplacian,
     run,
     step,
 )
@@ -106,58 +108,71 @@ class TestRadialLaplacian:
         assert errs[0] / errs[1] > 3.5
 
 
+def constant_state(a, b, flux=FluxFamily.POWER, p=2.0, q=2.0):
+    """Grid, params and the state u = a, v = b at t = 0.
+
+    The Laplacian of a constant vanishes everywhere but at r = R, where
+    the ghost node makes it flux * (2 / dr + (n - 1) / R), with u's flux
+    induced by b and v's by a.
+    """
+    grid = make_grid(1.0, 101)
+    params = exp_power_params(p=p, q=q, flux=flux)
+    state = FieldState(t=0.0, u=np.full(grid.N, a), v=np.full(grid.N, b))
+    return grid, params, state
+
+
+def boundary_rate(grid, params, flux):
+    return flux * (2.0 / grid.dr + (params.n - 1) / grid.R)
+
+
 class TestApplyNeumann:
     def test_ghost_values(self):
-        grid = make_grid(1.0, 101)
-        params = exp_power_params()
-        u = 0.5 + 0.5 * grid.r**2
-        v = 1.0 + 0.2 * grid.r**2
-        state = FieldState(t=0.0, u=u, v=v)
-        ghost_u, ghost_v = apply_neumann(state, params, grid)
-        fu = boundary_flux(FluxFamily.EXP_POWER, float(v[-1]), params.p)
-        fv = boundary_flux(FluxFamily.EXP_POWER, float(u[-1]), params.q)
-        assert ghost_u == pytest.approx(u[-2] + 2 * grid.dr * fu, rel=1e-15)
-        assert ghost_v == pytest.approx(v[-2] + 2 * grid.dr * fv, rel=1e-15)
-
-
-class TestFluxExponentArgs:
-    def test_families(self):
-        base = dict(R=1.0, n=2, initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5))
-        pp = ProblemParams(p=3.0, q=2.0, flux=FluxFamily.EXP_POWER, **base)
-        assert flux_exponent_args(pp, 2.0, 3.0) == (4.0, 27.0)
-        pp = ProblemParams(p=3.0, q=2.0, flux=FluxFamily.POWER, **base)
-        assert flux_exponent_args(pp, 2.0, 3.0) == (4.0, 27.0)
-        pp = ProblemParams(p=3.0, q=2.0, flux=FluxFamily.EXP_LINEAR, **base)
-        assert flux_exponent_args(pp, 2.0, 3.0) == (4.0, 9.0)
+        # the one nonzero rate of a constant state is at r = R, where the
+        # ghost (u[-2] + 2 dr flux) closes the Neumann condition; p != q
+        # and a != b tell each field's flux from the other's
+        for family in FluxFamily:
+            grid, params, state = constant_state(1.0, 1.25, family, 2.0, 3.0)
+            new = step(state, params, grid, SolverConfig())
+            dt = new.t
+            fu = boundary_flux(family, 1.25, params.p)
+            fv = boundary_flux(family, 1.0, params.q)
+            assert np.array_equal(new.u[:-1], state.u[:-1])
+            assert np.array_equal(new.v[:-1], state.v[:-1])
+            assert (new.u[-1] - 1.0) / dt == pytest.approx(
+                boundary_rate(grid, params, fu), rel=1e-12
+            )
+            assert (new.v[-1] - 1.25) / dt == pytest.approx(
+                boundary_rate(grid, params, fv), rel=1e-12
+            )
 
 
 class TestAdaptDt:
-    def grid_state(self):
-        grid = make_grid(1.0, 101)
-        f = np.ones(grid.N)
-        return grid, FieldState(t=0.0, u=f, v=f)
+    # u = v = c under the power flux c^2: max |rates| is
+    # c^2 (2 / dr + (n - 1) / R) and max(u, v) is c
 
     def test_diffusion_limited(self):
-        grid, state = self.grid_state()
+        grid, params, state = constant_state(1.0, 1.0)
         config = SolverConfig(cfl=0.4, growth_cap=0.1)
-        rates = (np.ones(grid.N), np.ones(grid.N))
-        assert adapt_dt(state, config, rates, grid) == pytest.approx(
-            0.4 * grid.dr**2
-        )
+        # the growth cap 0.1 * 2 / 201 is far above 0.4 dr^2 = 4e-5
+        assert step(state, params, grid, config).t == 0.4 * grid.dr**2
 
     def test_growth_limited(self):
-        grid, state = self.grid_state()
+        c = 100.0
+        grid, params, state = constant_state(c, c)
         config = SolverConfig(cfl=0.4, growth_cap=0.1)
-        rates = (np.full(grid.N, 1e6), np.ones(grid.N))
-        # cap * (1 + peak) / max_rate with peak = 1
-        assert adapt_dt(state, config, rates, grid) == pytest.approx(2e-7)
+        # cap * (1 + peak) / max_rate = 0.1 * 101 / 2.01e6, below 4e-5
+        want = 0.1 * (1.0 + c) / boundary_rate(grid, params, c**2)
+        assert want < 0.4 * grid.dr**2
+        assert step(state, params, grid, config).t == pytest.approx(
+            want, rel=1e-12
+        )
 
     def test_underflow(self):
-        grid, state = self.grid_state()
+        # dt = 0.1 * (1 + 1e150) / 2.01e302 = 5e-154 < 1e-16 dr^2
+        grid, params, state = constant_state(1e150, 1e150)
         config = SolverConfig(cfl=0.4, growth_cap=0.1)
-        rates = (np.full(grid.N, 1e300), np.ones(grid.N))
-        with pytest.raises(StepUnderflow):
-            adapt_dt(state, config, rates, grid)
+        with pytest.raises(StepUnderflow, match="below 1e-16 \\* dr\\^2"):
+            step(state, params, grid, config)
 
 
 class TestStep:
@@ -380,6 +395,13 @@ class TestRun:
         with pytest.raises(InvalidInitialData):
             run(params, SolverConfig(N=101))
 
+    def test_flux_overflow_comes_from_the_initial_data(self):
+        # u0(R) = v0(R) = 26.5 puts v^p = 702.25 past the guard before
+        # any step is taken
+        params = exp_power_params(initial=QuadraticRadial(26.0, 0.5, 26.0, 0.5))
+        with pytest.raises(FluxOverflow, match="exponent argument 702 >= 700"):
+            run(params, SolverConfig(N=101))
+
     def test_tabulated_initial_data_runs(self):
         grid = make_grid(1.0, 101)
         params = exp_power_params(
@@ -486,9 +508,9 @@ def _reference_run(params, config):
     return columns, snapshots, samples, steps, stop
 
 
-def _family(flux, e, n, **solver):
+def _family(flux, e, n, q=None, **solver):
     params = ProblemParams(
-        p=e, q=e, R=1.0, n=n, flux=flux,
+        p=e, q=e if q is None else q, R=1.0, n=n, flux=flux,
         initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
     )
     return params, SolverConfig(N=41, **solver)
@@ -501,6 +523,8 @@ REFERENCE_CASES = {
                                     record_every=1) for n in (1, 2, 3)},
     **{f"power_n{n}": _family(FluxFamily.POWER, 2.0, n, record_every=1)
        for n in (1, 2, 3)},
+    # p != q: the stop arguments and ghosts pair u with q and v with p
+    "power_p2_q3": _family(FluxFamily.POWER, 2.0, 2, q=3.0, record_every=1),
     "power_sparse": _family(FluxFamily.POWER, 2.0, 2, record_every=7,
                             state_every=3),
     "power_t_end": _family(FluxFamily.POWER, 2.0, 2, t_end=0.05,

@@ -8,11 +8,11 @@ checked by running this script on both trees and diffing the output:
 Each config of the matrix goes through `cli.run_experiment` and the
 benchmark's sweep config through the `sweep` verb, once serially and once
 with two worker processes (the two trees must digest alike), all inside a
-temporary directory. The stdout of `validate` on the sweep config, `oracle
-jump --m 48` and `oracle ode --p 2 --q 2 --c 0.5` is digested too. The
-output has one `name/file sha256` line per artifact, one `name/stdout
-sha256` line per verb whose output is digested and one `name exit code`
-line per run, in a fixed order.
+temporary directory. The stdout of `validate` on every config of the
+matrix and on the sweep config, `oracle jump --m 48` and `oracle ode --p 2
+--q 2 --c 0.5` is digested too. The output has one `name/file sha256` line
+per artifact, one `name/stdout sha256` line per verb whose output is
+digested and one `name exit code` line per run, in a fixed order.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _verb(name: str, argv: list[str]) -> list[str]:
+    """The digest of a verb's stdout and its exit code."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = cli.main(argv)
+    return [f"{name}/stdout {_sha256(stdout.getvalue().encode())}",
+            f"{name} exit {code}"]
+
+
 def main() -> int:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,6 +94,9 @@ def main() -> int:
                 code = f"1 ({type(exc).__name__}: {exc})"
             lines += _digests(out, name) if out.exists() else []
             lines.append(f"{name} exit {code}")
+            ini = Path(tmp) / f"{name}.ini"
+            ini.write_text(text)
+            lines += _verb(f"validate_{name}", ["validate", str(ini)])
         # the sweep verb runs cli.sweep and sets the exit status
         for name, workers in (("sweep", "1"), ("sweep_parallel2", "2")):
             out = Path(tmp) / name
@@ -93,11 +105,7 @@ def main() -> int:
             lines += _digests(out, name)
             lines.append(f"{name} exit {code}")
     for name, argv in STDOUT_VERBS.items():
-        stdout = io.StringIO()
-        with redirect_stdout(stdout):
-            code = cli.main(argv)
-        lines.append(f"{name}/stdout {_sha256(stdout.getvalue().encode())}")
-        lines.append(f"{name} exit {code}")
+        lines += _verb(name, argv)
     print("\n".join(lines))
     return 0
 
