@@ -84,7 +84,8 @@ class InteriorReport:
     """Boundary-only blow-up diagnostics at interior radius a.
 
     growth_u and growth_v are the relative increases of the interior
-    suprema over the final decade of (t_hat - t). envelope_u/v evaluate
+    suprema over the final decade of (t_hat - t), nan when that decade
+    holds fewer than MIN_TREND_SAMPLES samples. envelope_u/v evaluate
     the comparison-function bound C (R^2 - a^2)^{-2m} when a prefactor
     was supplied, else carry nan. status is "pass", "fail", or
     "inconclusive" (run did not reach the blow-up threshold).
@@ -132,16 +133,12 @@ def tail_window(traj: Trajectory) -> int:
 
 
 def _window(
-    traj: Trajectory, params: ProblemParams | None
+    traj: Trajectory, params: ProblemParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t and the transformed moduli y_u, y_v on the fit window (plain M
-    and Nmax when params is None)."""
+    """t and the transformed moduli y_u, y_v on the fit window."""
     i0 = tail_window(traj)
-    t, yu, yv = traj.t[i0:], traj.M[i0:], traj.Nmax[i0:]
-    if params is not None:
-        law = params.flux.transform
-        yu, yv = law(yu, params.q), law(yv, params.p)
-    return t, yu, yv
+    law = params.flux.transform
+    return traj.t[i0:], law(traj.M[i0:], params.q), law(traj.Nmax[i0:], params.p)
 
 
 def estimate_blowup_time(
@@ -262,14 +259,14 @@ def rate_bound_check(
     t_hat: float,
     alpha: float,
     beta: float,
-    params: ProblemParams | None = None,
+    params: ProblemParams,
     tol: float = DEFAULT_RATE_TOL,
 ) -> RateBoundReport:
     """Upper rate estimate diagnostic.
 
     Computes the rate products exp(y_u) (t_hat - t)^{alpha/2} and
     exp(y_v) (t_hat - t)^{beta/2} over the fit window, where y is the
-    family transform (plain M and N when params is omitted). Reports
+    family transform of params.flux. Reports
     their suprema and the trend-line change of each product across the
     last half decade of (t_hat - t). A field passes when its supremum
     is finite and the trend increase stays within tol; decreasing
@@ -303,9 +300,9 @@ def rate_bound_check(
 
 
 def _interior_series(traj: Trajectory, params: ProblemParams, a: float):
-    """Per-sample interior suprema over r <= a, from snapshots if needed."""
+    """Interior suprema over r <= a and their times, from snapshots if needed."""
     if abs(a - traj.config.interior_radius) <= 1e-12 * params.R:
-        return traj.sup_u_interior, traj.sup_v_interior, np.arange(len(traj))
+        return traj.sup_u_interior, traj.sup_v_interior, traj.t
     if not traj.states:
         raise ValueError(
             f"a = {a} differs from the recorded interior radius "
@@ -314,7 +311,7 @@ def _interior_series(traj: Trajectory, params: ProblemParams, a: float):
     k = interior_nodes(make_grid(params.R, traj.config.N), a)
     su = np.array([s.u[:k].max() for s in traj.states])
     sv = np.array([s.v[:k].max() for s in traj.states])
-    return su, sv, traj.state_samples
+    return su, sv, np.array([s.t for s in traj.states])
 
 
 def boundary_set_check(
@@ -331,9 +328,9 @@ def boundary_set_check(
     across the final decade of (t_hat - t) while the run ended at the
     blow-up threshold, and the maxima of both fields sit at the
     boundary node in every recorded sample. The final decade must hold
-    at least MIN_TREND_SAMPLES samples, or the check fails. A run
-    stopped for any other reason is inconclusive: interior bounds then
-    hold trivially.
+    at least MIN_TREND_SAMPLES samples, or the check fails with nan
+    growths. A run stopped for any other reason is inconclusive:
+    interior bounds then hold trivially.
 
     The comparison-function envelopes C (R^2 - a^2)^{-2m} with m half the
     family's rate target for u resp. v (alpha/2 and beta/2; 1/2 for
@@ -342,7 +339,7 @@ def boundary_set_check(
     """
     if not 0.0 < a < params.R:
         raise BadRadius(f"interior radius must lie in (0, R), got {a}")
-    su, sv, samples = _interior_series(traj, params, a)
+    su, sv, t = _interior_series(traj, params, a)
     n_nodes = traj.config.N
     argmax_ok = bool(
         np.all(traj.argmax_u == n_nodes - 1) and np.all(traj.argmax_v == n_nodes - 1)
@@ -360,21 +357,21 @@ def boundary_set_check(
     decade_samples = 0
     status = "inconclusive"
     if traj.stop.reason is StopReason.BLOWUP_THRESHOLD and t_hat is not None:
-        t = traj.t[samples]
         decade = (t_hat - t) <= 10.0 * (t_hat - traj.stop.t_stop)
-        du = su[decade]
-        dv = sv[decade]
-        growth_u = float(du[-1] / du[0] - 1.0)
-        growth_v = float(dv[-1] / dv[0] - 1.0)
         decade_samples = int(decade.sum())
-        passed = growth_u < 0.05 and growth_v < 0.05 and argmax_ok
-        status = "pass" if passed else "fail"
-        # one sample shows growth 0 by construction
+        # one sample shows growth 0 by construction, so below the floor
+        # the growths stay nan, like the rate trends
         if decade_samples < MIN_TREND_SAMPLES:
             status = (
                 f"fail: {decade_samples} samples in the final decade of "
                 f"t_hat - t, need {MIN_TREND_SAMPLES}"
             )
+        else:
+            du, dv = su[decade], sv[decade]
+            growth_u = float(du[-1] / du[0] - 1.0)
+            growth_v = float(dv[-1] / dv[0] - 1.0)
+            passed = growth_u < 0.05 and growth_v < 0.05 and argmax_ok
+            status = "pass" if passed else "fail"
     return InteriorReport(
         interior_sup_u=float(su.max()),
         interior_sup_v=float(sv.max()),

@@ -68,18 +68,12 @@ class RunArtifacts:
 
 def write_trajectory(traj: Trajectory, path: Path) -> None:
     """Fixed-header CSV; floats as their shortest round-trip decimals."""
-    int_columns = {"argmax_u", "argmax_v"}
-    series = {name: getattr(traj, name) for name in COLUMNS}
+    # tolist() gives Python ints and floats by the solver's column dtypes
+    columns = [getattr(traj, name).tolist() for name in COLUMNS]
     with open(path, "w") as f:
         f.write(",".join(COLUMNS) + "\n")
-        for i in range(len(traj)):
-            cells = [
-                str(int(series[name][i]))
-                if name in int_columns
-                else repr(float(series[name][i]))
-                for name in COLUMNS
-            ]
-            f.write(",".join(cells) + "\n")
+        for row in zip(*columns):
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def _report_text(value: object) -> str:

@@ -30,6 +30,7 @@ where h -> 0 and t -> T together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,6 +164,12 @@ def dominance_check(
     M(t) (T - t)^{m} from the rate check; T here should be the fitted
     horizon of the same run.
 
+    The states are scanned in place, one at a time, so the work arrays
+    hold O(N) floats whatever the number of states; only their k times
+    are gathered. The reported minimum is the one a single argmin over
+    the stacked (k, N) gaps would pick: the first in (state, node)
+    order, with a NaN gap beating every number.
+
     Raises DominanceViolated when the margin min(z - field) is
     negative. With the automatic selection that points at an
     under-resolved run or a horizon estimate that is off, not at a
@@ -181,9 +188,10 @@ def dominance_check(
         raise ValueError("rate_sup and c1_scale must be nonnegative")
 
     r = np.asarray(r, dtype=float)
-    values = np.stack([getattr(s, field) for s in states])
-    if values.shape[1] != r.size:
-        raise ValueError(f"states have {values.shape[1]} nodes, r has {r.size}")
+    for s in states:
+        nodes = len(getattr(s, field))
+        if nodes != r.size:
+            raise ValueError(f"states have {nodes} nodes, r has {r.size}")
     times = np.array([s.t for s in states])
     if np.any(times >= params.T):
         raise BadTime(
@@ -192,16 +200,25 @@ def dominance_check(
 
     h = boundary_weight(r, params.R)
     initial_term = float(
-        (values[0] * (h + params.C2 * params.T) ** params.m).max()
+        (getattr(states[0], field) * (h + params.C2 * params.T) ** params.m).max()
     )
     boundary_term = rate_sup * params.C2**params.m
     c1 = c1_scale * max(boundary_term, initial_term) * C1_HEADROOM
 
-    depth = h[None, :] + params.C2 * (params.T - times)[:, None]
-    gap = c1 * depth ** (-params.m) - values
-    flat = int(np.argmin(gap))
-    k, i = divmod(flat, r.size)
-    margin = float(gap[k, i])
+    # (margin, state, node) of the minimum so far; an all-inf first
+    # state leaves it at (inf, 0, 0), which is also argmin's answer
+    margin, k, i = math.inf, 0, 0
+    C2, T, neg_m = params.C2, params.T, -params.m
+    for j, s in enumerate(states):
+        # c1 * depth^-m - values; in place is bit-equal, products commute
+        gap = (h + C2 * (T - s.t)) ** neg_m
+        gap *= c1
+        gap -= getattr(s, field)
+        node = int(gap.argmin())
+        g = float(gap[node])
+        # strictly smaller, so ties keep the earlier state
+        if g < margin or (math.isnan(g) and not math.isnan(margin)):
+            margin, k, i = g, j, node
     if margin < 0:
         raise DominanceViolated(
             f"z - {field} reaches {margin:.6e} at r = {r[i]:.6g}, "

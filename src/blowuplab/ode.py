@@ -63,6 +63,9 @@ DIVERGENCE_FACTOR = 100.0
 
 MIN_SERIES_SAMPLES = 10
 TAIL_DECADE = 10.0
+# verify_lemma_bounds' limits on fit / target and on the tail trend's rise
+RATE_SLACK = 1.05
+TREND_TOL = 0.10
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -122,7 +125,7 @@ class LemmaReport:
     c_a and c_b are the measured suprema of A (T-t)^{alpha/2} and
     B (T-t)^{beta/2} over the final decade of the gap, the empirical
     constants in the bounds A <= C (T-t)^{-alpha/2}. The trends are the fitted change of
-    those products across that decade; only an increase past trend_tol
+    those products across that decade; only an increase past TREND_TOL
     counts against the bound, a decrease supports it.
     """
 
@@ -153,11 +156,7 @@ def self_similar_constants(p: float, q: float, c: float) -> tuple[float, float]:
 
 
 def integrate_system(
-    params: OdeParams,
-    t_stop_frac: float,
-    n_samples: int = 200,
-    rtol: float = RTOL,
-    atol: float = ATOL,
+    params: OdeParams, t_stop_frac: float, n_samples: int = 200
 ) -> OdeSeries:
     """Integrate the equality system from t0 toward the horizon.
 
@@ -215,8 +214,8 @@ def integrate_system(
         (params.t0, T - gap_end),
         [math.log(params.A0), math.log(params.B0)],
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=RTOL,
+        atol=ATOL,
         t_eval=t_eval,
         events=hit_cap,
         dense_output=True,
@@ -253,20 +252,15 @@ def integrate_system(
     return OdeSeries(t=t, A=np.exp(la), B=np.exp(lb), capped=capped)
 
 
-def verify_lemma_bounds(
-    series: OdeSeries,
-    params: OdeParams,
-    rate_slack: float = 1.05,
-    trend_tol: float = 0.10,
-) -> LemmaReport:
+def verify_lemma_bounds(series: OdeSeries, params: OdeParams) -> LemmaReport:
     """Check the terminal rate bounds on an integrated series.
 
     Fits log A and log B against -log(T - t) over the whole series;
     alpha_fit and beta_fit are twice the slopes. The claimed bounds are
     upper estimates, so the check passes when alpha_fit stays within
-    rate_slack of alpha, the scaled products A (T-t)^{alpha/2} have a
+    RATE_SLACK of alpha, the scaled products A (T-t)^{alpha/2} have a
     finite supremum over the final decade of the gap, and their trend
-    across that decade does not rise past trend_tol. Symmetrically for
+    across that decade does not rise past TREND_TOL. Symmetrically for
     B with beta.
 
     Raises FitFailed on a series too short to fit or one that never
@@ -300,10 +294,10 @@ def verify_lemma_bounds(
 
     def ok(fit: float, target: float, sup: float, trend: float) -> bool:
         return bool(
-            fit <= target * rate_slack
+            fit <= target * RATE_SLACK
             and np.isfinite(sup)
             and np.isfinite(trend)
-            and trend <= 1.0 + trend_tol
+            and trend <= 1.0 + TREND_TOL
         )
 
     return LemmaReport(

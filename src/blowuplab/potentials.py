@@ -238,19 +238,18 @@ def jump_check(
     t: float,
     quad: SphereQuadrature,
     approach_distances: Sequence[float],
-    t1: float = 0.0,
     steps: int = 48,
     tol_jump: float = 0.05,
 ) -> JumpReport:
     """Measure the -phi/2 jump of the single layer's normal derivative.
 
-    Crossing the layer from inside, the normal derivative's boundary
-    principal value sits half a density below its interior limit. The
-    check walks x = x0 - d eta inward along the outward normal eta,
+    The layer spans S_R x [0, t]. Crossing it from inside, the normal
+    derivative's boundary principal value sits half a density below its
+    interior limit. The check walks x = x0 - d eta inward along the outward normal eta,
     takes a centered difference of the potential at each d (step d/8),
     fits a polynomial in d to extrapolate the interior limit, and
     subtracts that from the direct boundary quadrature; the difference
-    should be -phi(x0, t)/2 whatever R, t, and the window are.
+    should be -phi(x0, t)/2 whatever R and t are.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (quad.n,):
@@ -271,7 +270,7 @@ def jump_check(
         )
     eta = x0 / r0
     # every evaluation shares t and the sigma panels, so one density block
-    sigma, omega = _sigma_panels(t, t1, steps)
+    sigma, omega = _sigma_panels(t, 0.0, steps)
     density = _density_block(phi, quad, t, sigma)
 
     def u_at(dist: float) -> float:

@@ -124,6 +124,8 @@ class Trajectory:
     M is the running max of u (attained at the boundary for growing
     solutions) and Nmax the same for v. flux_u is the flux induced by
     u's boundary value (it drives v) and flux_v the one induced by v.
+    Each snapshot in states is a recorded sample and carries that
+    sample's t; t strictly increases, so the times place them.
     """
 
     t: np.ndarray
@@ -137,7 +139,6 @@ class Trajectory:
     flux_u: np.ndarray
     flux_v: np.ndarray
     states: tuple[FieldState, ...]
-    state_samples: np.ndarray
     stop: StopInfo
     steps: int
     config: SolverConfig
@@ -275,7 +276,6 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     k = interior_nodes(grid, config.interior_radius)
     rows: list[tuple] = []
     states: list[FieldState] = []
-    state_samples: list[int] = []
 
     # each pass visits one state (t, F): decide whether it is the stop
     # state, sample it, then advance; so no state is ever sampled twice
@@ -323,7 +323,6 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
             ):
                 # the buffers are reused, so a snapshot owns a copy
                 states.append(FieldState(t, *F.copy()))
-                state_samples.append(sample)
         if reason is not None:
             break
         steps += 1
@@ -339,7 +338,6 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     return Trajectory(
         **columns,
         states=tuple(states),
-        state_samples=np.array(state_samples, dtype=int),
         stop=StopInfo(reason, t, last, arg_u, arg_v, detail),
         steps=steps,
         config=config,

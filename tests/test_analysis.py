@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab.analysis import (
     BlowupFit,
@@ -43,8 +45,7 @@ def synthetic(t, M, N, reason=StopReason.BLOWUP_THRESHOLD):
         argmax_u=bdry, argmax_v=bdry,
         sup_u_interior=np.full(n, M[0]), sup_v_interior=np.full(n, N[0]),
         flux_u=np.zeros(n), flux_v=np.zeros(n),
-        states=(), state_samples=np.array([], dtype=int),
-        stop=stop, steps=n - 1, config=cfg,
+        states=(), stop=stop, steps=n - 1, config=cfg,
     )
 
 
@@ -167,6 +168,25 @@ class TestFitRate:
         a1, _ = fit_rate(synthetic(t, M + 1.7, M + 1.7), base.t_hat, params)
         assert a1 == pytest.approx(a0, abs=1e-12)
 
+    @settings(deadline=None)
+    @given(
+        c=st.floats(-10.0, 10.0),
+        alpha=st.floats(0.6, 4.0),
+        beta=st.floats(0.6, 4.0),
+    )
+    def test_time_shift_invariance(self, c, alpha, beta):
+        # the law sees t only through t_hat - t, so shifting both by c
+        # leaves the exponents alone
+        gaps = np.geomspace(1.0, 1e-3, 200)
+        t = 1.0 - gaps
+        M = 1.0 - 0.5 * alpha * np.log(gaps)
+        N = 2.0 - 0.5 * beta * np.log(gaps)
+        params = exp_power_params()
+        base = fit_rate(synthetic(t, M, N), 1.0, params)
+        shifted = fit_rate(synthetic(t + c, M, N), 1.0 + c, params)
+        assert shifted == pytest.approx(base, rel=1e-9)
+        assert base == pytest.approx((alpha, beta), rel=1e-9)
+
     def test_too_few_usable_samples(self):
         t = np.linspace(0.5, 0.995, 400)
         M = 1.0 - 0.5 * np.log(1.0 - t)
@@ -203,7 +223,9 @@ class TestRateBoundCheck:
     def test_exact_series_flat(self):
         t = np.linspace(0.5, 0.995, 400)
         M = 1.0 - 0.5 * np.log(1.0 - t)
-        report = rate_bound_check(synthetic(t, M, M), 1.0, 1.0, 1.0)
+        report = rate_bound_check(
+            synthetic(t, M, M), 1.0, 1.0, 1.0, params=exp_power_params()
+        )
         assert report.passed
         assert report.rate_sup_u == pytest.approx(math.e, rel=1e-9)
         assert report.trend_u == pytest.approx(1.0, abs=1e-9)
@@ -212,7 +234,9 @@ class TestRateBoundCheck:
         # e^M = (1-t)^{-2} outruns the alpha=1 product by (1-t)^{-3/2}
         t = np.linspace(0.5, 0.999, 500)
         M = 2.0 * -np.log(1.0 - t)
-        report = rate_bound_check(synthetic(t, M, M), 1.0, 1.0, 1.0)
+        report = rate_bound_check(
+            synthetic(t, M, M), 1.0, 1.0, 1.0, params=exp_power_params()
+        )
         assert not report.passed
         assert report.trend_u > 2.0
         pi = np.exp(M) * (1.0 - t) ** 0.5
@@ -224,7 +248,9 @@ class TestRateBoundCheck:
         gaps = np.logspace(np.log10(0.5), np.log10(0.5e-7), 21)
         t = 1.0 - gaps
         M = 1.0 - 0.5 * np.log(gaps)
-        report = rate_bound_check(synthetic(t, M, M), 1.0, 1.0, 1.0)
+        report = rate_bound_check(
+            synthetic(t, M, M), 1.0, 1.0, 1.0, params=exp_power_params()
+        )
         assert report.tail_samples == 2
         assert math.isnan(report.trend_u)
         assert not report.passed
@@ -250,7 +276,7 @@ class TestRateBoundCheck:
             sup_u_interior=traj.sup_u_interior[keep],
             sup_v_interior=traj.sup_v_interior[keep],
             flux_u=traj.flux_u[keep], flux_v=traj.flux_v[keep],
-            states=(), state_samples=np.array([], dtype=int),
+            states=(),
         )
         full = rate_bound_check(traj, fit.t_hat, 1.0, 1.0, params=params)
         sub = rate_bound_check(half, fit.t_hat, 1.0, 1.0, params=params)
@@ -316,9 +342,7 @@ class TestBoundarySetCheck:
 
     def test_mismatched_radius_without_snapshots(self, reference_run):
         params, traj = reference_run
-        bare = dataclasses.replace(
-            traj, states=(), state_samples=np.array([], dtype=int)
-        )
+        bare = dataclasses.replace(traj, states=())
         with pytest.raises(ValueError, match="snapshots"):
             boundary_set_check(bare, params, 0.3)
 
@@ -340,11 +364,13 @@ class TestBoundarySetCheck:
         traj = synthetic(1.0 - gaps, 2.0 - gaps, 2.0 - gaps)
         report = boundary_set_check(traj, exp_power_params(), 0.5, t_hat=1.0)
         assert report.decade_samples == k
-        assert report.growth_u == report.growth_v == 0.0
         if k < 3:
+            # one or two samples show no growth by construction
+            assert math.isnan(report.growth_u) and math.isnan(report.growth_v)
             assert report.status == (
                 f"fail: {k} samples in the final decade of t_hat - t, need 3"
             )
             assert not report.passed
         else:
+            assert report.growth_u == report.growth_v == 0.0
             assert report.status == "pass"

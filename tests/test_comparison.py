@@ -1,10 +1,14 @@
 """Tests for the interior comparison function and dominance sweep."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blowuplab.analysis import estimate_blowup_time, rate_bound_check
 from blowuplab.comparison import (
+    C1_HEADROOM,
     ComparisonParams,
     boundary_weight,
     c2_min,
@@ -338,3 +342,94 @@ class TestDominanceCheck:
         comp = ComparisonParams(C1=1.0, C2=41.0, m=1.0, T=0.01, R=1.0, n=2)
         report = dominance_check(states, r, comp, rate_sup=0.0)
         assert 0.0 <= report.margin < 1e-8
+
+
+# 2,000 states of 401 nodes: one field stacked is 6.4 MB
+SCAN_K, SCAN_N = 2000, 401
+SCAN_COMP = ComparisonParams(C1=1.0, C2=c2_min(2, 1.0, 0.5), m=0.5, T=1.0, R=1.0, n=2)
+SCAN_RATE_SUP = 2.0
+# name -> the (state, node) that one argmin over the stack picks, and
+# the states: u = fill (default 0) everywhere except at touch (u = z,
+# gap 0), inf (u = +inf, gap -inf) and nan (gap nan)
+SCAN_CASES = {
+    "tie_across_nodes": ((700, 50), dict(touch=[(700, 300), (700, 50)])),
+    "tie_across_states": ((700, 300), dict(touch=[(1500, 10), (700, 300)])),
+    "all_inf_gap": ((0, 0), dict(fill=-math.inf)),
+    "nan_beats_the_minimum": (
+        (900, 2), dict(touch=[(700, 50)], nan=[(1200, 3), (900, 7), (900, 2)])
+    ),
+    "violation_tie": ((600, 390), dict(inf=[(800, 100), (600, 390), (600, 395)])),
+}
+
+
+def scan_states(touch=(), inf=(), nan=(), fill=0.0):
+    """SCAN_K states at increasing t whose u rows share one array
+    unless a case edits them, and the nodes r."""
+    r = np.linspace(0.0, 1.0, SCAN_N)
+    times = np.linspace(0.0, 0.9, SCAN_K)
+    comp = SCAN_COMP
+    # c1 comes from the boundary term: state 0 stays at fill <= 0
+    c1 = 1.0 * (SCAN_RATE_SUP * comp.C2**comp.m) * C1_HEADROOM
+    h = boundary_weight(r, comp.R)
+    base = np.full(SCAN_N, fill)
+    rows = {}
+
+    def edit(k, i, value):
+        rows.setdefault(k, base.copy())[i] = value
+
+    for k, i in touch:
+        # z by the scan's own row expression, so z - u is exactly 0
+        edit(k, i, (c1 * (h + comp.C2 * (comp.T - times[k])) ** (-comp.m))[i])
+    for k, i in inf:
+        edit(k, i, math.inf)
+    for k, i in nan:
+        edit(k, i, math.nan)
+    states = tuple(
+        FieldState(t=float(t), u=rows.get(k, base), v=base)
+        for k, t in enumerate(times)
+    )
+    return states, r
+
+
+def stacked_reference(states, r, comp, rate_sup):
+    """C1, margin, r and t of the minimum by one argmin over the stack."""
+    values = np.stack([s.u for s in states])
+    times = np.array([s.t for s in states])
+    h = boundary_weight(r, comp.R)
+    initial = float((values[0] * (h + comp.C2 * comp.T) ** comp.m).max())
+    c1 = 1.0 * max(rate_sup * comp.C2**comp.m, initial) * C1_HEADROOM
+    depth = h[None, :] + comp.C2 * (comp.T - times)[:, None]
+    gap = c1 * depth ** (-comp.m) - values
+    k, i = divmod(int(np.argmin(gap)), r.size)
+    return (k, i), (c1, float(gap[k, i]), float(r[i]), float(times[k]))
+
+
+class TestDominanceScan:
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_matches_the_stacked_argmin_in_o_n_memory(self, case):
+        expect, edits = SCAN_CASES[case]
+        states, r = scan_states(**edits)
+        where, want = stacked_reference(states, r, SCAN_COMP, SCAN_RATE_SUP)
+        assert where == expect
+        c1, margin, r_min, t_min = want
+        tracemalloc.start()
+        try:
+            if margin < 0:
+                with pytest.raises(DominanceViolated) as exc:
+                    dominance_check(states, r, SCAN_COMP, SCAN_RATE_SUP)
+            else:
+                report = dominance_check(states, r, SCAN_COMP, SCAN_RATE_SUP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stacked gaps alone would take 6.4 MB
+        assert peak < 1_000_000
+        if margin < 0:
+            assert str(exc.value) == (
+                f"z - u reaches {margin:.6e} at r = {r_min:.6g}, "
+                f"t = {t_min:.6g} with C1 = {c1:.6g}"
+            )
+        else:
+            got = (report.c1, report.margin, report.r_at_min, report.t_at_min)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert report.states_checked == SCAN_K

@@ -291,14 +291,12 @@ class TestRun:
         assert traj.M[-1] == last.u.max()
         assert traj.Nmax[-1] == last.v.max()
         if not state_every:
-            assert traj.states == () and len(traj.state_samples) == 0
+            assert traj.states == ()
             return
         assert traj.states[-1] is last
-        assert traj.state_samples[-1] == len(traj) - 1
-        assert np.array_equal(
-            traj.state_samples[:-1], np.arange(0, len(traj) - 1, state_every)
-        )
-        assert len(traj.states) == len(traj.state_samples)
+        # every state_every-th sample plus the stop state, found by time
+        times = [s.t for s in traj.states]
+        assert times == traj.t[:-1:state_every].tolist() + [traj.t[-1]]
 
     @pytest.mark.parametrize("flux, exponent", [
         (FluxFamily.EXP_POWER, 2.0), (FluxFamily.EXP_LINEAR, 1.0),
@@ -545,7 +543,7 @@ class TestReferenceLoop:
             assert got.dtype == want.dtype, column
             np.testing.assert_array_equal(got, want, err_msg=column, strict=True)
         assert traj.steps == steps
-        assert traj.state_samples.tolist() == samples
+        assert [s.t for s in traj.states] == traj.t[samples].tolist()
         # every snapshot is compared after the run has ended, so an early
         # one that shared a buffer with a later state would differ here
         assert len(traj.states) == len(snapshots)

@@ -8,9 +8,10 @@ checked by running this script on both trees and diffing the output:
 Each config of the matrix goes through `cli.run_experiment` and the
 benchmark's sweep config through the `sweep` verb, once serially and once
 with two worker processes (the two trees must digest alike), all inside a
-temporary directory. The stdout of `validate` on every config of the
-matrix and on the sweep config, `oracle jump --m 48` and `oracle ode --p 2
---q 2 --c 0.5` is digested too. The output has one `name/file sha256` line
+temporary directory. One run, `dominance_fail`, fails its dominance
+check, so its report carries the r and t of the minimum. The stdout of
+`validate` on every config of the matrix and on the sweep config, `oracle
+jump --m 48` and `oracle ode --p 2 --q 2 --c 0.5` is digested too. The output has one `name/file sha256` line
 per artifact, one `name/stdout sha256` line per verb whose output is
 digested and one `name exit code` line per run, in a fixed order.
 """
@@ -51,6 +52,9 @@ def matrix() -> dict[str, str]:
     runs["t_end_0.001"] = _ini("power", 2, 2, t_end=0.001)
     runs["state_every_0"] = ep_n2 + "state_every = 0\n"
     runs["pw_p2q3_sparse"] = _ini("power", 2, 3, record_every=7, state_every=3)
+    # a failing dominance check writes the r and t of its minimum, which
+    # no passing run shows
+    runs["dominance_fail"] = runs["pw_n2"] + "[analysis]\ndominance_scale = 0.5\n"
     return runs
 
 
