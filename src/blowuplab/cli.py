@@ -189,6 +189,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
         if traj.states:
             grid = make_grid(params.R, solver.N)
             m_u, m_v = target_u / 2.0, target_v / 2.0
+            failures = []
             for field, m, sup in (
                 ("u", m_u, bound.rate_sup_u),
                 ("v", m_v, bound.rate_sup_v),
@@ -204,11 +205,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
                     )
                     report[f"dominance.margin_{field}"] = rep.margin
                     report[f"dominance.c1_{field}"] = rep.c1
-                    statuses.setdefault("dominance", "pass")
                 except DominanceViolated as exc:
                     report[f"dominance.margin_{field}"] = float("nan")
                     report[f"dominance.c1_{field}"] = float("nan")
-                    statuses["dominance"] = f"fail: {exc}"
+                    failures.append(str(exc))
+            statuses["dominance"] = (
+                f"fail: {'; '.join(failures)}" if failures else "pass"
+            )
         else:
             statuses["dominance"] = "skipped: no field snapshots"
 
@@ -266,8 +269,11 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
     """Run the axis cross product and aggregate one row per run.
 
     Rows appear in axis order (flux, p, q, N nested last), whatever the
-    parallelism; failed runs keep their row with an error status.
+    parallelism; failed runs keep their row with an error status. At
+    most min(max_parallel, runs) worker processes are started.
     """
+    if max_parallel < 1:
+        raise ConfigError(f"max_parallel must be at least 1, got {max_parallel}")
     axes = config.sweep
     total = len(axes)
     if total > axes.max_runs:
@@ -292,11 +298,10 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
             continue
         tasks.append((index, point, str(run_dir)))
 
-    if max_parallel > 1 and len(tasks) > 1:
-        # loaded once here, before the workers fork, so that they share it
-        # rather than each importing it for its first blow-up fit
-        import scipy.optimize  # noqa: F401
-        with ProcessPoolExecutor(max_workers=max_parallel) as pool:
+    workers = min(max_parallel, len(tasks))
+    if workers > 1:
+        # a pool starts all max_workers processes up front, used or not
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_point, tasks))
     else:
         results = dict(map(_sweep_point, tasks))

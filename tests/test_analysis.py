@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab.analysis import (
     BlowupFit,
+    _minimize_bounded,
     boundary_set_check,
     estimate_blowup_time,
     fit_rate,
@@ -144,6 +145,93 @@ class TestEstimateBlowupTime:
         # frozen from the 4x refined comparison run (agreement 0.6%)
         assert fit.t_hat == pytest.approx(0.0108994, rel=1e-3)
         assert fit.residual < 0.2
+
+
+def _cosine_sum(terms):
+    amp = np.array([a for a, _, _ in terms])
+    freq = np.array([w for _, w, _ in terms])
+    phase = np.array([ph for _, _, ph in terms])
+    return lambda x: float(np.sum(amp * np.cos(freq * x + phase)))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+_TERMS = st.lists(
+    st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1e3), st.floats(0.0, 7.0)),
+    min_size=1, max_size=6,
+)
+
+
+class TestMinimizeBounded:
+    """The in-module Brent search against scipy's, bit for bit."""
+
+    def assert_matches_scipy(self, func, lo, hi, xatol):
+        from scipy.optimize import minimize_scalar
+
+        ref = minimize_scalar(
+            func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        x, fun = _minimize_bounded(func, lo, hi, xatol=xatol)
+        assert _bits(x) == _bits(ref.x)
+        assert _bits(fun) == _bits(ref.fun)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        terms=_TERMS,
+        lo=st.floats(-50.0, 50.0),
+        log_width=st.floats(-9.0, math.log10(40.0)),
+        xatol=st.sampled_from([1e-12, 1e-9, 1e-5]),
+    )
+    @example(terms=[(1.0, 30.0, 0.0), (0.3, 2.0, 1.0)], lo=-3.0,
+             log_width=math.log10(40.0), xatol=1e-12)
+    def test_cosine_sums(self, terms, lo, log_width, xatol):
+        # high frequencies make the objective multimodal on wide bounds
+        self.assert_matches_scipy(_cosine_sum(terms), lo, lo + 10.0**log_width, xatol)
+
+    @settings(deadline=None)
+    @given(
+        level=st.floats(-1e3, 1e3),
+        lo=st.floats(-50.0, 50.0),
+        log_width=st.floats(-9.0, math.log10(40.0)),
+    )
+    def test_constant_objective(self, level, lo, log_width):
+        # every comparison ties
+        self.assert_matches_scipy(lambda x: level, lo, lo + 10.0**log_width, 1e-12)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        terms=_TERMS,
+        lo=st.floats(-50.0, 50.0),
+        log_width=st.floats(-9.0, math.log10(40.0)),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    # the first point, lo + 0.382 * width, is NaN
+    @example(terms=[(1.0, 1.0, 0.0)], lo=0.0, log_width=1.0, cut=(0.3, 0.5))
+    def test_nan_on_a_subinterval(self, terms, lo, log_width, cut):
+        hi = lo + 10.0**log_width
+        c0, c1 = sorted(lo + (hi - lo) * f for f in cut)
+        smooth = _cosine_sum(terms)
+
+        def func(x):
+            return float("nan") if c0 <= x <= c1 else smooth(x)
+
+        self.assert_matches_scipy(func, lo, hi, 1e-12)
+
+    def test_fit_objective(self):
+        # the sum of squares estimate_blowup_time minimises, on its bounds
+        t = np.linspace(0.5, 0.995, 400)
+        y = 1.0 - 0.5 * np.log(1.0 - t)
+        span = float(t[-1] - t[0])
+
+        def sse(log_d):
+            r = y - 0.5 * -np.log(t[-1] + math.exp(log_d) - t)
+            return float(np.sum((r - r.mean()) ** 2))
+
+        self.assert_matches_scipy(
+            sse, math.log(span * 1e-12), math.log(10.0 * span), 1e-12
+        )
 
 
 class TestFitRate:

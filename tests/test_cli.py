@@ -134,6 +134,21 @@ class TestRunExperiment:
         report = read_report(artifacts.report)
         assert report["rate.status"].startswith("fail")
 
+    def test_dominance_failures_of_both_fields_are_reported(self, tmp_path):
+        # halving C1 puts the comparison function below u and v alike
+        config = parse_config(
+            "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n"
+            "[solver]\nN = 41\n[analysis]\ndominance_scale = 0.5\n"
+        )
+        artifacts = run_experiment(config, tmp_path)
+        report = read_report(artifacts.report)
+        assert artifacts.exit_code == 2
+        assert report["dominance.status"] == (
+            "fail: z - u reaches -8.997656e+00 at r = 1, t = 0.211561 "
+            "with C1 = 1.66697; z - v reaches -8.997656e+00 at r = 1, "
+            "t = 0.211561 with C1 = 1.66697"
+        )
+
 
 @pytest.fixture(scope="module")
 def pq_sweep(tmp_path_factory):
@@ -201,6 +216,36 @@ class TestSweep:
         with pytest.raises(ConfigError, match="cap is 1"):
             sweep(config, tmp_path)
 
+    @pytest.mark.parametrize("max_parallel, points, workers", [
+        (5000, "2, 3", 2),
+        (2, "2, 2.5, 3", 2),
+        (8, "2", None),
+    ])
+    def test_pool_is_sized_to_the_runs(self, tmp_path, monkeypatch,
+                                       max_parallel, points, workers):
+        # records the pool size and maps serially: no process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("blowuplab.cli.ProcessPoolExecutor", SerialPool)
+        config = parse_config(TINY + f"\n[sweep]\np = {points}\n")
+        summary = sweep(config, tmp_path / "pool", max_parallel=max_parallel)
+        assert sizes == ([] if workers is None else [workers])
+        serial = sweep(config, tmp_path / "serial")
+        assert summary.read_text() == serial.read_text()
+
 
 class TestMain:
     def write(self, tmp_path, text, name="exp.ini"):
@@ -234,6 +279,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0  # inconclusive rows are not failures
         assert out.splitlines()[0] == ",".join(SWEEP_COLUMNS)
+
+    @pytest.mark.parametrize("max_parallel", ["0", "-3"])
+    def test_sweep_verb_rejects_max_parallel_below_one(
+        self, tmp_path, capsys, max_parallel
+    ):
+        path = self.write(tmp_path, TINY + "\n[sweep]\np = 2, 3\n")
+        code = main(["sweep", path, "--output-dir", str(tmp_path / "out"),
+                     "--max-parallel", max_parallel])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "max_parallel" in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_verb(self, tmp_path, capsys):
         path = self.write(tmp_path, REFERENCE)
@@ -312,18 +371,33 @@ class TestMain:
 
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
-    # scipy is imported by the two functions that call it, so a fresh
-    # process that only validates a config never pays for it
+    # only the ODE oracle imports scipy (inside integrate_system), so a
+    # fresh process that validates, runs through the blow-up fit and
+    # sweeps in a pool never pays for it; the oracle shows the probe
+    # sees a load
     ini = tmp_path / "five_keys.ini"
     ini.write_text("[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = exp_power\n")
+    power = "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n[solver]\nN = 41\n"
+    run_ini = tmp_path / "power.ini"
+    run_ini.write_text(power)
+    sweep_ini = tmp_path / "power_sweep.ini"
+    sweep_ini.write_text(power + "[sweep]\np = 2, 3\n")
     script = (
         "import sys\n"
-        "from blowuplab.cli import main\n"
-        "SCIPY = ('scipy.optimize', 'scipy.integrate')\n"
-        "loaded = {m for m in SCIPY if m in sys.modules}\n"
+        "from blowuplab.cli import main, read_report\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = scipy_loaded()\n"
         f"code = main(['validate', {str(ini)!r}, '--quiet'])\n"
-        "loaded |= {m for m in SCIPY if m in sys.modules}\n"
-        "print(code, sorted(loaded))\n"
+        f"main(['run', {str(run_ini)!r}, '--output-dir', "
+        f"{str(tmp_path / 'run')!r}, '--quiet'])\n"
+        f"report = read_report({str(tmp_path / 'run' / 'report.txt')!r})\n"
+        "print(report['run.stop_reason'], report['blowup.T_hat'] != 'nan')\n"
+        f"main(['sweep', {str(sweep_ini)!r}, '--output-dir', "
+        f"{str(tmp_path / 'sweep')!r}, '--max-parallel', '2', '--quiet'])\n"
+        "print(code, loaded + scipy_loaded())\n"
+        "main(['oracle', 'ode', '--p', '2', '--q', '2', '--quiet'])\n"
+        "print('scipy.integrate' in sys.modules)\n"
     )
     src = str(Path(blowuplab.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -331,4 +405,5 @@ def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[0] == "0 []"
+    assert out.stdout.splitlines() == ["blowup_threshold True", "0 []", "True"]
+    assert (tmp_path / "sweep" / "run_001" / "report.txt").exists()
