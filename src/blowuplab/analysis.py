@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRadius, FitFailed
-from .model import ProblemParams, interior_nodes, make_grid
+from .model import ProblemParams, make_grid
 from .solver import StopReason, Trajectory
 
 MIN_WINDOW_SAMPLES = 20
@@ -96,8 +96,6 @@ class InteriorReport:
 
     interior_sup_u: float
     interior_sup_v: float
-    boundary_max_u: float
-    boundary_max_v: float
     growth_u: float
     growth_v: float
     argmax_at_boundary: bool
@@ -387,21 +385,6 @@ def rate_bound_check(
     )
 
 
-def _interior_series(traj: Trajectory, params: ProblemParams, a: float):
-    """Interior suprema over r <= a and their times, from snapshots if needed."""
-    if abs(a - traj.config.interior_radius) <= 1e-12 * params.R:
-        return traj.sup_u_interior, traj.sup_v_interior, traj.t
-    if not traj.states:
-        raise ValueError(
-            f"a = {a} differs from the recorded interior radius "
-            f"{traj.config.interior_radius} and the run kept no snapshots"
-        )
-    k = interior_nodes(make_grid(params.R, traj.config.N), a)
-    su = np.array([s.u[:k].max() for s in traj.states])
-    sv = np.array([s.v[:k].max() for s in traj.states])
-    return su, sv, np.array([s.t for s in traj.states])
-
-
 def boundary_set_check(
     traj: Trajectory,
     params: ProblemParams,
@@ -412,26 +395,32 @@ def boundary_set_check(
 ) -> InteriorReport:
     """Check that growth concentrates at the boundary.
 
-    Passes when the interior suprema over r <= a rise by less than 5%
-    across the final decade of (t_hat - t) while the run ended at the
-    blow-up threshold, and the maxima of both fields sit at the
-    boundary node in every recorded sample. The final decade must hold
-    at least MIN_TREND_SAMPLES samples, or the check fails with nan
-    growths. A run stopped for any other reason is inconclusive:
-    interior bounds then hold trivially.
+    The interior suprema over r <= a are the sup_*_interior columns the
+    run recorded, so a must be the run's SolverConfig.interior_radius.
+    Passes when they rise by less than 5% across the final decade of
+    (t_hat - t) while the run ended at the blow-up threshold, and the
+    maxima of both fields sit at the boundary node in every recorded
+    sample. At t = 0 several nodes may tie for the maximum; there the
+    initial data need only reach their maximum at r = R. The final
+    decade must hold at least MIN_TREND_SAMPLES samples, or the check
+    fails with nan growths. A run stopped for any other reason is
+    inconclusive: interior bounds then hold trivially.
 
     The comparison-function envelopes C (R^2 - a^2)^{-2m} with m half the
     family's rate target for u resp. v (alpha/2 and beta/2; 1/2 for
     exp_linear, see FluxFamily.rate_targets) are evaluated for whichever
     prefactors are supplied. They are reported, not gated on.
     """
-    if not 0.0 < a < params.R:
-        raise BadRadius(f"interior radius must lie in (0, R), got {a}")
-    su, sv, t = _interior_series(traj, params, a)
-    n_nodes = traj.config.N
-    argmax_ok = bool(
-        np.all(traj.argmax_u == n_nodes - 1) and np.all(traj.argmax_v == n_nodes - 1)
-    )
+    recorded = traj.config.interior_radius
+    if abs(a - recorded) > 1e-12 * params.R:
+        raise BadRadius(
+            f"the run recorded the interior suprema at a = {recorded}, got {a}"
+        )
+    su, sv, t = traj.sup_u_interior, traj.sup_v_interior, traj.t
+    u0, v0 = params.initial.evaluate(make_grid(params.R, traj.config.N))
+    # row 0 is the initial data, whose ties np.argmax breaks toward r = 0
+    stepped = np.r_[traj.argmax_u[1:], traj.argmax_v[1:]] == traj.config.N - 1
+    argmax_ok = bool(u0[-1] == u0.max() and v0[-1] == v0.max() and stepped.all())
 
     envelope_u = envelope_v = float("nan")
     target_u, target_v = params.flux.rate_targets(params.p, params.q)
@@ -463,8 +452,6 @@ def boundary_set_check(
     return InteriorReport(
         interior_sup_u=float(su.max()),
         interior_sup_v=float(sv.max()),
-        boundary_max_u=float(traj.M[-1]),
-        boundary_max_v=float(traj.Nmax[-1]),
         growth_u=growth_u,
         growth_v=growth_v,
         argmax_at_boundary=argmax_ok,

@@ -100,7 +100,7 @@ def read_report(path: Path) -> dict[str, str]:
     return entries
 
 
-# report keys of the fit and rate stages, nan when those stages cannot run
+# report keys of the fit and rate stages, nan until those stages run
 _FIT_KEYS = (
     "blowup.T_hat", "blowup.c1_hat", "blowup.c2_hat", "blowup.residual",
     "blowup.window_lo", "blowup.window_hi",
@@ -122,6 +122,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
     params, solver = config.params, config.solver
 
     traj = run(params, solver)
+    blew_up = traj.stop.reason is StopReason.BLOWUP_THRESHOLD
 
     report: dict[str, object] = {
         "run.stop_reason": traj.stop.reason.value,
@@ -129,11 +130,14 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
         "run.t_stop": float(traj.stop.t_stop),
         "run.steps": traj.steps,
         "run.samples": len(traj),
+        **dict.fromkeys(_FIT_KEYS, float("nan")),
     }
-    statuses: dict[str, str] = {}
+    # each check's status until its stage runs
+    pending = "inconclusive" if blew_up else "inconclusive: run stopped before blow-up"
+    statuses = dict.fromkeys(("rate", "boundary", "dominance"), pending)
 
     fit = None
-    if traj.stop.reason is StopReason.BLOWUP_THRESHOLD:
+    if blew_up:
         try:
             fit = estimate_blowup_time(
                 traj, params, residual_max=config.residual_max
@@ -142,13 +146,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
         except FitFailed as exc:
             fit = None
             statuses["rate"] = f"fail: {exc}"
-    else:
-        for name in ("rate", "boundary", "dominance"):
-            statuses[name] = "inconclusive: run stopped before blow-up"
 
-    if fit is None:
-        report.update(dict.fromkeys(_FIT_KEYS, float("nan")))
-    else:
+    if fit is not None:
         target_u, target_v = params.flux.rate_targets(params.p, params.q)
         bound = rate_bound_check(
             traj, fit.t_hat, target_u, target_v,
@@ -218,10 +217,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
     failed = any(s.startswith("fail") for s in statuses.values())
     all_pass = all(s == "pass" for s in statuses.values())
     overall = "fail" if failed else ("pass" if all_pass else "inconclusive")
-    for name in ("rate", "boundary", "dominance"):
-        report[f"{name}.status"] = statuses.get(name, "inconclusive")
+    for name, status in statuses.items():
+        report[f"{name}.status"] = status
     report["overall.status"] = overall
-    report["overall.exit_code"] = 2 if failed else 0
+    report["overall.exit_code"] = exit_code = 2 if failed else 0
 
     trajectory_path = out_dir / "trajectory.csv"
     report_path = out_dir / "report.txt"
@@ -235,7 +234,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
         config_echo=config_path,
         entries=report,
         status=overall,
-        exit_code=2 if failed else 0,
+        exit_code=exit_code,
     )
 
 

@@ -56,6 +56,12 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        # the config.ini echo writes only the quadratic radial coefficients
+        if not isinstance(self.params.initial, QuadraticRadial):
+            raise ValueError(
+                "only quadratic radial initial data can be echoed to "
+                f"config.ini, got {type(self.params.initial).__name__}"
+            )
         if self.interior_radius >= self.params.R:
             raise ValueError(
                 f"interior_radius = {self.interior_radius} "
@@ -247,8 +253,6 @@ def render_config(config: ExperimentConfig) -> str:
     The output parses back to an identical config, which is what the
     per-run echo file is for.
     """
-    if not isinstance(config.params.initial, QuadraticRadial):
-        raise ConfigError("only quadratic radial initial data can be serialized")
     blocks = []
     for section, keys in _KEYS.items():
         lines = [f"[{section}]"]

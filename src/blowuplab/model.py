@@ -246,7 +246,7 @@ class RadialLaplacian:
     with the ghost make the boundary node second order; at r = 0 symmetry
     gives Delta f = n * f'' with the mirror node f[-1] = f[1]. The drift
     coefficients (n - 1) / r and the work buffers are set up once, so
-    interior() allocates no array; at_ends() works on Python floats.
+    apply() allocates no array; the end nodes are done on Python floats.
     """
 
     def __init__(self, grid: RadialGrid, n: int, rows: int):
@@ -254,20 +254,25 @@ class RadialLaplacian:
         self.two_dr = 2.0 * grid.dr
         self.origin = 2.0 * n
         self.drift_R = (n - 1) / grid.R
-        # the nodes at_ends() reads: f[0], f[1], f[-2], f[-1]
+        # the nodes end_values() reads: f[0], f[1], f[-2], f[-1]
         self.end_nodes = np.array([0, 1, grid.N - 2, grid.N - 1])
-        # interior() sweeps the rows as one flat array: between two rows
-        # lie the end nodes, which get coefficient 0 and are overwritten
+        # apply() sweeps the rows as one flat array: between two rows lie
+        # the end nodes, which get coefficient 0 and are overwritten
         drift = (n - 1) / grid.r[1:-1]
         self.drift = np.concatenate([drift, np.zeros(2)] * rows)[:-2]
         self._work = np.empty((2, rows * grid.N - 2))
 
-    def interior(self, F: np.ndarray, out: np.ndarray) -> None:
-        """Write the Laplacian at the nodes 0 < r < R into out[:, 1:-1].
+    def end_values(self, F: np.ndarray) -> list[list[float]]:
+        """Each row's values at the nodes 0, 1, N-2, N-1, as Python floats."""
+        return F.take(self.end_nodes, axis=1).tolist()
 
-        F and out have shape (rows, N) and out is C-contiguous. The end
-        nodes between rows, out[:-1, -1] and out[1:, 0], get values that
-        only at_ends() may fill.
+    def apply(
+        self, F: np.ndarray, ends: list[list[float]], ghosts, out: np.ndarray
+    ) -> None:
+        """Write the Laplacian of F into out.
+
+        F and out have shape (rows, N) and out is C-contiguous; ends is
+        end_values(F) and ghosts holds one ghost value per row.
         """
         second, drift = self._work
         f = F.reshape(-1)
@@ -282,19 +287,14 @@ class RadialLaplacian:
         np.add(second, f0, second)
         np.divide(second, self.dr2, second)
         np.add(second, drift, out.reshape(-1)[1:-1])
-
-    def at_ends(
-        self, f0: float, f1: float, fm: float, fN: float, ghost: float
-    ) -> tuple[float, float]:
-        """The Laplacian at r = 0 and r = R of one row.
-
-        f0, f1, fm, fN are its values at the nodes end_nodes.
-        """
-        return (
-            self.origin * (f1 - f0) / self.dr2,
-            (ghost - 2.0 * fN + fm) / self.dr2
-            + self.drift_R * (ghost - fm) / self.two_dr,
-        )
+        # the end nodes of each row, on Python floats
+        for i, ghost in enumerate(ghosts):
+            x0, x1, xm, xN = ends[i]
+            out[i, 0] = self.origin * (x1 - x0) / self.dr2
+            out[i, -1] = (
+                (ghost - 2.0 * xN + xm) / self.dr2
+                + self.drift_R * (ghost - xm) / self.two_dr
+            )
 
 
 def radial_laplacian(
@@ -318,10 +318,7 @@ def radial_laplacian(
         )
     lap = RadialLaplacian(grid, n, len(F))
     out = np.empty(F.shape)
-    lap.interior(F, out)
-    ends = F.take(lap.end_nodes, axis=1).tolist()
-    for row, values, g in zip(out, ends, ghosts):
-        row[0], row[-1] = lap.at_ends(*values, g)
+    lap.apply(F, lap.end_values(F), ghosts, out)
     return out.reshape(field.shape)
 
 

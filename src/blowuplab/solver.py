@@ -21,9 +21,10 @@ One kernel (_Kernel.advance) updates it: one model.RadialLaplacian call
 for both rows, with the drift coefficients and the work buffers set up
 once per run, the ghost, flux and end-node arithmetic on Python floats,
 and F + dt * Delta F written into a second buffer that run() swaps with
-F. run() builds a FieldState only for snapshots and the stop state;
-step() is a thin wrapper that takes one FieldState through the same
-kernel, so there is one update rule.
+F. run() builds a FieldState only for snapshots; the stop state is the
+last recorded row and, with snapshots on, the last snapshot. step() is a
+thin wrapper that takes one FieldState through the same kernel, so there
+is one update rule.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
@@ -110,10 +111,6 @@ class SolverConfig:
 class StopInfo:
     reason: StopReason
     t_stop: float
-    last_state: FieldState
-    # flux exponent arguments at the stop, for simultaneity checks
-    arg_u: float
-    arg_v: float
     detail: str = ""
 
 
@@ -174,28 +171,22 @@ class _Kernel:
         self.rates = np.empty((2, grid.N))
         self._rates_flat = self.rates.reshape(-1)
 
-    def end_values(self, F: np.ndarray) -> list[list[float]]:
-        """u and v at the nodes 0, 1, N-2, N-1, as Python floats."""
-        return F.take(self.lap.end_nodes, axis=1).tolist()
-
     def advance(
         self, t: float, F: np.ndarray, ends: list[list[float]], peak: float,
         out: np.ndarray,
     ) -> tuple[float, float]:
         """Write the state one step after (t, F) into out.
 
-        ends is self.end_values(F) and peak is F.max(). Returns the new
+        ends is self.lap.end_values(F) and peak is F.max(). Returns the new
         time and the new state's max, which is the next step's peak.
         """
         params, config, lap, G = self.params, self.config, self.lap, self.rates
-        (u0, u1, um, uN), (v0, v1, vm, vN) = ends
+        (_, _, um, uN), (_, _, vm, vN) = ends
         # Neumann closure: u's outward derivative is the flux induced by
         # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) = flux
-        ghost_u = um + lap.two_dr * boundary_flux(params.flux, vN, params.p)
-        ghost_v = vm + lap.two_dr * boundary_flux(params.flux, uN, params.q)
-        lap.interior(F, G)
-        G[0, 0], G[0, -1] = lap.at_ends(u0, u1, um, uN, ghost_u)
-        G[1, 0], G[1, -1] = lap.at_ends(v0, v1, vm, vN, ghost_v)
+        ghosts = (um + lap.two_dr * boundary_flux(params.flux, vN, params.p),
+                  vm + lap.two_dr * boundary_flux(params.flux, uN, params.q))
+        lap.apply(F, ends, ghosts, G)
         g = self._rates_flat
         # max(max G, -min G) is max |G|, NaN included
         max_rate = max(float(_max(g)), -float(_min(g)))
@@ -232,7 +223,8 @@ def step(
     F = np.array((state.u, state.v), dtype=float)
     kernel = _Kernel(params, grid, config)
     out = np.empty_like(F)
-    t, _ = kernel.advance(state.t, F, kernel.end_values(F), float(F.max()), out)
+    ends = kernel.lap.end_values(F)
+    t, _ = kernel.advance(state.t, F, ends, float(F.max()), out)
     u, v = out
     return FieldState(t=t, u=u, v=v)
 
@@ -282,7 +274,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     t, peak = 0.0, float(F.max())
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
-        ends = kernel.end_values(F)
+        ends = kernel.lap.end_values(F)
         # the flux exponent arguments that the stop criterion watches
         arg_u = params.flux.arg(ends[0][-1], params.q)
         arg_v = params.flux.arg(ends[1][-1], params.p)
@@ -330,7 +322,6 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         t = t_new
         F, out = out, F
 
-    last = states[-1] if config.state_every else FieldState(t, *F.copy())
     columns = {
         name: np.array(values, dtype=int if name.startswith("argmax") else float)
         for name, values in zip(COLUMNS, zip(*rows))
@@ -338,7 +329,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     return Trajectory(
         **columns,
         states=tuple(states),
-        stop=StopInfo(reason, t, last, arg_u, arg_v, detail),
+        stop=StopInfo(reason, t, detail),
         steps=steps,
         config=config,
     )

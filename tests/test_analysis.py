@@ -16,7 +16,13 @@ from blowuplab.analysis import (
     tail_window,
 )
 from blowuplab.errors import BadRadius, FitFailed
-from blowuplab.model import FieldState, FluxFamily, ProblemParams, QuadraticRadial
+from blowuplab.model import (
+    FluxFamily,
+    ProblemParams,
+    QuadraticRadial,
+    Tabulated,
+    make_grid,
+)
 from blowuplab.solver import SolverConfig, StopInfo, StopReason, Trajectory, run
 
 
@@ -35,11 +41,7 @@ def synthetic(t, M, N, reason=StopReason.BLOWUP_THRESHOLD):
     N = np.asarray(N, dtype=float)
     n = len(t)
     cfg = SolverConfig()
-    last = FieldState(t=float(t[-1]), u=np.array([M[-1]]), v=np.array([N[-1]]))
-    stop = StopInfo(
-        reason=reason, t_stop=float(t[-1]), last_state=last,
-        arg_u=float(M[-1]), arg_v=float(N[-1]),
-    )
+    stop = StopInfo(reason=reason, t_stop=float(t[-1]))
     bdry = np.full(n, cfg.N - 1, dtype=int)
     return Trajectory(
         t=t, dt=np.zeros(n), M=M, Nmax=N,
@@ -390,7 +392,7 @@ class TestBoundarySetCheck:
         assert report.argmax_at_boundary
         assert report.growth_u < 0.05
         assert report.growth_v < 0.05
-        assert report.boundary_max_u > 3.0
+        assert traj.M[-1] > 3.0
         assert report.interior_sup_u < 1.0
         assert np.isfinite(report.envelope_u)
         assert report.decade_samples > 10
@@ -399,7 +401,11 @@ class TestBoundarySetCheck:
         params, traj = reference_run
         fit = estimate_blowup_time(traj, params)
         mid = boundary_set_check(traj, params, 0.5, t_hat=fit.t_hat, c1_hat=fit.c1_hat)
-        near = boundary_set_check(traj, params, 0.99, t_hat=fit.t_hat, c1_hat=fit.c1_hat)
+        # the same run, recording its interior suprema at a = 0.99
+        config = dataclasses.replace(traj.config, interior_radius=0.99)
+        near = boundary_set_check(
+            run(params, config), params, 0.99, t_hat=fit.t_hat, c1_hat=fit.c1_hat
+        )
         assert np.isfinite(near.envelope_u)
         assert near.envelope_u > mid.envelope_u
         # (R^2 - a^2)^{-2m} with m = 1/2 here
@@ -420,19 +426,40 @@ class TestBoundarySetCheck:
         assert report.envelope_u == pytest.approx(2.5 / (1.0 - 0.5**2), rel=1e-12)
         assert report.envelope_v == pytest.approx(3.0 / (1.0 - 0.5**2), rel=1e-12)
 
-    def test_snapshot_path_matches_recorded_radius(self, reference_run):
-        params, traj = reference_run
-        fit = estimate_blowup_time(traj, params)
-        by_column = boundary_set_check(traj, params, 0.5, t_hat=fit.t_hat)
-        by_states = boundary_set_check(traj, params, 0.3, t_hat=fit.t_hat)
-        assert by_states.interior_sup_u <= by_column.interior_sup_u
-        assert by_states.status == "pass"
-
     def test_mismatched_radius_without_snapshots(self, reference_run):
+        # the interior series is the recorded one, snapshots or not, and
+        # the error names the radius it was recorded at
         params, traj = reference_run
-        bare = dataclasses.replace(traj, states=())
-        with pytest.raises(ValueError, match="snapshots"):
-            boundary_set_check(bare, params, 0.3)
+        for t in (traj, dataclasses.replace(traj, states=())):
+            with pytest.raises(BadRadius, match="at a = 0.5, got 0.3"):
+                boundary_set_check(t, params, 0.3)
+        # within 1e-12 R of the recorded radius is the recorded radius
+        boundary_set_check(traj, params, 0.5 * (1.0 + 1e-13))
+
+    @pytest.mark.parametrize("dip", [0.0, 1e-12])
+    def test_initial_ties_pass_only_with_the_maximum_at_r_equal_R(self, dip):
+        # flat data tie at every node, so np.argmax puts row 0's maximum
+        # at node 0; lowering u0 at r = R by a hair, which validation
+        # tolerates, puts the initial maximum inside the ball
+        grid = make_grid(1.0, 101)
+        u0 = np.full(grid.N, 0.5)
+        u0[-1] -= dip
+        initial = (
+            Tabulated(u0, np.full(grid.N, 0.5)) if dip
+            else QuadraticRadial(0.5, 0.0, 0.5, 0.0)
+        )
+        params = ProblemParams(
+            p=2.0, q=2.0, R=1.0, n=2, flux=FluxFamily.POWER, initial=initial
+        )
+        traj = run(params, SolverConfig(N=grid.N))
+        fit = estimate_blowup_time(traj, params)
+        report = boundary_set_check(traj, params, 0.5, t_hat=fit.t_hat)
+        assert traj.argmax_u[0] == traj.argmax_v[0] == 0
+        assert np.all(traj.argmax_u[1:] == grid.N - 1)
+        assert np.all(traj.argmax_v[1:] == grid.N - 1)
+        assert report.growth_u < 0.05 and report.growth_v < 0.05
+        assert report.argmax_at_boundary is (not dip)
+        assert report.status == ("fail" if dip else "pass")
 
     def test_time_limited_run_inconclusive(self):
         params = exp_power_params()

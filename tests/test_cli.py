@@ -150,6 +150,47 @@ class TestRunExperiment:
         )
 
 
+# report.txt keys in the order the run writes them, block by block
+_RUN_KEYS = [
+    "run.stop_reason", "run.stop_detail", "run.t_stop", "run.steps",
+    "run.samples",
+]
+_FIT_KEYS = [
+    "blowup.T_hat", "blowup.c1_hat", "blowup.c2_hat", "blowup.residual",
+    "blowup.window_lo", "blowup.window_hi",
+    "rate.alpha_hat", "rate.beta_hat", "rate.sup_u", "rate.sup_v",
+    "rate.trend_u", "rate.trend_v",
+]
+_BOUNDARY_KEYS = [
+    "boundary.interior_sup_u", "boundary.interior_sup_v",
+    "boundary.growth_u", "boundary.growth_v", "boundary.argmax_at_boundary",
+    "boundary.envelope_u", "boundary.envelope_v",
+]
+_DOMINANCE_KEYS = [
+    "dominance.margin_u", "dominance.c1_u", "dominance.margin_v",
+    "dominance.c1_v",
+]
+_STATUS_KEYS = [
+    "rate.status", "boundary.status", "dominance.status", "overall.status",
+    "overall.exit_code",
+]
+
+
+@pytest.mark.parametrize("text, status, keys", [
+    (REFERENCE, "pass",
+     _RUN_KEYS + _FIT_KEYS + _BOUNDARY_KEYS + _DOMINANCE_KEYS + _STATUS_KEYS),
+    (REFERENCE + "\n[analysis]\nresidual_max = 1e-9\n", "fail",
+     _RUN_KEYS + _FIT_KEYS + _STATUS_KEYS),
+    (TINY, "inconclusive", _RUN_KEYS + _FIT_KEYS + _STATUS_KEYS),
+    (REFERENCE + "state_every = 0\n", "inconclusive",
+     _RUN_KEYS + _FIT_KEYS + _BOUNDARY_KEYS + _STATUS_KEYS),
+], ids=["pass", "fit_failure", "t_end", "state_every_0"])
+def test_report_key_sequence(text, status, keys, tmp_path):
+    artifacts = run_experiment(parse_config(text), tmp_path)
+    assert artifacts.status == status
+    assert list(read_report(artifacts.report)) == keys
+
+
 @pytest.fixture(scope="module")
 def pq_sweep(tmp_path_factory):
     config = parse_config(REFERENCE + "\n[sweep]\np = 2, 3\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from blowuplab.cli import run_experiment
 from blowuplab.config import (
     ExperimentConfig,
     SweepAxes,
@@ -325,12 +326,14 @@ p = 2, 3
         config = parse_config(MINIMAL)
         assert render_config(config) == render_config(config)
 
-    def test_rejects_non_quadratic_initial_data(self):
+    def test_rejects_non_quadratic_initial_data(self, tmp_path):
+        # the echo writes only quadratic radial data, so the config refuses
+        # any other before a run can write a file
         config = parse_config(MINIMAL)
         params = dataclasses.replace(
             config.params,
             initial=Tabulated(u0=np.full(201, 0.5), v0=np.full(201, 0.5)),
         )
-        config = dataclasses.replace(config, params=params)
-        with pytest.raises(ConfigError, match="quadratic radial"):
-            render_config(config)
+        with pytest.raises(ValueError, match="quadratic radial"):
+            run_experiment(dataclasses.replace(config, params=params), tmp_path)
+        assert list(tmp_path.iterdir()) == []

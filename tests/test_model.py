@@ -112,7 +112,7 @@ class TestBoundaryFlux:
         assert boundary_flux(family, w, e) == self.CLOSED_FORMS[family](w, e)
 
 
-class TestFluxExponentArgs:
+class TestFluxFamilyArg:
     def test_families(self):
         # arg(w, e) for u = 2 with q = 2 and for v = 3 with p = 3
         for family, want in (

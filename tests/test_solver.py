@@ -125,7 +125,7 @@ def boundary_rate(grid, params, flux):
     return flux * (2.0 / grid.dr + (params.n - 1) / grid.R)
 
 
-class TestApplyNeumann:
+class TestStepNeumannClosure:
     def test_ghost_values(self):
         # the one nonzero rate of a constant state is at r = R, where the
         # ghost (u[-2] + 2 dr flux) closes the Neumann condition; p != q
@@ -146,7 +146,7 @@ class TestApplyNeumann:
             )
 
 
-class TestAdaptDt:
+class TestStepSize:
     # u = v = c under the power flux c^2: max |rates| is
     # c^2 (2 / dr + (n - 1) / R) and max(u, v) is c
 
@@ -243,6 +243,15 @@ class TestStep:
         assert traj.steps == len(traj) - 1 > 100
 
 
+def stop_arguments(params, traj):
+    """The flux exponent arguments of the stop state, the last snapshot."""
+    last = traj.states[-1]
+    return (
+        params.flux.arg(float(last.u[-1]), params.q),
+        params.flux.arg(float(last.v[-1]), params.p),
+    )
+
+
 @pytest.fixture(scope="module")
 def blowup_run():
     params = exp_power_params()
@@ -256,14 +265,14 @@ def blowup_run():
 class TestRun:
 
     def test_stops_at_threshold(self, blowup_run):
-        _, config, traj = blowup_run
+        params, config, traj = blowup_run
         assert traj.stop.reason is StopReason.BLOWUP_THRESHOLD
-        assert max(traj.stop.arg_u, traj.stop.arg_v) > config.u_stop
+        assert max(stop_arguments(params, traj)) > config.u_stop
 
     def test_both_arguments_large_at_stop(self, blowup_run):
         # simultaneity proxy: neither flux argument lags far behind
-        _, config, traj = blowup_run
-        assert min(traj.stop.arg_u, traj.stop.arg_v) > config.u_stop / 4.0
+        params, config, traj = blowup_run
+        assert min(stop_arguments(params, traj)) > config.u_stop / 4.0
 
     @pytest.mark.parametrize("stop", [
         (StopReason.BLOWUP_THRESHOLD, dict(N=101, u_stop=9.0)),
@@ -286,14 +295,15 @@ class TestRun:
         assert traj.t[0] == 0.0
         assert traj.dt[0] == 0.0
         assert np.all(np.diff(traj.t) > 0)
-        last = traj.stop.last_state
-        assert traj.t[-1] == traj.stop.t_stop == last.t
-        assert traj.M[-1] == last.u.max()
-        assert traj.Nmax[-1] == last.v.max()
+        assert traj.t[-1] == traj.stop.t_stop
         if not state_every:
             assert traj.states == ()
             return
-        assert traj.states[-1] is last
+        # the stop state is the last snapshot
+        last = traj.states[-1]
+        assert last.t == traj.stop.t_stop
+        assert traj.M[-1] == last.u.max()
+        assert traj.Nmax[-1] == last.v.max()
         # every state_every-th sample plus the stop state, found by time
         times = [s.t for s in traj.states]
         assert times == traj.t[:-1:state_every].tolist() + [traj.t[-1]]
@@ -355,8 +365,8 @@ class TestRun:
         config = SolverConfig(N=41, u_stop=699.0, record_every=50)
         traj = run(params, config)
         assert traj.stop.reason is StopReason.STEP_UNDERFLOW
-        assert max(traj.stop.arg_u, traj.stop.arg_v) > 30.0
-        assert max(traj.stop.arg_u, traj.stop.arg_v) < 699.0
+        assert max(stop_arguments(params, traj)) > 30.0
+        assert max(stop_arguments(params, traj)) < 699.0
 
     def test_second_order_convergence(self):
         # smooth regime comparison on shared nodes; dt ~ dr^2 keeps the
@@ -367,7 +377,7 @@ class TestRun:
         for N in (51, 101, 201):
             config = SolverConfig(N=N, t_end=t_end, record_every=10**9)
             traj = run(params, config)
-            sols[N] = traj.stop.last_state.u
+            sols[N] = traj.states[-1].u
         stride_51 = (201 - 1) // (51 - 1)
         stride_101 = (201 - 1) // (101 - 1)
         err_51 = np.abs(sols[51] - sols[201][::stride_51]).max()
@@ -552,12 +562,13 @@ class TestReferenceLoop:
             np.testing.assert_array_equal(state.u, u, strict=True)
             np.testing.assert_array_equal(state.v, v, strict=True)
         reason, detail, t_stop, arg_u, arg_v = stop
+        last = traj.states[-1]
         assert traj.stop.reason is reason
         assert traj.stop.detail == detail
-        assert traj.stop.t_stop == t_stop == traj.stop.last_state.t
-        assert (traj.stop.arg_u, traj.stop.arg_v) == (arg_u, arg_v)
-        np.testing.assert_array_equal(traj.stop.last_state.u, snapshots[-1][1])
-        np.testing.assert_array_equal(traj.stop.last_state.v, snapshots[-1][2])
+        assert traj.stop.t_stop == t_stop == last.t
+        assert stop_arguments(params, traj) == (arg_u, arg_v)
+        np.testing.assert_array_equal(last.u, snapshots[-1][1])
+        np.testing.assert_array_equal(last.v, snapshots[-1][2])
 
     def test_reference_cases_cover_every_stop_reason(self):
         reasons = {

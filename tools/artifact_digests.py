@@ -9,7 +9,9 @@ Each config of the matrix goes through `cli.run_experiment` and the
 benchmark's sweep config through the `sweep` verb, once serially and once
 with two worker processes (the two trees must digest alike), all inside a
 temporary directory. One run, `dominance_fail`, fails its dominance
-check, so its report carries the r and t of the minimum. The stdout of
+check, so its report carries the r and t of the minimum; `interior_0.3`
+records the interior suprema away from the default radius, and
+`flat_data` starts from constant initial data. The stdout of
 `validate` on every config of the matrix and on the sweep config, `oracle
 jump --m 48` and `oracle ode --p 2 --q 2 --c 0.5` is digested too. The output has one `name/file sha256` line
 per artifact, one `name/stdout sha256` line per verb whose output is
@@ -32,9 +34,10 @@ REPO = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO / "perfbench" / "configs" / "sweep_power_pq.ini"
 
 
-def _ini(flux: str, p: float, q: float, n: int = 2, N: int = 101, **solver) -> str:
+def _ini(flux: str, p: float, q: float, n: int = 2, N: int = 101,
+         problem: tuple[str, ...] = (), **solver) -> str:
     lines = ["[problem]", f"p = {p}", f"q = {q}", "R = 1.0", f"n = {n}",
-             f"flux = {flux}", "[solver]", f"N = {N}"]
+             f"flux = {flux}", *problem, "[solver]", f"N = {N}"]
     lines += [f"{key} = {value}" for key, value in solver.items()]
     return "\n".join(lines) + "\n"
 
@@ -55,6 +58,10 @@ def matrix() -> dict[str, str]:
     # a failing dominance check writes the r and t of its minimum, which
     # no passing run shows
     runs["dominance_fail"] = runs["pw_n2"] + "[analysis]\ndominance_scale = 0.5\n"
+    # the interior suprema recorded away from the default radius
+    runs["interior_0.3"] = runs["pw_n2"] + "[analysis]\ninterior_radius = 0.3\n"
+    # flat initial data: every node ties for the maximum at t = 0
+    runs["flat_data"] = _ini("power", 2, 2, problem=("u0_quad = 0", "v0_quad = 0"))
     return runs
 
 
