@@ -24,6 +24,7 @@ files byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -394,6 +395,8 @@ def _cmd_oracle_jump(args) -> int:
     quad = sphere_quadrature(args.R, args.m)
     x0 = np.array([0.0, 0.0, args.R])
     density = args.density
+    if not math.isfinite(density):
+        raise ConfigError(f"--density {density} must be finite")
     # the library rejects out-of-range arguments with ValueError
     try:
         if args.distances:

@@ -36,7 +36,7 @@ float overflow below the divergence cap is impossible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,6 +84,10 @@ class OdeParams:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} = {value} must be finite")
         rate_exponents(self.p, self.q)  # pq > 1 or DegenerateExponents
         if self.p <= 0 or self.q <= 0:
             raise ValueError(f"exponents p = {self.p}, q = {self.q} must be positive")

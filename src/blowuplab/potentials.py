@@ -25,6 +25,15 @@ the surface-bound integrand is excluded by construction.
 Time integration of the layer grades geometric panels toward tau = t,
 where (t - tau)^{-n/2} concentrates; four-point Gauss per panel then
 keeps the product rule accurate down to the panel floor.
+
+Layer sums compute only what can be nonzero. Away from the layer most
+sigma columns have exponents -|x - y|^2/(4 sigma) far below EXP_ZERO,
+where exp is exactly 0.0 (and slow: the underflow path costs ten times
+an ordinary argument). A column is skipped only if its kernel is
+exactly zero, its largest exponent below EXP_ZERO, and its density is
+finite, so a NaN or inf density still reaches the sum. Exponents are
+clamped at EXP_ZERO before exp, which changes no bit. The live columns
+go through the same elementwise operations in the same order.
 """
 
 from __future__ import annotations
@@ -48,6 +57,10 @@ RESOLUTION_FACTOR = 2.0
 
 CONVERGENCE_RTOL = 1e-3
 SPHERE_TOL = 1e-9
+
+# np.exp of any float64 at or below this is exactly 0.0, so a heat
+# kernel sigma column whose largest exponent lies below it is all zeros.
+EXP_ZERO = -746.0
 
 
 def heat_kernel(x, t, n: int):
@@ -79,8 +92,7 @@ class SphereQuadrature:
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
             raise ConfigError(f"surface quadrature supports n = 2 or 3, got {self.n}")
-        if self.R <= 0:
-            raise ConfigError(f"radius R = {self.R} must be positive")
+        _check_radius(self.R)
         if self.nodes.ndim != 2 or self.nodes.shape != (self.weights.size, self.n):
             raise ConfigError(
                 f"nodes shape {self.nodes.shape} does not match "
@@ -106,8 +118,14 @@ class SphereQuadrature:
         return 2.0 * math.pi * self.R if self.n == 2 else 4.0 * math.pi * self.R**2
 
 
+def _check_radius(R: float) -> None:
+    if not (math.isfinite(R) and R > 0):
+        raise ConfigError(f"radius R = {R} must be positive and finite")
+
+
 def circle_quadrature(R: float, m: int) -> SphereQuadrature:
     """Midpoint rule on m equal arcs; no node sits at angle zero."""
+    _check_radius(R)
     if m < 4:
         raise ConfigError(f"m = {m} arcs is too few, need at least 4")
     angles = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
@@ -119,6 +137,7 @@ def circle_quadrature(R: float, m: int) -> SphereQuadrature:
 def sphere_quadrature(R: float, m: int) -> SphereQuadrature:
     """Product rule with m Gauss-Legendre nodes in s = sin(theta/2) and
     2m uniform azimuths; 2 m^2 nodes total."""
+    _check_radius(R)
     if m < 4:
         raise ConfigError(f"m = {m} polar nodes is too few, need at least 4")
     xg, wg = np.polynomial.legendre.leggauss(m)
@@ -140,6 +159,8 @@ def sphere_quadrature(R: float, m: int) -> SphereQuadrature:
 def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights for int_0^{t - t1} d sigma, panels halving
     toward sigma = 0 and the last panel closing the gap to zero."""
+    if not (math.isfinite(t1) and math.isfinite(t)):
+        raise BadWindow(f"need finite t1 and t, got t1 = {t1}, t = {t}")
     if t1 >= t:
         raise BadWindow(f"need t1 < t, got t1 = {t1}, t = {t}")
     if steps < 4:
@@ -163,11 +184,12 @@ def _inside(x: np.ndarray, quad: SphereQuadrature) -> None:
 
 def _density_block(
     phi: Callable, quad: SphereQuadrature, t: float, sigma: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi at every node and sigma node, and which sigma columns are finite."""
     block = np.empty((quad.M_q, sigma.size))
     for g, tau in enumerate(t - sigma):
         block[:, g] = phi(quad.nodes, tau)
-    return block
+    return block, np.isfinite(block).all(axis=0)
 
 
 def _layer_sum(
@@ -176,6 +198,7 @@ def _layer_sum(
     sigma: np.ndarray,
     omega: np.ndarray,
     density: np.ndarray,
+    finite: np.ndarray,
     eta: np.ndarray | None = None,
 ) -> float:
     """The layer at x as a kernel sum over the density block.
@@ -185,15 +208,24 @@ def _layer_sum(
     integrand behaves like 1/|x - y|, the borderline the polar rule
     integrates exactly, so this converges where one-sided finite
     differences at the boundary stall.
+
+    Only the live sigma columns are summed (see the module docstring);
+    a dead column contributes an exact zero to the sum over omega.
     """
     vec = x - quad.nodes
     d2 = (vec**2).sum(axis=1)
-    kernel = (4.0 * np.pi * sigma) ** (-quad.n / 2.0) * np.exp(
-        -d2[:, None] / (4.0 * sigma[None, :])
-    )
+    live = ~((-d2.min() / (4.0 * sigma) < EXP_ZERO) & finite)
+    s = sigma[live]
+    kernel = -d2[:, None] / (4.0 * s)
+    np.maximum(kernel, EXP_ZERO, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel *= (4.0 * np.pi * s) ** (-quad.n / 2.0)
     if eta is not None:
-        kernel = kernel * (-(vec @ eta)[:, None] / (2.0 * sigma[None, :]))
-    return float(quad.weights @ (kernel * density) @ omega)
+        kernel *= -(vec @ eta)[:, None] / (2.0 * s)
+    kernel *= density[:, live]
+    columns = np.zeros(sigma.size)
+    columns[live] = quad.weights @ kernel
+    return float(columns @ omega)
 
 
 def single_layer(
@@ -214,8 +246,8 @@ def single_layer(
     sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
     _inside(x, quad)
-    density = _density_block(phi, quad, t, sigma)
-    return _layer_sum(x, quad, sigma, omega, density)
+    density, finite = _density_block(phi, quad, t, sigma)
+    return _layer_sum(x, quad, sigma, omega, density, finite)
 
 
 @dataclass(frozen=True)
@@ -258,8 +290,12 @@ def jump_check(
     if abs(r0 - quad.R) > SPHERE_TOL * quad.R:
         raise BadRadius(f"|x0| = {r0:.6g} is not on the sphere of radius {quad.R}")
     d = np.asarray(approach_distances, dtype=float)
-    if d.size == 0 or np.any(d <= 0) or np.any(np.diff(d) >= 0):
-        raise ValueError("approach distances must be positive and strictly decreasing")
+    if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
+        raise ValueError(
+            "approach distances must be finite, positive and strictly decreasing"
+        )
+    if not math.isfinite(tol_jump):
+        raise ValueError(f"tol_jump = {tol_jump} must be finite")
     near = math.sqrt(float(((quad.nodes - x0) ** 2).sum(axis=1).min()))
     resolution = RESOLUTION_FACTOR * near
     if d.min() < resolution:
@@ -271,19 +307,19 @@ def jump_check(
     eta = x0 / r0
     # every evaluation shares t and the sigma panels, so one density block
     sigma, omega = _sigma_panels(t, 0.0, steps)
-    density = _density_block(phi, quad, t, sigma)
+    density, finite = _density_block(phi, quad, t, sigma)
 
     def u_at(dist: float) -> float:
         x = x0 - dist * eta
         _inside(x, quad)
-        return _layer_sum(x, quad, sigma, omega, density)
+        return _layer_sum(x, quad, sigma, omega, density, finite)
 
     derivs = np.empty(d.size)
     for i, di in enumerate(d):
         h = di / 8.0
         derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
 
-    boundary = _layer_sum(x0, quad, sigma, omega, density, eta=eta)
+    boundary = _layer_sum(x0, quad, sigma, omega, density, finite, eta=eta)
     degree = min(2, d.size - 1)
     interior_limit = float(np.polynomial.polynomial.polyfit(d, derivs, degree)[0])
     jump = boundary - interior_limit

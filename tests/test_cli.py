@@ -394,6 +394,18 @@ class TestMain:
         ["ode", "--p", "2", "--q", "2", "--stop-frac", "1.5"],
         ["jump", "--steps", "2"],
         ["jump", "--distances", "0.04,0.16"],
+        # non-finite arguments, refused before any work
+        ["ode", "--p", "2", "--q", "2", "--T", "inf"],
+        ["ode", "--p", "2", "--q", "2", "--c", "nan"],
+        ["ode", "--p", "nan", "--q", "2"],
+        ["jump", "--R", "inf"],
+        ["jump", "--R", "nan"],
+        ["jump", "--distances", "0.16,nan,0.04"],
+        ["jump", "--window", "nan"],
+        ["jump", "--window", "inf"],
+        ["jump", "--tol", "nan"],
+        ["jump", "--density", "nan"],
+        ["jump", "--density", "inf"],
     ])
     def test_oracle_out_of_range_argument_is_operational_error(self, argv, capsys):
         code = main(["oracle", *argv])

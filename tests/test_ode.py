@@ -73,6 +73,13 @@ class TestOdeParams:
             with pytest.raises(ValueError):
                 OdeParams(**{**good, **bad})
 
+    @pytest.mark.parametrize("field", ["p", "q", "c", "T", "A0", "B0", "t0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        good = dict(p=2.0, q=2.0, c=1.0, T=1.0, A0=1.0, B0=1.0, t0=0.0)
+        with pytest.raises(ValueError, match=f"^{field} = "):
+            OdeParams(**{**good, field: value})
+
     def test_exponents_property(self):
         params = OdeParams(p=3.0, q=2.0, c=1.0, T=1.0, A0=1.0, B0=1.0)
         assert params.exponents == rate_exponents(3.0, 2.0) == (0.8, 0.6)

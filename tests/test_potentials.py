@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blowuplab.errors import (
@@ -14,6 +16,7 @@ from blowuplab.errors import (
     ResolutionError,
 )
 from blowuplab.potentials import (
+    EXP_ZERO,
     ConvergenceReport,
     JumpReport,
     SphereQuadrature,
@@ -138,6 +141,15 @@ class TestSphereQuadrature:
         with pytest.raises(ConfigError):
             sphere_quadrature(0.0, 8)
 
+    @pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_radius(self, R):
+        for build in (circle_quadrature, sphere_quadrature):
+            with pytest.raises(ConfigError, match="finite"):
+                build(R, 8)
+        good = sphere_quadrature(1.0, 4)
+        with pytest.raises(ConfigError, match="finite"):
+            SphereQuadrature(n=3, R=R, nodes=good.nodes, weights=good.weights)
+
     def test_rejects_inconsistent_hand_built_rules(self):
         good = sphere_quadrature(1.0, 6)
         with pytest.raises(ConfigError):
@@ -250,6 +262,14 @@ class TestSingleLayer:
             single_layer(np.zeros(3), 0.3, unit_density, 0.3, q)
         with pytest.raises(BadWindow):
             single_layer(np.zeros(3), 0.3, unit_density, 0.5, q)
+
+    @pytest.mark.parametrize(
+        "t, t1", [(math.nan, 0.0), (math.inf, 0.0), (0.3, -math.inf)]
+    )
+    def test_rejects_non_finite_window(self, t, t1):
+        q = sphere_quadrature(1.0, 8)
+        with pytest.raises(BadWindow, match="finite"):
+            single_layer(np.zeros(3), t, unit_density, t1, q)
 
     def test_rejects_points_outside_the_ball(self):
         q = sphere_quadrature(1.0, 8)
@@ -378,6 +398,135 @@ class TestJumpCheck:
             jump_check(
                 np.array([0.0, 0.0, 0.9]), unit_density, 0.05, q, self.DISTANCES
             )
+
+    @pytest.mark.parametrize("distances", [
+        [0.16, math.nan, 0.04], [math.inf, 0.16, 0.04], [0.16, 0.04, -math.inf],
+    ])
+    def test_rejects_non_finite_distances(self, distances):
+        q = sphere_quadrature(1.0, 24)
+        with pytest.raises(ValueError, match="finite"):
+            jump_check(self.POLE, unit_density, 0.05, q, distances)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_window(self, t):
+        q = sphere_quadrature(1.0, 24)
+        with pytest.raises(BadWindow, match="finite"):
+            jump_check(self.POLE, unit_density, t, q, self.DISTANCES)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        q = sphere_quadrature(1.0, 24)
+        with pytest.raises(ValueError, match="tol_jump"):
+            jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES, tol_jump=tol)
+
+
+def _report_values(report: JumpReport) -> list[float]:
+    return [report.jump, report.boundary_term, report.interior_limit,
+            *report.derivatives.tolist()]
+
+
+class TestLiveColumns:
+    """Layer sums skip sigma columns whose kernel is exactly zero.
+
+    The literals are the reports of the sum over every column, which
+    computed each exp on the underflow path; the skip must give the
+    same bits wherever the live columns are reduced the same way.
+    """
+
+    POLE = np.array([0.0, 0.0, 1.0])
+    DISTANCES = [0.16, 0.12, 0.09, 0.06, 0.04]
+    # jump, boundary_term, interior_limit, derivatives at each distance
+    FULL_SUM = {
+        24: [-0.5016199303196003, -0.12615659860176584, 0.3754633317178344,
+             0.2769695645643205, 0.3031485744653543, 0.3221942441398889,
+             0.3404552884957326, 0.35244552919600075],
+        48: [-0.5009791962172119, -0.12615659974667978, 0.37482259647053207,
+             0.2769695771414515, 0.303148416861652, 0.32219408227461277,
+             0.34047330960122657, 0.3521212934297649],
+        64: [-0.5009792543492977, -0.12615659868442713, 0.3748226556648705,
+             0.2769695771414525, 0.3031484168617057, 0.3221940822728019,
+             0.3404733093790274, 0.35212132310640243],
+        80: [-0.5009792549673604, -0.12615659921836725, 0.3748226557489931,
+             0.2769695771414643, 0.3031484168617297, 0.32219408227281054,
+             0.340473309378798, 0.35212132314857564],
+        96: [-0.500979254814834, -0.12615659906495927, 0.3748226557498747,
+             0.27696957714146986, 0.3031484168616904, 0.322194082272792,
+             0.3404733093787434, 0.35212132314899336],
+    }
+
+    @pytest.mark.parametrize("m", [24, 48, 64])
+    def test_pole_reports_are_bit_equal(self, m):
+        q = sphere_quadrature(1.0, m)
+        report = jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES)
+        assert _report_values(report) == self.FULL_SUM[m]
+
+    @pytest.mark.parametrize("m", [80, 96])
+    def test_fine_pole_reports_agree(self, m):
+        # the BLAS reduction blocks by column count, so fewer live
+        # columns may round the last bits differently
+        q = sphere_quadrature(1.0, m)
+        report = jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES)
+        np.testing.assert_allclose(
+            _report_values(report), self.FULL_SUM[m], rtol=1e-12
+        )
+
+    def test_circle_report_is_bit_equal(self):
+        q = circle_quadrature(1.0, 128)
+        report = jump_check(
+            np.array([0.0, 1.0]), unit_density, 0.05, q,
+            [0.3, 0.24, 0.18, 0.14, 0.1], steps=48,
+        )
+        assert _report_values(report) == [
+            -0.5096501435303815, -0.06391665498255768, 0.44573348854782385,
+            0.18147524981636798, 0.22720961656116634, 0.2773831335569096,
+            0.31249705586492227, 0.34825146855204214,
+        ]
+
+    def test_generic_boundary_point_is_bit_equal(self):
+        q = sphere_quadrature(1.0, 24)
+        report = jump_check(
+            np.array([1.0, 0.0, 0.0]), unit_density, 0.05, q,
+            [0.3, 0.24, 0.18, 0.14], steps=48,
+        )
+        assert _report_values(report) == [
+            -0.5396578804295846, -0.13476316620940793, 0.40489471422017664,
+            0.18580095783939563, 0.2240564185985519, 0.2643122892458765,
+            0.2936682069727271,
+        ]
+
+    def test_time_dependent_single_layer_is_bit_equal(self):
+        q = sphere_quadrature(1.0, 16)
+        center = single_layer(np.zeros(3), 0.2, lambda p, tau: tau, 0.0, q, steps=48)
+        assert center == 0.007403440164450971
+        off_axis = single_layer(
+            np.array([0.1, -0.2, 0.85]), 0.2, lambda p, tau: tau + p[:, 2], 0.0, q,
+            steps=48,
+        )
+        assert off_axis == 0.20277093149686337
+
+    def test_non_finite_density_in_dead_columns_still_poisons(self):
+        # NaN only for tau within 1e-9 of t: at interior points those
+        # columns' kernel is exactly zero, but 0 * NaN is NaN
+        def density(pts, tau):
+            return math.nan if 0.05 - tau < 1e-9 else 1.0
+
+        q = sphere_quadrature(1.0, 24)
+        report = jump_check(self.POLE, density, 0.05, q, self.DISTANCES, steps=48)
+        assert math.isnan(report.jump)
+        assert np.all(np.isnan(report.derivatives))
+        assert not report.passed
+        inf_density = lambda pts, tau: math.inf if 0.05 - tau < 1e-9 else 1.0
+        with np.errstate(invalid="ignore"):
+            value = single_layer(np.zeros(3), 0.05, inf_density, 0.0, q, steps=48)
+        assert math.isnan(value)
+
+    @given(st.lists(st.floats(max_value=0.0), min_size=1, max_size=40))
+    @example([-math.inf])
+    @example([EXP_ZERO, math.nextafter(EXP_ZERO, 0.0), -745.1332191019411, -1e16])
+    def test_clamp_before_exp_is_exact(self, exponents):
+        a = np.array(exponents)
+        clamped = np.exp(np.maximum(a, EXP_ZERO))
+        assert np.array_equal(clamped.view(np.uint64), np.exp(a).view(np.uint64))
 
 
 class TestSurfaceIntegralBound:

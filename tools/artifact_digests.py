@@ -13,7 +13,9 @@ check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
 `flat_data` starts from constant initial data. The stdout of
 `validate` on every config of the matrix and on the sweep config, `oracle
-jump --m 48` and `oracle ode --p 2 --q 2 --c 0.5` is digested too. The output has one `name/file sha256` line
+jump` at the default m = 24, at m = 48 and at m = 64 (the benchmark's
+largest quadrature) and `oracle ode --p 2 --q 2 --c 0.5` is digested
+too. The output has one `name/file sha256` line
 per artifact, one `name/stdout sha256` line per verb whose output is
 digested and one `name exit code` line per run, in a fixed order.
 """
@@ -76,7 +78,9 @@ def _digests(root: Path, name: str) -> list[str]:
 # verbs whose stdout is digested: name -> blowuplab arguments
 STDOUT_VERBS = {
     "validate_sweep": ["validate", str(SWEEP_CONFIG)],
+    "oracle_jump_m24": ["oracle", "jump"],
     "oracle_jump_m48": ["oracle", "jump", "--m", "48"],
+    "oracle_jump_m64": ["oracle", "jump", "--m", "64"],
     "oracle_ode": ["oracle", "ode", "--p", "2", "--q", "2", "--c", "0.5"],
 }
 
