@@ -10,10 +10,9 @@ where y is a family-dependent transform of the boundary modulus:
 and symmetrically for the second field with beta. Given T the model is
 linear in log C, so the fit is a bounded one-dimensional search over
 log(T - t_stop) with the intercepts eliminated exactly. Both fields are
-fitted simultaneously with a shared T. The search is Brent's bounded
-method (fminbound), kept in this module rather than imported from
-scipy.optimize, whose import would cost a run more time and memory
-than the search itself.
+fitted simultaneously with a shared T. The search is a golden-section
+search (Kiefer, 1953) down to 1e-12 in log(T - t_stop): 67 evaluations
+of the sum of squares, a few milliseconds per fit.
 
 The fit window is the largest suffix of the samples on which M strictly
 increases, and it must span a growth of at least MIN_GROWTH in M. The
@@ -143,94 +142,30 @@ def _window(
 
 
 def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Brent's bounded minimisation of func on [lo, hi]; returns (x, fun).
+    """Golden-section search for a minimum of func on [lo, hi]; returns (x, fun).
 
-    The point, value and NaN behaviour equal scipy's
-    minimize_scalar(method="bounded") bit for bit; tests compare the two.
+    The bracket keeps the side of its lower inner point, shrinking by 1/phi
+    per evaluation, until it is at most xatol wide. NaN counts as +inf.
     """
-    # port of scipy 1.17's _minimize_scalar_bounded (BSD-3-Clause, SciPy Developers)
-    maxfun = 500
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+
+    def f(x: float) -> float:
+        value = func(x)
+        return math.inf if math.isnan(value) else value
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # parabolic fit through the three best points
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # accept the parabola only inside the bracket and shrinking
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (
-                p < q * (b - xf)
-            ):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-
-        if golden:
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol and a < c < d < b:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
-
-    return xf, fx
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def estimate_blowup_time(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from blowuplab.analysis import (
     BlowupFit,
     _minimize_bounded,
+    _window,
     boundary_set_check,
     estimate_blowup_time,
     fit_rate,
@@ -164,65 +165,84 @@ _TERMS = st.lists(
     st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1e3), st.floats(0.0, 7.0)),
     min_size=1, max_size=6,
 )
+_LO = st.floats(-50.0, 50.0)
+# bracket widths from 1e-9 to 40
+_LOG_WIDTH = st.floats(-9.0, math.log10(40.0))
+
+
+def _fit_sse(traj, params, t_hat):
+    """The sum of squares estimate_blowup_time minimises, at T = t_hat."""
+    t, yu, yv = _window(traj, params)
+    target_u, target_v = params.flux.rate_targets(params.p, params.q)
+    x = -np.log(t_hat - t)
+    ru = yu - target_u / 2.0 * x
+    rv = yv - target_v / 2.0 * x
+    return float(np.sum((ru - ru.mean()) ** 2) + np.sum((rv - rv.mean()) ** 2))
 
 
 class TestMinimizeBounded:
-    """The in-module Brent search against scipy's, bit for bit."""
-
-    def assert_matches_scipy(self, func, lo, hi, xatol):
-        from scipy.optimize import minimize_scalar
-
-        ref = minimize_scalar(
-            func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-        )
-        x, fun = _minimize_bounded(func, lo, hi, xatol=xatol)
-        assert _bits(x) == _bits(ref.x)
-        assert _bits(fun) == _bits(ref.fun)
+    """The golden-section search behind estimate_blowup_time."""
 
     @settings(deadline=None, max_examples=300)
     @given(
-        terms=_TERMS,
-        lo=st.floats(-50.0, 50.0),
-        log_width=st.floats(-9.0, math.log10(40.0)),
+        weight=st.floats(1e-3, 1e3),
+        k=st.sampled_from([1, 2, 4]),
+        lo=_LO,
+        log_width=_LOG_WIDTH,
+        where=st.floats(-0.5, 1.5),
         xatol=st.sampled_from([1e-12, 1e-9, 1e-5]),
     )
-    @example(terms=[(1.0, 30.0, 0.0), (0.3, 2.0, 1.0)], lo=-3.0,
-             log_width=math.log10(40.0), xatol=1e-12)
-    def test_cosine_sums(self, terms, lo, log_width, xatol):
-        # high frequencies make the objective multimodal on wide bounds
-        self.assert_matches_scipy(_cosine_sum(terms), lo, lo + 10.0**log_width, xatol)
-
-    @settings(deadline=None)
-    @given(
-        level=st.floats(-1e3, 1e3),
-        lo=st.floats(-50.0, 50.0),
-        log_width=st.floats(-9.0, math.log10(40.0)),
-    )
-    def test_constant_objective(self, level, lo, log_width):
-        # every comparison ties
-        self.assert_matches_scipy(lambda x: level, lo, lo + 10.0**log_width, 1e-12)
+    @example(weight=1.0, k=2, lo=0.0, log_width=1.0, where=0.5, xatol=1e-12)
+    @example(weight=1.0, k=1, lo=-3.0, log_width=1.0, where=-0.5, xatol=1e-12)
+    def test_finds_the_minimum_within_xatol(self, weight, k, lo, log_width,
+                                            where, xatol):
+        # where < 0 or > 1 puts the minimiser outside the bracket, so the
+        # nearer bound is the answer
+        hi = lo + 10.0**log_width
+        centre = lo + (hi - lo) * where
+        x, fun = _minimize_bounded(
+            lambda x: weight * abs(x - centre) ** k, lo, hi, xatol
+        )
+        assert lo <= x <= hi
+        assert abs(x - min(max(centre, lo), hi)) <= xatol
+        assert fun == weight * abs(x - centre) ** k
 
     @settings(deadline=None, max_examples=300)
     @given(
         terms=_TERMS,
-        lo=st.floats(-50.0, 50.0),
-        log_width=st.floats(-9.0, math.log10(40.0)),
+        lo=_LO,
+        log_width=_LOG_WIDTH,
         cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     )
-    # the first point, lo + 0.382 * width, is NaN
+    # the first inner point, lo + 0.382 * width, falls in the cut
     @example(terms=[(1.0, 1.0, 0.0)], lo=0.0, log_width=1.0, cut=(0.3, 0.5))
-    def test_nan_on_a_subinterval(self, terms, lo, log_width, cut):
+    def test_nan_counts_as_inf(self, terms, lo, log_width, cut):
         hi = lo + 10.0**log_width
         c0, c1 = sorted(lo + (hi - lo) * f for f in cut)
         smooth = _cosine_sum(terms)
 
-        def func(x):
-            return float("nan") if c0 <= x <= c1 else smooth(x)
+        def cut_to(value):
+            return lambda x: value if c0 <= x <= c1 else smooth(x)
 
-        self.assert_matches_scipy(func, lo, hi, 1e-12)
+        x_nan, fun_nan = _minimize_bounded(cut_to(math.nan), lo, hi, 1e-12)
+        x_inf, fun_inf = _minimize_bounded(cut_to(math.inf), lo, hi, 1e-12)
+        assert _bits(x_nan) == _bits(x_inf)
+        assert _bits(fun_nan) == _bits(fun_inf)
 
-    def test_fit_objective(self):
-        # the sum of squares estimate_blowup_time minimises, on its bounds
+    @settings(deadline=None)
+    @given(level=st.floats(-1e3, 1e3), lo=_LO, log_width=_LOG_WIDTH)
+    def test_constant_objective(self, level, lo, log_width):
+        # every comparison ties
+        hi = lo + 10.0**log_width
+        x, fun = _minimize_bounded(lambda x: level, lo, hi, 1e-12)
+        assert lo <= x <= hi
+        assert fun == level
+
+    def test_fit_objective_no_worse_than_scipy(self):
+        # the sum of squares estimate_blowup_time minimises, on its bounds;
+        # scipy's bounded Brent search is the reference only
+        from scipy.optimize import minimize_scalar
+
         t = np.linspace(0.5, 0.995, 400)
         y = 1.0 - 0.5 * np.log(1.0 - t)
         span = float(t[-1] - t[0])
@@ -231,9 +251,22 @@ class TestMinimizeBounded:
             r = y - 0.5 * -np.log(t[-1] + math.exp(log_d) - t)
             return float(np.sum((r - r.mean()) ** 2))
 
-        self.assert_matches_scipy(
-            sse, math.log(span * 1e-12), math.log(10.0 * span), 1e-12
+        lo, hi = math.log(span * 1e-12), math.log(10.0 * span)
+        ref = minimize_scalar(
+            sse, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
         )
+        _, fun = _minimize_bounded(sse, lo, hi, 1e-12)
+        assert fun <= ref.fun
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-2])
+    def test_reference_run_t_hat_is_a_local_minimum(self, reference_run, delta):
+        # the run of the REFERENCE config in tests/test_cli.py
+        params, traj = reference_run
+        t_hat = estimate_blowup_time(traj, params).t_hat
+        step = delta * (t_hat - traj.stop.t_stop)
+        at = _fit_sse(traj, params, t_hat)
+        assert at <= _fit_sse(traj, params, t_hat - step)
+        assert at <= _fit_sse(traj, params, t_hat + step)
 
 
 class TestFitRate:
