@@ -3,12 +3,15 @@
 A refactor that must leave the scientific artifacts byte-identical is
 checked by running this script on both trees and diffing the output:
 
-    PYTHONPATH=<tree>/src python3 tools/artifact_digests.py > digests.txt
+    PYTHONPATH=<tree>/src python3 tools/artifact_digests.py [DIR] > digests.txt
 
 Each config of the matrix goes through `cli.run_experiment` and the
 benchmark's sweep config through the `sweep` verb, once serially and once
-with two worker processes (the two trees must digest alike), all inside a
-temporary directory. One run, `dominance_fail`, fails its dominance
+with two worker processes (the two trees must digest alike). The runs are
+written into DIR and kept there, so two trees' reports can be compared
+with `diff -r`; DIR must be empty or not yet exist. Without DIR they go
+to a temporary directory that is deleted, and the output is the same.
+One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
 `flat_data` starts from constant initial data. The stdout of
@@ -26,7 +29,7 @@ import hashlib
 import io
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
 
 from blowuplab import cli
@@ -98,23 +101,32 @@ def _verb(name: str, argv: list[str]) -> list[str]:
             f"{name} exit {code}"]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        print("usage: artifact_digests.py [DIR]", file=sys.stderr)
+        return 2
+    if args and Path(args[0]).exists() and any(Path(args[0]).iterdir()):
+        print(f"error: {args[0]} is not empty", file=sys.stderr)
+        return 2
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with nullcontext(args[0]) if args else tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        root.mkdir(parents=True, exist_ok=True)
         for name, text in matrix().items():
-            out = Path(tmp) / name
+            out = root / name
             try:
                 code = cli.run_experiment(parse_config(text), out).exit_code
             except Exception as exc:  # the digest lists failures, never hides them
                 code = f"1 ({type(exc).__name__}: {exc})"
             lines += _digests(out, name) if out.exists() else []
             lines.append(f"{name} exit {code}")
-            ini = Path(tmp) / f"{name}.ini"
+            ini = root / f"{name}.ini"
             ini.write_text(text)
             lines += _verb(f"validate_{name}", ["validate", str(ini)])
         # the sweep verb runs cli.sweep and sets the exit status
         for name, workers in (("sweep", "1"), ("sweep_parallel2", "2")):
-            out = Path(tmp) / name
+            out = root / name
             code = cli.main(["sweep", str(SWEEP_CONFIG), "--output-dir",
                              str(out), "--max-parallel", workers, "--quiet"])
             lines += _digests(out, name)
