@@ -2,9 +2,10 @@
 
 `_KEYS` below lists every section and key, in the order the `config.ini`
 echo writes them, with the dataclass field each key sets; those fields
-hold the defaults. Only [problem] p, q, R, n and flux are required, and
-the [sweep] axes default to the base point. Values are plain
-`key = value` lines, lists comma-separated. Unknown sections or keys
+hold the defaults, but an omitted [solver] cfl is DEFAULT_CFL[n]. Only
+[problem] p, q, R, n and flux are required, and the [sweep] axes
+default to the base point. Values are plain `key = value` lines, lists
+comma-separated. Unknown sections or keys
 are refused, so a typo cannot silently revert a knob to its default,
 and so are non-finite numbers. Runs are seed-free and deterministic, so
 [output] deterministic accepts only true; the echo always writes it.
@@ -24,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 from .analysis import DEFAULT_RATE_TOL, DEFAULT_RESIDUAL_MAX
 from .errors import ConfigError
 from .model import FluxFamily, ProblemParams, QuadraticRadial
-from .solver import SolverConfig
+from .solver import DEFAULT_CFL, SolverConfig, check_fits
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,14 @@ class ExperimentConfig:
                 "only quadratic radial initial data can be echoed to "
                 f"config.ini, got {type(self.params.initial).__name__}"
             )
-        if self.interior_radius >= self.params.R:
-            raise ValueError(
-                f"interior_radius = {self.interior_radius} "
-                f"must be below R = {self.params.R}"
-            )
-        if self.dominance_scale <= 0:
-            raise ValueError(
-                f"dominance_scale must be positive, got {self.dominance_scale}"
-            )
+        check_fits(self.params, self.solver)
+        # a tolerance no run can meet is a mistake in the config, not a
+        # failing run
+        if self.rate_tol < 0:
+            raise ValueError(f"rate_tol must be nonnegative, got {self.rate_tol}")
+        for key in ("residual_max", "dominance_scale"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         # the config.ini echo must parse back to the same directory: an INI
         # value loses surrounding blanks, ends at a line break, reads empty
         # as the default, and "#" after "dir = " or a blank starts a comment
@@ -217,7 +217,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         initial = QuadraticRadial(**given["params.initial"])
         params = ProblemParams(initial=initial, **given["params"])
-        solver = SolverConfig(**given["solver"])
+        solver = SolverConfig(**{"cfl": DEFAULT_CFL[params.n], **given["solver"]})
         sweep = SweepAxes(**{"p": (params.p,), "q": (params.q,), "N": (solver.N,),
                              "flux": (params.flux,), **given["sweep"]})
         return ExperimentConfig(params=params, solver=solver, sweep=sweep, **given[""])

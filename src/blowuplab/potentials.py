@@ -178,7 +178,8 @@ def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarr
 def _inside(x: np.ndarray, quad: SphereQuadrature) -> None:
     if x.shape != (quad.n,):
         raise BadRadius(f"point shape {x.shape} does not match dimension {quad.n}")
-    if float(x @ x) > (quad.R * (1.0 + SPHERE_TOL)) ** 2:
+    # "not <=" refuses a NaN coordinate too
+    if not float(x @ x) <= (quad.R * (1.0 + SPHERE_TOL)) ** 2:
         raise BadRadius(f"|x| = {math.sqrt(float(x @ x)):.6g} is outside the ball")
 
 
@@ -287,7 +288,7 @@ def jump_check(
     if x0.shape != (quad.n,):
         raise BadRadius(f"point shape {x0.shape} does not match dimension {quad.n}")
     r0 = math.sqrt(float(x0 @ x0))
-    if abs(r0 - quad.R) > SPHERE_TOL * quad.R:
+    if not abs(r0 - quad.R) <= SPHERE_TOL * quad.R:
         raise BadRadius(f"|x0| = {r0:.6g} is not on the sphere of radius {quad.R}")
     d = np.asarray(approach_distances, dtype=float)
     if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):

@@ -28,14 +28,13 @@ is one update rule.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
-are cfl < 0.50, 0.41, 0.33 for n = 1, 2, 3. The default cfl of 0.4 is fine
-for n <= 2; pass something below 1/3 for n = 3.
+are cfl < 0.50, 0.41, 0.33 for n = 1, 2, 3 (STABLE_CFL); run() refuses a
+larger cfl. A config file that leaves cfl out gets DEFAULT_CFL[n].
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
@@ -55,8 +54,6 @@ from .model import (
     validate_initial_data,
 )
 
-log = logging.getLogger(__name__)
-
 # whole-array max and min of the flat per-step arrays, without the
 # keyword handling of ndarray.max and ndarray.min
 _max, _min = np.maximum.reduce, np.minimum.reduce
@@ -64,8 +61,10 @@ _max, _min = np.maximum.reduce, np.minimum.reduce
 # dt below this multiple of dr^2 means the run cannot advance
 UNDERFLOW_FACTOR = 1e-16
 
-# measured stability limits for the explicit step, by dimension
+# measured stability limits for the explicit step, by dimension, and the
+# cfl a config file gets when it leaves the key out
 STABLE_CFL = {1: 0.50, 2: 0.41, 3: 1.0 / 3.0}
+DEFAULT_CFL = {1: 0.4, 2: 0.4, 3: 0.3}
 
 
 class StopReason(enum.Enum):
@@ -229,6 +228,19 @@ def step(
     return FieldState(t=t, u=u, v=v)
 
 
+def check_fits(params: ProblemParams, config: SolverConfig) -> None:
+    """Raise ValueError unless cfl is within STABLE_CFL[params.n] and
+    the interior radius below R."""
+    n, a = params.n, config.interior_radius
+    if config.cfl > STABLE_CFL[n] + 1e-12:
+        raise ValueError(
+            f"cfl = {config.cfl:g} exceeds the measured stability limit "
+            f"{STABLE_CFL[n]:g} for n = {n}"
+        )
+    if a >= params.R:
+        raise ValueError(f"interior_radius = {a} must be below R = {params.R}")
+
+
 def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     """Integrate from the configured initial data until a stop condition.
 
@@ -237,6 +249,8 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
 
     Raises
     ------
+    ValueError
+        If the config does not fit the problem (check_fits).
     InvalidInitialData
         If the initial data fail validation.
     FluxOverflow
@@ -245,18 +259,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         guard and each state's threshold test runs before its flux.
     """
     grid = make_grid(params.R, config.N)
-    if config.interior_radius >= params.R:
-        raise ValueError(
-            f"interior_radius must be below R = {params.R}, "
-            f"got {config.interior_radius}"
-        )
-    if config.cfl > STABLE_CFL[params.n] + 1e-12:
-        log.warning(
-            "cfl = %g exceeds the measured stability limit %g for n = %d",
-            config.cfl,
-            STABLE_CFL[params.n],
-            params.n,
-        )
+    check_fits(params, config)
     report = validate_initial_data(params.initial, grid, params.n, params)
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]

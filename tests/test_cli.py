@@ -33,6 +33,15 @@ u_stop = 9.0
 record_every = 2
 """
 
+POWER_N3 = """\
+[problem]
+p = 2
+q = 2
+R = 1.0
+n = 3
+flux = power
+"""
+
 TINY = """\
 [problem]
 p = 2
@@ -358,6 +367,41 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert "dominance_scale" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rate_tol", "-1"), ("residual_max", "0"), ("residual_max", "-1"),
+    ])
+    def test_unmeetable_tolerance_is_operational_error(
+        self, tmp_path, capsys, key, value
+    ):
+        path = self.write(tmp_path, REFERENCE + f"\n[analysis]\n{key} = {value}\n")
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be")
+        assert not (tmp_path / "out").exists()
+
+    def test_power_n3_five_keys_passes(self, tmp_path, capsys):
+        # the default cfl at n = 3 is 0.3, below STABLE_CFL[3]
+        path = self.write(tmp_path, POWER_N3)
+        code = main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert code == 0
+        report = read_report(tmp_path / "out" / "report.txt")
+        assert report["overall.status"] == "pass"
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_unstable_cfl_is_operational_error(self, tmp_path, capsys, verb):
+        path = self.write(tmp_path, POWER_N3 + "[solver]\ncfl = 0.4\n")
+        code = main([verb, path, "--output-dir", str(tmp_path / "out")]
+                    if verb == "run" else [verb, path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: cfl = 0.4 exceeds the measured stability limit "
+            "0.333333 for n = 3\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_flux_overflow_in_the_initial_data_is_operational_error(
         self, tmp_path, capsys

@@ -17,7 +17,7 @@ from blowuplab.config import (
 )
 from blowuplab.errors import ConfigError
 from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial, Tabulated
-from blowuplab.solver import EXP_GUARD, SolverConfig
+from blowuplab.solver import EXP_GUARD, STABLE_CFL, SolverConfig
 
 MINIMAL = """\
 [problem]
@@ -48,6 +48,16 @@ class TestParseDefaults:
         assert config.dominance_scale == 1.0
         assert config.output_dir == "runs"
         assert "deterministic = true" in render_config(config).splitlines()
+
+    @pytest.mark.parametrize("n, cfl", [(1, 0.4), (2, 0.4), (3, 0.3)])
+    def test_default_cfl_follows_the_dimension(self, n, cfl):
+        config = parse_config(MINIMAL.replace("n = 2", f"n = {n}"))
+        assert config.solver.cfl == cfl
+        assert f"cfl = {cfl}" in render_config(config).splitlines()
+
+    def test_explicit_cfl_is_kept_at_n3(self):
+        text = MINIMAL.replace("n = 2", "n = 3") + "[solver]\ncfl = 0.2\n"
+        assert parse_config(text).solver.cfl == 0.2
 
     def test_problem_fields(self):
         config = parse_config(MINIMAL)
@@ -177,6 +187,26 @@ class TestParseRejections:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    def test_unstable_cfl(self):
+        text = MINIMAL.replace("n = 2", "n = 3") + "[solver]\ncfl = 0.4\n"
+        with pytest.raises(ConfigError, match="stability limit 0.333333 for n = 3"):
+            parse_config(text)
+
+    def test_negative_rate_tol(self):
+        with pytest.raises(ConfigError, match="rate_tol must be nonnegative"):
+            parse_config(MINIMAL + "[analysis]\nrate_tol = -1\n")
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_residual_max(self, value):
+        with pytest.raises(ConfigError, match="residual_max must be positive"):
+            parse_config(MINIMAL + f"[analysis]\nresidual_max = {value}\n")
+
+    def test_tolerance_edges_stay_valid(self):
+        config = parse_config(
+            MINIMAL + "[analysis]\nrate_tol = 0\nresidual_max = 1e-9\n"
+        )
+        assert (config.rate_tol, config.residual_max) == (0.0, 1e-9)
+
     @pytest.mark.parametrize("scale", ["-1", "0"])
     def test_nonpositive_dominance_scale(self, scale):
         with pytest.raises(ConfigError, match="dominance_scale must be positive"):
@@ -254,14 +284,15 @@ def experiment_configs(draw):
     flux = draw(st.sampled_from(FluxFamily))
     exponent = _open(flux.min_exponent, 50.0)
     R = draw(st.floats(1e-3, 1e6))
+    n = draw(st.sampled_from((1, 2, 3)))
     params = ProblemParams(
-        p=draw(exponent), q=draw(exponent), R=R, n=draw(st.sampled_from((1, 2, 3))),
+        p=draw(exponent), q=draw(exponent), R=R, n=n,
         flux=flux, initial=QuadraticRadial(*draw(st.lists(
             st.floats(**FINITE), min_size=4, max_size=4))),
     )
     solver = SolverConfig(
         N=draw(st.integers(16, 10_000)),
-        cfl=draw(st.floats(0.0, 0.5, exclude_min=True)),
+        cfl=draw(st.floats(0.0, STABLE_CFL[n], exclude_min=True)),
         growth_cap=draw(st.floats(0.0, 0.5, exclude_min=True)),
         u_stop=draw(_open(0.0, EXP_GUARD)),
         t_end=draw(st.none() | _open(0.0, 1e6)),
@@ -277,8 +308,8 @@ def experiment_configs(draw):
     )
     return ExperimentConfig(
         params=params, solver=solver, sweep=sweep,
-        rate_tol=draw(st.floats(**FINITE)),
-        residual_max=draw(st.floats(**FINITE)),
+        rate_tol=draw(st.floats(min_value=0.0, **FINITE)),
+        residual_max=draw(st.floats(min_value=0.0, exclude_min=True, **FINITE)),
         dominance_scale=draw(_open(0.0, 1e6)),
     )
 

@@ -278,6 +278,12 @@ class TestSingleLayer:
         with pytest.raises(BadRadius):
             single_layer(np.zeros(2), 0.3, unit_density, 0.0, q)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        q = sphere_quadrature(1.0, 8)
+        with pytest.raises(BadRadius):
+            single_layer(np.array([bad, 0.0, 0.0]), 0.3, unit_density, 0.0, q)
+
     def test_rejects_too_few_panels(self):
         q = sphere_quadrature(1.0, 8)
         with pytest.raises(ValueError):
@@ -397,6 +403,14 @@ class TestJumpCheck:
         with pytest.raises(BadRadius):
             jump_check(
                 np.array([0.0, 0.0, 0.9]), unit_density, 0.05, q, self.DISTANCES
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        q = sphere_quadrature(1.0, 24)
+        with pytest.raises(BadRadius):
+            jump_check(
+                np.array([bad, 0.0, 0.0]), unit_density, 0.05, q, self.DISTANCES
             )
 
     @pytest.mark.parametrize("distances", [
@@ -605,3 +619,6 @@ class TestSurfaceIntegralBound:
             surface_integral_bound(self.POLE, 1.0, mixed)
         with pytest.raises(BadRadius):
             surface_integral_bound(np.array([1.2, 0.0, 0.0]), 1.0, quads)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(BadRadius):
+                surface_integral_bound(np.array([bad, 0.0, 0.0]), 1.0, quads)

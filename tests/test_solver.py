@@ -1,4 +1,4 @@
-import logging
+import dataclasses
 
 import numpy as np
 import pytest
@@ -384,13 +384,14 @@ class TestRun:
         err_101 = np.abs(sols[101] - sols[201][::stride_101]).max()
         assert err_51 / err_101 > 3.3
 
-    def test_unstable_cfl_warns(self, caplog):
+    def test_unstable_cfl_refused(self):
         params = exp_power_params(n=3)
         config = SolverConfig(N=101, cfl=0.4, t_end=5e-5, record_every=10)
-        with caplog.at_level(logging.WARNING, logger="blowuplab.solver"):
-            run(params, config)
-        assert any("stability" in r.message for r in caplog.records)
         assert STABLE_CFL[3] < 0.4
+        with pytest.raises(ValueError, match="stability limit 0.333333 for n = 3"):
+            run(params, config)
+        # the limit itself is allowed
+        run(params, dataclasses.replace(config, cfl=STABLE_CFL[3]))
 
     def test_interior_radius_must_be_inside(self):
         params = exp_power_params(R=0.4)
@@ -516,6 +517,10 @@ def _reference_run(params, config):
     return columns, snapshots, samples, steps, stop
 
 
+# the default cfl of 0.4 is above STABLE_CFL[3]
+_CFL = {1: 0.4, 2: 0.4, 3: 0.3}
+
+
 def _family(flux, e, n, q=None, **solver):
     params = ProblemParams(
         p=e, q=e if q is None else q, R=1.0, n=n, flux=flux,
@@ -526,11 +531,11 @@ def _family(flux, e, n, q=None, **solver):
 
 REFERENCE_CASES = {
     **{f"exp_power_n{n}": _family(FluxFamily.EXP_POWER, 2.0, n, u_stop=9.0,
-                                   record_every=1) for n in (1, 2, 3)},
+                                   record_every=1, cfl=_CFL[n]) for n in (1, 2, 3)},
     **{f"exp_linear_n{n}": _family(FluxFamily.EXP_LINEAR, 1.0, n, u_stop=9.0,
-                                    record_every=1) for n in (1, 2, 3)},
-    **{f"power_n{n}": _family(FluxFamily.POWER, 2.0, n, record_every=1)
-       for n in (1, 2, 3)},
+                                    record_every=1, cfl=_CFL[n]) for n in (1, 2, 3)},
+    **{f"power_n{n}": _family(FluxFamily.POWER, 2.0, n, record_every=1,
+                              cfl=_CFL[n]) for n in (1, 2, 3)},
     # p != q: the stop arguments and ghosts pair u with q and v with p
     "power_p2_q3": _family(FluxFamily.POWER, 2.0, 2, q=3.0, record_every=1),
     "power_sparse": _family(FluxFamily.POWER, 2.0, 2, record_every=7,

@@ -101,8 +101,8 @@ def _verb(name: str, argv: list[str]) -> list[str]:
             f"{name} exit {code}"]
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def main() -> int:
+    args = sys.argv[1:]
     if len(args) > 1:
         print("usage: artifact_digests.py [DIR]", file=sys.stderr)
         return 2
