@@ -448,6 +448,7 @@ class TestMain:
         ["jump", "--window", "nan"],
         ["jump", "--window", "inf"],
         ["jump", "--tol", "nan"],
+        ["jump", "--tol", "-1"],
         ["jump", "--density", "nan"],
         ["jump", "--density", "inf"],
     ])

@@ -1,10 +1,11 @@
 """Tests for the heat kernel, sphere quadrature, and layer potentials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -20,6 +21,9 @@ from blowuplab.potentials import (
     ConvergenceReport,
     JumpReport,
     SphereQuadrature,
+    _density_block,
+    _layer_sum,
+    _sigma_panels,
     circle_quadrature,
     heat_kernel,
     jump_check,
@@ -77,6 +81,22 @@ class TestHeatKernel:
             heat_kernel(1.0, -0.3, 3)
         with pytest.raises(BadTime):
             heat_kernel(0.0, np.array([0.5, 0.0]), 1)
+
+    @pytest.mark.parametrize("t", [
+        math.nan, math.inf, -math.inf, np.array([0.5, math.nan]),
+        np.array([math.inf, 0.5]),
+    ])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(BadTime, match="finite"):
+            heat_kernel(0.5, t, 3)
+
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, np.array([0.0, math.nan, 0.0]),
+        np.array([-math.inf, 0.0, 0.0]),
+    ])
+    def test_rejects_non_finite_point(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            heat_kernel(x, 0.5, 3)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -433,6 +453,42 @@ class TestJumpCheck:
         with pytest.raises(ValueError, match="tol_jump"):
             jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES, tol_jump=tol)
 
+    @pytest.mark.parametrize("tol", [-1.0, -5e-324, -math.inf])
+    def test_rejects_negative_tolerance(self, tol):
+        q = sphere_quadrature(1.0, 24)
+        with pytest.raises(ValueError, match="nonnegative"):
+            jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES, tol_jump=tol)
+
+    def test_zero_tolerance_is_a_verdict(self):
+        q = sphere_quadrature(1.0, 24)
+        report = jump_check(
+            self.POLE, unit_density, 0.05, q, self.DISTANCES, tol_jump=0.0
+        )
+        assert not report.passed
+        exact = jump_check(
+            self.POLE, lambda p, s: 0.0, 0.05, q, self.DISTANCES, tol_jump=0.0
+        )
+        assert exact.passed
+
+
+def full_array_layer_sum(x, quad, sigma, omega, density, finite, eta=None):
+    """_layer_sum as one pass over the whole (M_q, live) kernel, with the
+    exponents clamped at EXP_ZERO before exp."""
+    vec = x - quad.nodes
+    d2 = (vec**2).sum(axis=1)
+    live = ~((-d2.min() / (4.0 * sigma) < EXP_ZERO) & finite)
+    s = sigma[live]
+    kernel = -d2[:, None] / (4.0 * s)
+    np.maximum(kernel, EXP_ZERO, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel *= (4.0 * np.pi * s) ** (-quad.n / 2.0)
+    if eta is not None:
+        kernel *= -(vec @ eta)[:, None] / (2.0 * s)
+    kernel *= density[:, live]
+    columns = np.zeros(sigma.size)
+    columns[live] = quad.weights @ kernel
+    return float(columns @ omega)
+
 
 def _report_values(report: JumpReport) -> list[float]:
     return [report.jump, report.boundary_term, report.interior_limit,
@@ -542,6 +598,82 @@ class TestLiveColumns:
         clamped = np.exp(np.maximum(a, EXP_ZERO))
         assert np.array_equal(clamped.view(np.uint64), np.exp(a).view(np.uint64))
 
+    @given(st.lists(st.floats(max_value=0.0), min_size=1, max_size=40))
+    @example([-math.inf])
+    @example([EXP_ZERO, math.nextafter(EXP_ZERO, 0.0), -745.1332191019411, -1e16])
+    @example([-0.0, -708.4, -720.0, -745.0])
+    def test_masked_exp_is_exact(self, exponents):
+        a = np.array(exponents)
+        masked = a.copy()
+        dead = masked <= EXP_ZERO
+        np.exp(masked, out=masked, where=~dead)
+        np.copyto(masked, 0.0, where=dead)
+        assert np.array_equal(masked.view(np.uint64), np.exp(a).view(np.uint64))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rule=st.sampled_from([
+            (sphere_quadrature, 8), (sphere_quadrature, 16), (sphere_quadrature, 24),
+            (circle_quadrature, 16), (circle_quadrature, 64),
+        ]),
+        R=st.sampled_from([0.5, 1.0, 3.0]),
+        point=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        direction=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        t=st.floats(1e-3, 2.0),
+        t1_frac=st.sampled_from([0.0, 0.5, 0.9]),
+        steps=st.integers(4, 48),
+        density=st.sampled_from(["constant", "varying", "poisoned"]),
+        c=st.floats(-3.0, 3.0),
+        poison=st.lists(
+            st.tuples(
+                st.integers(0, 191), st.sampled_from([math.nan, math.inf, -math.inf])
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_layer_sum_matches_the_full_array_sum(
+        self, rule, R, point, direction, t, t1_frac, steps, density, c, poison
+    ):
+        build, m = rule
+        q = build(R, m)
+        u = np.array(point[:q.n])
+        x = R * u / max(1.0, float(np.linalg.norm(u)))
+        eta = None
+        if direction is not None:
+            v = np.array(direction[:q.n])
+            assume(np.linalg.norm(v) > 1e-3)
+            eta = v / np.linalg.norm(v)
+        sigma, omega = _sigma_panels(t, t1_frac * t, steps)
+        bad = {t - sigma[i % sigma.size]: value for i, value in poison}
+
+        def phi(pts, tau):
+            if density == "constant":
+                return c
+            if density == "poisoned" and tau in bad:
+                return bad[tau]
+            return c + pts[:, 0] * tau - pts[:, -1]
+
+        block, finite = _density_block(phi, q, t, sigma)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _layer_sum(x, q, sigma, omega, block, finite, eta)
+            want = full_array_layer_sum(
+                x, q, sigma, omega, np.ascontiguousarray(block), finite, eta
+            )
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_jump_check_peak_memory(self):
+        q = sphere_quadrature(1.0, 64)
+        tracemalloc.start()
+        try:
+            jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the density block takes 12.6 MB and the kernel of the boundary
+        # evaluation (113 live columns) 7.4 MB; a second buffer of the
+        # kernel's size would reach 28 MB
+        assert peak < 24_000_000
+
 
 class TestSurfaceIntegralBound:
     POLE = np.array([0.0, 0.0, 1.0])
@@ -622,3 +754,8 @@ class TestSurfaceIntegralBound:
         for bad in (math.nan, math.inf):
             with pytest.raises(BadRadius):
                 surface_integral_bound(np.array([bad, 0.0, 0.0]), 1.0, quads)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            surface_integral_bound(self.POLE, a, self.refinements())

@@ -16,11 +16,13 @@ check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
 `flat_data` starts from constant initial data. The stdout of
 `validate` on every config of the matrix and on the sweep config, `oracle
-jump` at the default m = 24, at m = 48 and at m = 64 (the benchmark's
-largest quadrature) and `oracle ode --p 2 --q 2 --c 0.5` is digested
-too. The output has one `name/file sha256` line
-per artifact, one `name/stdout sha256` line per verb whose output is
-digested and one `name exit code` line per run, in a fixed order.
+jump` at the default m = 24, at m = 48 and 64 (the benchmark's
+quadratures) and at m = 80 and 96 (where the BLAS reduction of a layer
+sum blocks differently, so every m the tests pin is covered), and
+`oracle ode --p 2 --q 2 --c 0.5` is digested too. The output has one
+`name/file sha256` line per artifact, one `name/stdout sha256` line per
+verb whose output is digested and one `name exit code` line per run, in
+a fixed order.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ STDOUT_VERBS = {
     "oracle_jump_m24": ["oracle", "jump"],
     "oracle_jump_m48": ["oracle", "jump", "--m", "48"],
     "oracle_jump_m64": ["oracle", "jump", "--m", "64"],
+    "oracle_jump_m80": ["oracle", "jump", "--m", "80"],
+    "oracle_jump_m96": ["oracle", "jump", "--m", "96"],
     "oracle_ode": ["oracle", "ode", "--p", "2", "--q", "2", "--c", "0.5"],
 }
 
