@@ -210,7 +210,9 @@ def interior_nodes(grid: RadialGrid, a: float) -> int:
     return int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
 
 
-def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
+def boundary_flux(
+    flux: FluxFamily, w: float, e: float, arg: float | None = None
+) -> float:
     """Outward normal flux induced by a boundary value w of the driving field.
 
     Parameters
@@ -221,6 +223,8 @@ def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
         Boundary value of the driving field, must be nonnegative.
     e : float
         Exponent attached to the driving field (p or q).
+    arg : float, optional
+        flux.arg(w, e), for a caller that has computed it already.
 
     Raises
     ------
@@ -231,7 +235,8 @@ def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     """
     if w < 0:
         raise ValueError(f"flux argument must be nonnegative, got {w}")
-    arg = flux.arg(w, e)
+    if arg is None:
+        arg = flux.arg(w, e)
     if arg >= flux.arg_limit:
         raise FluxOverflow(f"exponent argument {arg:.3g} >= {flux.arg_limit}")
     return flux.from_arg(arg)
@@ -245,15 +250,23 @@ class RadialLaplacian:
     boundary condition (see solver._Kernel.advance). Centered differences
     with the ghost make the boundary node second order; at r = 0 symmetry
     gives Delta f = n * f'' with the mirror node f[-1] = f[1]. The drift
-    coefficients (n - 1) / r and the work buffers are set up once, so
-    apply() allocates no array; the end nodes are done on Python floats.
+    coefficients (n - 1) / r, the work buffers and the stencil's scalar
+    operands 2, 2 dr and dr^2 are set up once, so apply() allocates no
+    array; the operands are 0-d arrays, which numpy uses as they are
+    where it converts a Python float on every call. The end nodes are
+    done on Python floats. A caller that applies the operator to the same
+    buffers many times builds their flat slices once with views().
     """
 
     def __init__(self, grid: RadialGrid, n: int, rows: int):
+        self.N = grid.N
         self.dr2 = grid.dr**2
         self.two_dr = 2.0 * grid.dr
         self.origin = 2.0 * n
         self.drift_R = (n - 1) / grid.R
+        self._two, self._two_dr, self._dr2 = (
+            np.array(x) for x in (2.0, self.two_dr, self.dr2)
+        )
         # the nodes end_values() reads: f[0], f[1], f[-2], f[-1]
         self.end_nodes = np.array([0, 1, grid.N - 2, grid.N - 1])
         # apply() sweeps the rows as one flat array: between two rows lie
@@ -266,32 +279,41 @@ class RadialLaplacian:
         """Each row's values at the nodes 0, 1, N-2, N-1, as Python floats."""
         return F.take(self.end_nodes, axis=1).tolist()
 
+    @staticmethod
+    def views(F: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The flat slices f[:-2], f[1:-1], f[2:] of F, and out flat and
+        its interior out[1:-1]: the arrays apply() reads and writes."""
+        f, o = F.reshape(-1), out.reshape(-1)
+        return f[:-2], f[1:-1], f[2:], o, o[1:-1]
+
     def apply(
-        self, F: np.ndarray, ends: list[list[float]], ghosts, out: np.ndarray
+        self, F: np.ndarray, ends: list[list[float]], ghosts, out: np.ndarray,
+        views: tuple[np.ndarray, ...] | None = None,
     ) -> None:
         """Write the Laplacian of F into out.
 
         F and out have shape (rows, N) and out is C-contiguous; ends is
-        end_values(F) and ghosts holds one ghost value per row.
+        end_values(F) and ghosts holds one ghost value per row. views, if
+        given, is views(F, out).
         """
         second, drift = self._work
-        f = F.reshape(-1)
-        f0, f1, f2 = f[:-2], f[1:-1], f[2:]
+        f0, f1, f2, o, inner = self.views(F, out) if views is None else views
         # (f2 - 2 f1 + f0) / dr^2 + (n - 1) / r * (f2 - f0) / (2 dr),
         # evaluated left to right
         np.subtract(f2, f0, drift)
         np.multiply(self.drift, drift, drift)
-        np.divide(drift, self.two_dr, drift)
-        np.multiply(f1, 2.0, second)
+        np.divide(drift, self._two_dr, drift)
+        np.multiply(f1, self._two, second)
         np.subtract(f2, second, second)
         np.add(second, f0, second)
-        np.divide(second, self.dr2, second)
-        np.add(second, drift, out.reshape(-1)[1:-1])
+        np.divide(second, self._dr2, second)
+        np.add(second, drift, inner)
         # the end nodes of each row, on Python floats
+        N = self.N
         for i, ghost in enumerate(ghosts):
             x0, x1, xm, xN = ends[i]
-            out[i, 0] = self.origin * (x1 - x0) / self.dr2
-            out[i, -1] = (
+            o[i * N] = self.origin * (x1 - x0) / self.dr2
+            o[i * N + N - 1] = (
                 (ghost - 2.0 * xN + xm) / self.dr2
                 + self.drift_R * (ghost - xm) / self.two_dr
             )

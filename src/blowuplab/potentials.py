@@ -78,7 +78,8 @@ def heat_kernel(x, t, n: int):
     """Fundamental solution (4 pi t)^{-n/2} exp(-|x|^2/(4t)).
 
     x is a single point (1-D array of length n) or a scalar standing
-    for the distance |x|; t may be a scalar or an array.
+    for the distance |x|; any other shape is refused with ValueError.
+    t may be a scalar or an array.
     """
     if n < 1:
         raise ValueError(f"dimension n = {n} must be at least 1")
@@ -86,6 +87,11 @@ def heat_kernel(x, t, n: int):
     if not np.all(np.isfinite(t) & (t > 0)):
         raise BadTime("the kernel lives on finite t > 0")
     x = np.asarray(x, dtype=float)
+    if x.shape not in ((), (n,)):
+        raise ValueError(
+            f"x of shape {x.shape} is neither a distance, shape (), nor a "
+            f"point in dimension n = {n}, shape ({n},)"
+        )
     if not np.all(np.isfinite(x)):
         raise ValueError(f"point x = {x} must be finite")
     r2 = float(x * x) if x.ndim == 0 else float(x @ x)

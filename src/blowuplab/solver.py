@@ -17,14 +17,19 @@ advance t is refused before it touches the fields, so every recorded
 sample after the first has dt > 0 and t strictly increases.
 
 The state is one (2, N) float64 array F with u in row 0 and v in row 1.
-One kernel (_Kernel.advance) updates it: one model.RadialLaplacian call
-for both rows, with the drift coefficients and the work buffers set up
-once per run, the ghost, flux and end-node arithmetic on Python floats,
-and F + dt * Delta F written into a second buffer that run() swaps with
-F. run() builds a FieldState only for snapshots; the stop state is the
-last recorded row and, with snapshots on, the last snapshot. step() is a
-thin wrapper that takes one FieldState through the same kernel, so there
-is one update rule.
+One kernel (_Kernel.advance) updates it. The kernel owns the two state
+buffers, the rate buffer and, built once, the flat slices of both
+buffers that model.RadialLaplacian reads and writes, so a step makes no
+array, view or reshape: run() flips the index of the current buffer. One
+RadialLaplacian call does both rows, and the ghost, flux and end-node
+arithmetic is on Python floats. At N = 201 a step costs numpy's call
+overhead more than arithmetic, so the whole-array reductions are
+argmax/argmin plus item(), which beat numpy's reduce on small arrays and
+return the first NaN, and dt reaches the update as a 0-d array, which
+numpy does not convert. run() builds a FieldState only for snapshots;
+the stop state is the last recorded row and, with snapshots on, the last
+snapshot. step() is a thin wrapper that takes one FieldState through
+the same kernel, so there is one update rule.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
@@ -53,10 +58,6 @@ from .model import (
     make_grid,
     validate_initial_data,
 )
-
-# whole-array max and min of the flat per-step arrays, without the
-# keyword handling of ndarray.max and ndarray.min
-_max, _min = np.maximum.reduce, np.minimum.reduce
 
 # dt below this multiple of dr^2 means the run cannot advance
 UNDERFLOW_FACTOR = 1e-16
@@ -96,14 +97,18 @@ class SolverConfig:
             raise ValueError(
                 f"u_stop must lie in (0, {EXP_GUARD}), got {self.u_stop}"
             )
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if self.t_end is not None and not 0.0 < self.t_end < math.inf:
+            raise ValueError(
+                f"t_end must be positive and finite, got {self.t_end}"
+            )
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.state_every < 0:
             raise ValueError("state_every must be nonnegative")
-        if self.interior_radius <= 0:
-            raise ValueError("interior_radius must be positive")
+        if not self.interior_radius > 0:
+            raise ValueError(
+                f"interior_radius must be positive, got {self.interior_radius}"
+            )
 
 
 @dataclass(frozen=True)
@@ -157,38 +162,70 @@ COLUMNS = (
 )
 
 
+def _max_abs(a: np.ndarray, work: np.ndarray) -> float:
+    """max |a| as a Python float, with work a buffer like a; NaN if a
+    holds one."""
+    np.abs(a, work)
+    return work.item(work.argmax())
+
+
+def _max(a: np.ndarray) -> float:
+    """max a as a Python float; NaN if a holds one (argmax returns the
+    first NaN)."""
+    return a.item(a.argmax())
+
+
+def _min(a: np.ndarray) -> float:
+    """min a as a Python float; NaN if a holds one."""
+    return a.item(a.argmin())
+
+
 class _Kernel:
     """The forward-Euler update of the state F = [u; v] of shape (2, N).
 
-    It is built once per run and holds the Laplacian, with its
-    coefficients, and the rate buffer, so a step allocates no array.
+    It is built once per run and owns the two state buffers (states),
+    the rate buffer and the flat views a step works on, so a step
+    allocates no array and makes no view: advance() steps states[i]
+    into states[1 - i].
     """
 
     def __init__(self, params: ProblemParams, grid: RadialGrid, config: SolverConfig):
         self.params, self.config = params, config
         self.lap = RadialLaplacian(grid, params.n, rows=2)
+        self.states = (np.empty((2, grid.N)), np.empty((2, grid.N)))
         self.rates = np.empty((2, grid.N))
-        self._rates_flat = self.rates.reshape(-1)
+        self._views = [self.lap.views(F, self.rates) for F in self.states]
+        self._flat = [F.reshape(-1) for F in self.states]
+        self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(2 * grid.N)
+        self._dt = np.empty(())
+
+    def boundary(self, i: int) -> tuple[list[list[float]], tuple[float, float]]:
+        """The end values of states[i] (lap.end_values) and the flux
+        exponent arguments (arg_u, arg_v) of its boundary values."""
+        flux, p, q = self.params.flux, self.params.p, self.params.q
+        ends = self.lap.end_values(self.states[i])
+        return ends, (flux.arg(ends[0][-1], q), flux.arg(ends[1][-1], p))
 
     def advance(
-        self, t: float, F: np.ndarray, ends: list[list[float]], peak: float,
-        out: np.ndarray,
+        self, t: float, i: int, boundary: tuple, peak: float
     ) -> tuple[float, float]:
-        """Write the state one step after (t, F) into out.
+        """Write the state one step after (t, states[i]) into states[1 - i].
 
-        ends is self.lap.end_values(F) and peak is F.max(). Returns the new
-        time and the new state's max, which is the next step's peak.
+        boundary is self.boundary(i) and peak is states[i].max(). Returns
+        the new time and the new state's max, which is the next step's
+        peak.
         """
-        params, config, lap, G = self.params, self.config, self.lap, self.rates
+        params, config, lap = self.params, self.config, self.lap
+        ends, (arg_u, arg_v) = boundary
         (_, _, um, uN), (_, _, vm, vN) = ends
         # Neumann closure: u's outward derivative is the flux induced by
         # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) = flux
-        ghosts = (um + lap.two_dr * boundary_flux(params.flux, vN, params.p),
-                  vm + lap.two_dr * boundary_flux(params.flux, uN, params.q))
-        lap.apply(F, ends, ghosts, G)
-        g = self._rates_flat
-        # max(max G, -min G) is max |G|, NaN included
-        max_rate = max(float(_max(g)), -float(_min(g)))
+        flux = params.flux
+        ghosts = (um + lap.two_dr * boundary_flux(flux, vN, params.p, arg_v),
+                  vm + lap.two_dr * boundary_flux(flux, uN, params.q, arg_u))
+        F, G = self.states[i], self.rates
+        lap.apply(F, ends, ghosts, G, self._views[i])
+        max_rate = _max_abs(self._rates_flat, self._abs)
         dt = config.cfl * lap.dr2
         if max_rate > 0.0:
             dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
@@ -203,10 +240,11 @@ class _Kernel:
                 f"t + dt == t: dt = {dt:.3e} is below the resolution "
                 f"of t = {t:.6g}"
             )
-        np.add(F, np.multiply(G, dt, G), out)
+        self._dt[()] = dt
+        np.add(F, np.multiply(G, self._dt, G), self.states[1 - i])
         # every value is finite exactly when the max and the min are
-        o = out.reshape(-1)
-        hi, lo = float(_max(o)), float(_min(o))
+        o = self._flat[1 - i]
+        hi, lo = _max(o), _min(o)
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NumericalBlowupGuard(f"non-finite field values at t = {t:.6g}")
         return t + dt, hi
@@ -219,12 +257,11 @@ def step(
     config: SolverConfig,
 ) -> FieldState:
     """One forward-Euler update with the ghost-node Neumann closure."""
-    F = np.array((state.u, state.v), dtype=float)
     kernel = _Kernel(params, grid, config)
-    out = np.empty_like(F)
-    ends = kernel.lap.end_values(F)
-    t, _ = kernel.advance(state.t, F, ends, float(F.max()), out)
-    u, v = out
+    F = kernel.states[0]
+    F[:] = state.u, state.v
+    t, _ = kernel.advance(state.t, 0, kernel.boundary(0), float(F.max()))
+    u, v = kernel.states[1]
     return FieldState(t=t, u=u, v=v)
 
 
@@ -265,9 +302,10 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         failed = [c.name for c in report.checks if not c.passed]
         raise InvalidInitialData(f"initial data failed: {', '.join(failed)}")
 
-    F = np.array(params.initial.evaluate(grid), dtype=float)
-    out = np.empty_like(F)
     kernel = _Kernel(params, grid, config)
+    i = 0
+    F = kernel.states[i]
+    F[:] = params.initial.evaluate(grid)
     k = interior_nodes(grid, config.interior_radius)
     rows: list[tuple] = []
     states: list[FieldState] = []
@@ -277,10 +315,9 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     t, peak = 0.0, float(F.max())
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
-        ends = kernel.lap.end_values(F)
         # the flux exponent arguments that the stop criterion watches
-        arg_u = params.flux.arg(ends[0][-1], params.q)
-        arg_v = params.flux.arg(ends[1][-1], params.p)
+        boundary = kernel.boundary(i)
+        arg_u, arg_v = boundary[1]
         # the threshold applies to stepped states: the initial data always
         # take one step
         if steps and max(arg_u, arg_v) > config.u_stop:
@@ -289,7 +326,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
             reason = StopReason.TIME_LIMIT
         else:
             try:
-                t_new, peak = kernel.advance(t, F, ends, peak, out)
+                t_new, peak = kernel.advance(t, i, boundary, peak)
             except StepUnderflow as exc:
                 reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
             except NumericalBlowupGuard as exc:
@@ -323,7 +360,8 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         steps += 1
         dt = t_new - t
         t = t_new
-        F, out = out, F
+        i = 1 - i
+        F = kernel.states[i]
 
     columns = {
         name: np.array(values, dtype=int if name.startswith("argmax") else float)

@@ -1,6 +1,7 @@
 """Tests for the heat kernel, sphere quadrature, and layer potentials."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,17 @@ class TestHeatKernel:
     ])
     def test_rejects_non_finite_point(self, x):
         with pytest.raises(ValueError, match="finite"):
+            heat_kernel(x, 0.5, 3)
+
+    @pytest.mark.parametrize(
+        "x", [np.array([0.3, 0.4]), np.array([[0.3, 0.4, 0.0]])],
+        ids=["short", "row"],
+    )
+    def test_rejects_a_point_of_the_wrong_shape(self, x):
+        # a 2-vector in dimension 3 used to be taken for its length, and
+        # a (1, 3) array failed inside matmul
+        shape = re.escape(str(x.shape))
+        with pytest.raises(ValueError, match=f"shape {shape} .* n = 3, shape \\(3,\\)"):
             heat_kernel(x, 0.5, 3)
 
     def test_rejects_bad_dimension(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from blowuplab.solver import (
     UNDERFLOW_FACTOR,
     SolverConfig,
     StopReason,
+    _max,
+    _max_abs,
+    _min,
     run,
     step,
 )
@@ -224,6 +228,45 @@ class TestStep:
         with pytest.raises(NumericalBlowupGuard, match="non-finite"):
             step(state, params, grid, SolverConfig(N=41))
 
+    @pytest.mark.parametrize("row, node", [
+        ("u", 0), ("u", -1), ("v", 0), ("v", 10), ("v", -1),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_anywhere_is_caught(self, bad, row, node):
+        # the reductions must see a bad value at either end of either row;
+        # at r = R only NaN reaches them, since the flux refuses -inf as
+        # negative and inf as past the overflow guard, in that order
+        grid = make_grid(1.0, 41)
+        params = exp_power_params()
+        u0, v0 = params.initial.evaluate(grid)
+        (u0 if row == "u" else v0)[node] = bad
+        state = FieldState(t=0.0, u=u0, v=v0)
+        error, match = NumericalBlowupGuard, "non-finite"
+        if node == -1 and bad == -np.inf:
+            error, match = ValueError, "must be nonnegative, got -inf"
+        elif node == -1 and bad == np.inf:
+            error, match = FluxOverflow, "exponent argument inf >= 700"
+        with np.errstate(invalid="ignore"), pytest.raises(error, match=match):
+            step(state, params, grid, SolverConfig(N=41))
+
+    @settings(deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=500,
+    ))
+    def test_reductions_match_numpy(self, values):
+        # the kernel's argmax reductions give what numpy's reductions
+        # give, NaN included; a tie of -0.0 and 0.0 may pick either zero
+        a = np.array(values)
+        got = (_max_abs(a, np.empty_like(a)), _max(a), _min(a))
+        want = (np.max(np.abs(a)), np.max(a), np.min(a))
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert math.isnan(g) if math.isnan(w) else g == w
+
     def test_iterated_steps_reproduce_the_run(self):
         # one update rule: step() from the initial data walks through the
         # very states run() records, bit for bit
@@ -393,6 +436,19 @@ class TestRun:
         # the limit itself is allowed
         run(params, dataclasses.replace(config, cfl=STABLE_CFL[3]))
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_t_end_refused(self, t_end):
+        # t >= nan never holds and min(dt, nan - t) keeps dt, so a NaN
+        # limit would be ignored
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            SolverConfig(t_end=t_end)
+
+    def test_nan_interior_radius_refused(self):
+        # nan >= R is false, so check_fits would let it through and every
+        # node would count as interior
+        with pytest.raises(ValueError, match="must be positive, got nan"):
+            SolverConfig(interior_radius=math.nan)
+
     def test_interior_radius_must_be_inside(self):
         params = exp_power_params(R=0.4)
         config = SolverConfig(N=101, interior_radius=0.5)
@@ -521,12 +577,12 @@ def _reference_run(params, config):
 _CFL = {1: 0.4, 2: 0.4, 3: 0.3}
 
 
-def _family(flux, e, n, q=None, **solver):
+def _family(flux, e, n, q=None, N=41, **solver):
     params = ProblemParams(
         p=e, q=e if q is None else q, R=1.0, n=n, flux=flux,
         initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
     )
-    return params, SolverConfig(N=41, **solver)
+    return params, SolverConfig(N=N, **solver)
 
 
 REFERENCE_CASES = {
@@ -538,6 +594,9 @@ REFERENCE_CASES = {
                               cfl=_CFL[n]) for n in (1, 2, 3)},
     # p != q: the stop arguments and ghosts pair u with q and v with p
     "power_p2_q3": _family(FluxFamily.POWER, 2.0, 2, q=3.0, record_every=1),
+    # the array length the sweep benchmark steps
+    "power_p2_q3_N201": _family(FluxFamily.POWER, 2.0, 2, q=3.0, N=201,
+                                t_end=0.02, record_every=10),
     "power_sparse": _family(FluxFamily.POWER, 2.0, 2, record_every=7,
                             state_every=3),
     "power_t_end": _family(FluxFamily.POWER, 2.0, 2, t_end=0.05,

@@ -14,7 +14,10 @@ to a temporary directory that is deleted, and the output is the same.
 One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
-`flat_data` starts from constant initial data. The stdout of
+`flat_data` starts from constant initial data. Most runs are at N = 101,
+`t_end_0.01` and the sweep at N = 201 and `pw_N401` (power, p = q = 2,
+t_end = 0.01, about 4,000 steps) at N = 401, so the stepper is digested
+on three array lengths. The stdout of
 `validate` on every config of the matrix and on the sweep config, `oracle
 jump` at the default m = 24, at m = 48 and 64 (the benchmark's
 quadratures) and at m = 80 and 96 (where the BLAS reduction of a layer
@@ -69,6 +72,8 @@ def matrix() -> dict[str, str]:
     runs["interior_0.3"] = runs["pw_n2"] + "[analysis]\ninterior_radius = 0.3\n"
     # flat initial data: every node ties for the maximum at t = 0
     runs["flat_data"] = _ini("power", 2, 2, problem=("u0_quad = 0", "v0_quad = 0"))
+    # a third array length for the stepper
+    runs["pw_N401"] = _ini("power", 2, 2, N=401, t_end=0.01)
     return runs
 
 
