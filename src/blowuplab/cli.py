@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -110,19 +110,24 @@ _FIT_KEYS = (
 )
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Path) -> RunArtifacts:
+def run_experiment(
+    config: ExperimentConfig, out_dir: Path, traj: Trajectory | None = None
+) -> RunArtifacts:
     """Execute the full pipeline for one config and write the artifacts.
 
     The analysis stages run only when the solver actually reached the
     blow-up threshold; otherwise every check reports inconclusive and
     the exit code stays 0 (nothing failed, nothing was shown). A fit or
-    dominance failure marks the run failed with exit code 2.
+    dominance failure marks the run failed with exit code 2. traj, if
+    given, is what run(config.params, config.solver) returns, solved
+    beforehand (a sweep passes a mirror's, see sweep()).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, solver = config.params, config.solver
 
-    traj = run(params, solver)
+    if traj is None:
+        traj = run(params, solver)
     blew_up = traj.stop.reason is StopReason.BLOWUP_THRESHOLD
 
     report: dict[str, object] = {
@@ -246,12 +251,14 @@ def _sweep_row(p: float, q: float, N: int, flux: FluxFamily) -> dict[str, str]:
     }
 
 
-def _sweep_point(task: tuple[int, ExperimentConfig, str]) -> tuple[int, dict]:
+def _sweep_point(
+    task: tuple[int, ExperimentConfig, str], traj: Trajectory | None = None
+) -> tuple[int, dict]:
     index, config, run_dir = task
     params = config.params
     row = _sweep_row(params.p, params.q, config.solver.N, params.flux)
     try:
-        artifacts = run_experiment(config, Path(run_dir))
+        artifacts = run_experiment(config, Path(run_dir), traj)
         row["T_hat"] = _report_text(artifacts.entries["blowup.T_hat"])
         row["alpha_hat"] = _report_text(artifacts.entries["rate.alpha_hat"])
         row["beta_hat"] = _report_text(artifacts.entries["rate.beta_hat"])
@@ -265,12 +272,68 @@ def _sweep_point(task: tuple[int, ExperimentConfig, str]) -> tuple[int, dict]:
     return index, row
 
 
+def _mirror(config: ExperimentConfig) -> ExperimentConfig | None:
+    """The config whose run is this one's mirrored (Trajectory.mirrored),
+    or None if there is none other than itself.
+
+    That is the config with p and q swapped, when p != q and the initial
+    data evaluate to a u0 and a v0 that are equal bit for bit.
+    """
+    params = config.params
+    if params.p == params.q:
+        return None
+    try:
+        u0, v0 = params.initial.evaluate(make_grid(params.R, config.solver.N))
+    except BlowupLabError:
+        return None
+    if u0.tobytes() != v0.tobytes():
+        return None
+    return replace(config, params=replace(params, p=params.q, q=params.p))
+
+
+def _sweep_jobs(tasks: list) -> list[list]:
+    """The sweep tasks grouped into jobs: each task with its mirror's
+    task, if the sweep has one not yet taken, and alone otherwise."""
+    jobs: list[list] = []
+    # config -> the jobs still waiting for a task with that config
+    waiting: dict[ExperimentConfig, list[list]] = {}
+    for task in tasks:
+        if waiting.get(task[1]):
+            waiting[task[1]].pop(0).append(task)
+            continue
+        jobs.append([task])
+        mirror = _mirror(task[1])
+        if mirror is not None:
+            waiting.setdefault(mirror, []).append(jobs[-1])
+    return jobs
+
+
+def _sweep_job(job: list) -> list[tuple[int, dict]]:
+    """Run a job's points (see _sweep_jobs), solving a mirror pair once."""
+    first, *mirror = job
+    if not mirror:
+        return [_sweep_point(first)]
+    config = first[1]
+    try:
+        traj = run(config.params, config.solver)
+    except BlowupLabError:
+        # an error names the field it checked first, so each point of
+        # the pair reports its own
+        return [_sweep_point(task) for task in job]
+    return [_sweep_point(first, traj), _sweep_point(mirror[0], traj.mirrored())]
+
+
 def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Path:
     """Run the axis cross product and aggregate one row per run.
 
     Rows appear in axis order (flux, p, q, N nested last), whatever the
-    parallelism; failed runs keep their row with an error status. At
-    most min(max_parallel, runs) worker processes are started.
+    parallelism; failed runs keep their row with an error status. A
+    point and its mirror, the point with p and q swapped, form one job
+    when the initial data have u0 = v0 bit for bit: the pair is solved
+    once and the mirror's files are written from the swapped trajectory,
+    byte for byte what its own run writes. If that solve raises, each
+    point is run on its own. At most min(max_parallel, jobs) worker
+    processes are started.
     """
     if max_parallel < 1:
         raise ConfigError(f"max_parallel must be at least 1, got {max_parallel}")
@@ -298,13 +361,15 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
             continue
         tasks.append((index, point, str(run_dir)))
 
-    workers = min(max_parallel, len(tasks))
+    jobs = _sweep_jobs(tasks)
+    workers = min(max_parallel, len(jobs))
     if workers > 1:
         # a pool starts all max_workers processes up front, used or not
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_point, tasks))
+            done = list(pool.map(_sweep_job, jobs))
     else:
-        results = dict(map(_sweep_point, tasks))
+        done = list(map(_sweep_job, jobs))
+    results = dict(row for rows in done for row in rows)
     results.update(invalid)
 
     summary = out_dir / "sweep.csv"

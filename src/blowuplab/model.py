@@ -253,13 +253,14 @@ class RadialLaplacian:
     coefficients (n - 1) / r, the work buffers and the stencil's scalar
     operands 2, 2 dr and dr^2 are set up once, so apply() allocates no
     array; the operands are 0-d arrays, which numpy uses as they are
-    where it converts a Python float on every call. The end nodes are
-    done on Python floats. A caller that applies the operator to the same
-    buffers many times builds their flat slices once with views().
+    where it converts a Python float on every call. bind() ties a field
+    and its output buffer to the stencil once, so a caller that applies
+    the operator to the same buffers many times makes no view per call.
+    The end nodes are done on Python floats.
     """
 
     def __init__(self, grid: RadialGrid, n: int, rows: int):
-        self.N = grid.N
+        N = grid.N
         self.dr2 = grid.dr**2
         self.two_dr = 2.0 * grid.dr
         self.origin = 2.0 * n
@@ -267,56 +268,58 @@ class RadialLaplacian:
         self._two, self._two_dr, self._dr2 = (
             np.array(x) for x in (2.0, self.two_dr, self.dr2)
         )
-        # the nodes end_values() reads: f[0], f[1], f[-2], f[-1]
-        self.end_nodes = np.array([0, 1, grid.N - 2, grid.N - 1])
+        # the flat indices end_values() reads: f[0], f[1], f[-2], f[-1] of
+        # each row, row after row
+        self.end_nodes = np.array(
+            [row * N + j for row in range(rows) for j in (0, 1, N - 2, N - 1)]
+        )
+        # the flat indices of each row's first and last node, with the
+        # offset of its four end values in end_values()
+        self._end_rows = [(row * N, row * N + N - 1, 4 * row) for row in range(rows)]
         # apply() sweeps the rows as one flat array: between two rows lie
         # the end nodes, which get coefficient 0 and are overwritten
         drift = (n - 1) / grid.r[1:-1]
         self.drift = np.concatenate([drift, np.zeros(2)] * rows)[:-2]
-        self._work = np.empty((2, rows * grid.N - 2))
+        self._work = np.empty((2, rows * N - 2))
 
-    def end_values(self, F: np.ndarray) -> list[list[float]]:
-        """Each row's values at the nodes 0, 1, N-2, N-1, as Python floats."""
-        return F.take(self.end_nodes, axis=1).tolist()
+    def end_values(self, F: np.ndarray) -> list[float]:
+        """The values at the nodes 0, 1, N-2, N-1 of each row of F, row
+        after row, as Python floats."""
+        return F.take(self.end_nodes).tolist()
 
-    @staticmethod
-    def views(F: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The flat slices f[:-2], f[1:-1], f[2:] of F, and out flat and
-        its interior out[1:-1]: the arrays apply() reads and writes."""
-        f, o = F.reshape(-1), out.reshape(-1)
-        return f[:-2], f[1:-1], f[2:], o, o[1:-1]
-
-    def apply(
-        self, F: np.ndarray, ends: list[list[float]], ghosts, out: np.ndarray,
-        views: tuple[np.ndarray, ...] | None = None,
-    ) -> None:
-        """Write the Laplacian of F into out.
-
-        F and out have shape (rows, N) and out is C-contiguous; ends is
-        end_values(F) and ghosts holds one ghost value per row. views, if
-        given, is views(F, out).
-        """
+    def bind(self, F: np.ndarray, out: np.ndarray) -> tuple:
+        """The stencil on F into out, every operand bound: what apply()
+        runs. F and out have shape (rows, N) and out is C-contiguous."""
         second, drift = self._work
-        f0, f1, f2, o, inner = self.views(F, out) if views is None else views
+        f, o = F.reshape(-1), out.reshape(-1)
+        f0, f1, f2 = f[:-2], f[1:-1], f[2:]
         # (f2 - 2 f1 + f0) / dr^2 + (n - 1) / r * (f2 - f0) / (2 dr),
         # evaluated left to right
-        np.subtract(f2, f0, drift)
-        np.multiply(self.drift, drift, drift)
-        np.divide(drift, self._two_dr, drift)
-        np.multiply(f1, self._two, second)
-        np.subtract(f2, second, second)
-        np.add(second, f0, second)
-        np.divide(second, self._dr2, second)
-        np.add(second, drift, inner)
+        return o, (
+            (np.subtract, f2, f0, drift),
+            (np.multiply, self.drift, drift, drift),
+            (np.divide, drift, self._two_dr, drift),
+            (np.multiply, f1, self._two, second),
+            (np.subtract, f2, second, second),
+            (np.add, second, f0, second),
+            (np.divide, second, self._dr2, second),
+            (np.add, second, drift, o[1:-1]),
+        )
+
+    def apply(self, ends: list[float], ghosts, bound: tuple) -> None:
+        """Write the Laplacian of F into out, with bound = bind(F, out).
+
+        ends is end_values(F) and ghosts holds one ghost value per row.
+        """
+        o, stencil = bound
+        for op, a, b, c in stencil:
+            op(a, b, c)
         # the end nodes of each row, on Python floats
-        N = self.N
-        for i, ghost in enumerate(ghosts):
-            x0, x1, xm, xN = ends[i]
-            o[i * N] = self.origin * (x1 - x0) / self.dr2
-            o[i * N + N - 1] = (
-                (ghost - 2.0 * xN + xm) / self.dr2
-                + self.drift_R * (ghost - xm) / self.two_dr
-            )
+        dr2, two_dr, drift_R = self.dr2, self.two_dr, self.drift_R
+        for (first, last, j), ghost in zip(self._end_rows, ghosts):
+            x0, x1, xm, xN = ends[j:j + 4]
+            o[first] = self.origin * (x1 - x0) / dr2
+            o[last] = (ghost - 2.0 * xN + xm) / dr2 + drift_R * (ghost - xm) / two_dr
 
 
 def radial_laplacian(
@@ -340,7 +343,7 @@ def radial_laplacian(
         )
     lap = RadialLaplacian(grid, n, len(F))
     out = np.empty(F.shape)
-    lap.apply(F, lap.end_values(F), ghosts, out)
+    lap.apply(lap.end_values(F), ghosts, lap.bind(F, out))
     return out.reshape(field.shape)
 
 

@@ -18,18 +18,25 @@ sample after the first has dt > 0 and t strictly increases.
 
 The state is one (2, N) float64 array F with u in row 0 and v in row 1.
 One kernel (_Kernel.advance) updates it. The kernel owns the two state
-buffers, the rate buffer and, built once, the flat slices of both
-buffers that model.RadialLaplacian reads and writes, so a step makes no
-array, view or reshape: run() flips the index of the current buffer. One
-RadialLaplacian call does both rows, and the ghost, flux and end-node
-arithmetic is on Python floats. At N = 201 a step costs numpy's call
-overhead more than arithmetic, so the whole-array reductions are
-argmax/argmin plus item(), which beat numpy's reduce on small arrays and
-return the first NaN, and dt reaches the update as a 0-d array, which
-numpy does not convert. run() builds a FieldState only for snapshots;
-the stop state is the last recorded row and, with snapshots on, the last
-snapshot. step() is a thin wrapper that takes one FieldState through
-the same kernel, so there is one update rule.
+buffers, the rate buffer and, built once, each buffer's flat view and
+its stencil bound by model.RadialLaplacian.bind, so a step makes no
+array, view or reshape: run() flips the index of the current buffer.
+At N = 201 a step costs numpy's call overhead more than arithmetic, so
+a step makes no Python call it can do without: one flat take reads the
+eight end values, the flux, ghost and end-node arithmetic is inline on
+Python floats (boundary_flux runs only to raise its error), the
+whole-array reductions are argmax/argmin plus item(), which beat numpy's
+reduce on small arrays and return the first NaN, and dt reaches the
+update as a 0-d array, which numpy does not convert. A sample reads its
+maxima the same way, row by row (_sample_maxima). run() builds a
+FieldState only for snapshots; the stop state is the last recorded row
+and, with snapshots on, the last snapshot. step() is a thin wrapper
+that takes one FieldState through the same kernel, so there is one
+update rule.
+
+The two rows are treated alike, so with u0 = v0 the run with p and q
+swapped is the run mirrored (Trajectory.mirrored), bit for bit; a sweep
+solves such a pair once.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,6 +154,22 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
+    def mirrored(self) -> Trajectory:
+        """This trajectory with u and v swapped in every column and state.
+
+        With u0 = v0 bit for bit, the run with p and q swapped is this
+        one mirrored, bit for bit: the kernel treats the two rows alike,
+        and u's flux exponent meets v's boundary value where v's met u's.
+        """
+        return replace(
+            self,
+            M=self.Nmax, Nmax=self.M,
+            argmax_u=self.argmax_v, argmax_v=self.argmax_u,
+            sup_u_interior=self.sup_v_interior, sup_v_interior=self.sup_u_interior,
+            flux_u=self.flux_v, flux_v=self.flux_u,
+            states=tuple(FieldState(s.t, s.v, s.u) for s in self.states),
+        )
+
 
 COLUMNS = (
     "t",
@@ -160,6 +183,10 @@ COLUMNS = (
     "flux_u",
     "flux_v",
 )
+
+
+# _Kernel.advance inlines _max_abs, _max and _min, which pin down what
+# its reductions return
 
 
 def _max_abs(a: np.ndarray, work: np.ndarray) -> float:
@@ -184,70 +211,100 @@ class _Kernel:
     """The forward-Euler update of the state F = [u; v] of shape (2, N).
 
     It is built once per run and owns the two state buffers (states),
-    the rate buffer and the flat views a step works on, so a step
-    allocates no array and makes no view: advance() steps states[i]
-    into states[1 - i].
+    the rate buffer and, for each state buffer, its flat view and its
+    stencil bound by RadialLaplacian.bind, so a step allocates no array
+    and makes no view: advance() steps states[i] into states[1 - i].
     """
 
     def __init__(self, params: ProblemParams, grid: RadialGrid, config: SolverConfig):
         self.params, self.config = params, config
-        self.lap = RadialLaplacian(grid, params.n, rows=2)
+        self.lap = lap = RadialLaplacian(grid, params.n, rows=2)
         self.states = (np.empty((2, grid.N)), np.empty((2, grid.N)))
         self.rates = np.empty((2, grid.N))
-        self._views = [self.lap.views(F, self.rates) for F in self.states]
-        self._flat = [F.reshape(-1) for F in self.states]
+        self.flat = [F.reshape(-1) for F in self.states]
+        self._bound = [lap.bind(F, self.rates) for F in self.states]
         self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(2 * grid.N)
         self._dt = np.empty(())
-
-    def boundary(self, i: int) -> tuple[list[list[float]], tuple[float, float]]:
-        """The end values of states[i] (lap.end_values) and the flux
-        exponent arguments (arg_u, arg_v) of its boundary values."""
-        flux, p, q = self.params.flux, self.params.p, self.params.q
-        ends = self.lap.end_values(self.states[i])
-        return ends, (flux.arg(ends[0][-1], q), flux.arg(ends[1][-1], p))
+        self._dt_max = config.cfl * lap.dr2
+        self._dt_min = UNDERFLOW_FACTOR * lap.dr2
 
     def advance(
-        self, t: float, i: int, boundary: tuple, peak: float
+        self, t: float, i: int, ends: list[float], arg_u: float, arg_v: float,
+        peak: float,
     ) -> tuple[float, float]:
         """Write the state one step after (t, states[i]) into states[1 - i].
 
-        boundary is self.boundary(i) and peak is states[i].max(). Returns
-        the new time and the new state's max, which is the next step's
-        peak.
+        ends is lap.end_values(states[i]), arg_u and arg_v the flux
+        exponent arguments of its boundary values and peak its max.
+        Returns the new time and the new state's max, which is the next
+        step's peak.
         """
         params, config, lap = self.params, self.config, self.lap
-        ends, (arg_u, arg_v) = boundary
-        (_, _, um, uN), (_, _, vm, vN) = ends
+        uN, vN = ends[3], ends[7]
+        flux = params.flux
+        limit = flux.arg_limit
+        # boundary_flux on both boundary values, v's first; it runs
+        # itself only to raise its error or to pass a NaN through
+        if uN >= 0.0 and vN >= 0.0 and arg_v < limit and arg_u < limit:
+            flux_v, flux_u = flux.from_arg(arg_v), flux.from_arg(arg_u)
+        else:
+            flux_v = boundary_flux(flux, vN, params.p, arg_v)
+            flux_u = boundary_flux(flux, uN, params.q, arg_u)
         # Neumann closure: u's outward derivative is the flux induced by
         # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) = flux
-        flux = params.flux
-        ghosts = (um + lap.two_dr * boundary_flux(flux, vN, params.p, arg_v),
-                  vm + lap.two_dr * boundary_flux(flux, uN, params.q, arg_u))
-        F, G = self.states[i], self.rates
-        lap.apply(F, ends, ghosts, G, self._views[i])
-        max_rate = _max_abs(self._rates_flat, self._abs)
-        dt = config.cfl * lap.dr2
+        two_dr = lap.two_dr
+        lap.apply(ends, (ends[2] + two_dr * flux_v, ends[6] + two_dr * flux_u),
+                  self._bound[i])
+        # max |G|, as _max_abs
+        work = self._abs
+        np.abs(self._rates_flat, work)
+        max_rate = work.item(work.argmax())
+        dt = self._dt_max
         if max_rate > 0.0:
-            dt = min(dt, config.growth_cap * (1.0 + peak) / max_rate)
-        if dt < UNDERFLOW_FACTOR * lap.dr2:
+            # min() keeps its first argument unless the second is smaller
+            capped = config.growth_cap * (1.0 + peak) / max_rate
+            if capped < dt:
+                dt = capped
+        if dt < self._dt_min:
             raise StepUnderflow(
                 f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
             )
-        if config.t_end is not None:
-            dt = min(dt, config.t_end - t)
+        if config.t_end is not None and config.t_end - t < dt:
+            dt = config.t_end - t
         if t + dt == t:
             raise StepUnderflow(
                 f"t + dt == t: dt = {dt:.3e} is below the resolution "
                 f"of t = {t:.6g}"
             )
+        G = self.rates
         self._dt[()] = dt
-        np.add(F, np.multiply(G, self._dt, G), self.states[1 - i])
+        np.add(self.states[i], np.multiply(G, self._dt, G), self.states[1 - i])
         # every value is finite exactly when the max and the min are
-        o = self._flat[1 - i]
-        hi, lo = _max(o), _min(o)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
+        # (_max and _min; a NaN fails both comparisons)
+        o = self.flat[1 - i]
+        hi, lo = o.item(o.argmax()), o.item(o.argmin())
+        if not (-math.inf < lo and hi < math.inf):
             raise NumericalBlowupGuard(f"non-finite field values at t = {t:.6g}")
         return t + dt, hi
+
+
+def _sample_maxima(F: np.ndarray, rows: tuple, k: int) -> list:
+    """[max u, max v, argmax u, argmax v, max u[:k], max v[:k]] of F as
+    Python numbers, rows being (u, v, u[:k], v[:k]).
+
+    These are F.max(axis=1), F.argmax(axis=1) and F[:, :k].max(axis=1),
+    bit for bit: item(argmax()) is the first maximum, and where that is
+    a zero, which the reductions may take with either sign from a tie of
+    0.0 and -0.0, the pair comes from the reduction itself.
+    """
+    u, v, u_in, v_in = rows
+    a_u, a_v = u.argmax(), v.argmax()
+    values = [u.item(a_u), v.item(a_v), int(a_u), int(a_v), _max(u_in), _max(v_in)]
+    if values[0] == 0.0 or values[1] == 0.0:
+        values[0:2] = F.max(axis=1).tolist()
+    if values[4] == 0.0 or values[5] == 0.0:
+        values[4:6] = F[:, :k].max(axis=1).tolist()
+    return values
 
 
 def step(
@@ -260,7 +317,12 @@ def step(
     kernel = _Kernel(params, grid, config)
     F = kernel.states[0]
     F[:] = state.u, state.v
-    t, _ = kernel.advance(state.t, 0, kernel.boundary(0), float(F.max()))
+    ends = kernel.lap.end_values(F)
+    arg = params.flux.arg
+    t, _ = kernel.advance(
+        state.t, 0, ends, arg(ends[3], params.q), arg(ends[7], params.p),
+        float(F.max()),
+    )
     u, v = kernel.states[1]
     return FieldState(t=t, u=u, v=v)
 
@@ -307,26 +369,33 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     F = kernel.states[i]
     F[:] = params.initial.evaluate(grid)
     k = interior_nodes(grid, config.interior_radius)
+    # u, v, u[:k] and v[:k] of each state buffer, for _sample_maxima
+    sampled = [(*G, *G[:, :k]) for G in kernel.states]
     rows: list[tuple] = []
     states: list[FieldState] = []
+    flux, p, q = params.flux, params.p, params.q
+    arg, advance = flux.arg, kernel.advance
+    flat, end_nodes = kernel.flat, kernel.lap.end_nodes
+    u_stop, t_end, record_every = config.u_stop, config.t_end, config.record_every
 
     # each pass visits one state (t, F): decide whether it is the stop
     # state, sample it, then advance; so no state is ever sampled twice
     t, peak = 0.0, float(F.max())
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
-        # the flux exponent arguments that the stop criterion watches
-        boundary = kernel.boundary(i)
-        arg_u, arg_v = boundary[1]
+        # the end values (lap.end_values) and the flux exponent arguments
+        # that the stop criterion watches
+        ends = flat[i].take(end_nodes).tolist()
+        arg_u, arg_v = arg(ends[3], q), arg(ends[7], p)
         # the threshold applies to stepped states: the initial data always
         # take one step
-        if steps and max(arg_u, arg_v) > config.u_stop:
+        if steps and max(arg_u, arg_v) > u_stop:
             reason = StopReason.BLOWUP_THRESHOLD
-        elif config.t_end is not None and t >= config.t_end:
+        elif t_end is not None and t >= t_end:
             reason = StopReason.TIME_LIMIT
         else:
             try:
-                t_new, peak = kernel.advance(t, i, boundary, peak)
+                t_new, peak = advance(t, i, ends, arg_u, arg_v, peak)
             except StepUnderflow as exc:
                 reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
             except NumericalBlowupGuard as exc:
@@ -336,18 +405,15 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
 
         # the stop state is always the last sample and, with snapshots
         # on, the last snapshot
-        if reason is not None or steps % config.record_every == 0:
+        if reason is not None or steps % record_every == 0:
             # unguarded: past the stop the argument may exceed the overflow
             # guard, in which case inf is the honest value to write
             with np.errstate(over="ignore"):
-                flux_u = params.flux.from_arg(arg_u)
-                flux_v = params.flux.from_arg(arg_v)
+                flux_u = flux.from_arg(arg_u)
+                flux_v = flux.from_arg(arg_v)
             # one value per name in COLUMNS, in that order
             rows.append((
-                t, dt,
-                *F.max(axis=1).tolist(), *F.argmax(axis=1).tolist(),
-                *F[:, :k].max(axis=1).tolist(),
-                flux_u, flux_v,
+                t, dt, *_sample_maxima(F, sampled[i], k), flux_u, flux_v,
             ))
             sample = len(rows) - 1
             if config.state_every and (

@@ -16,8 +16,10 @@ from blowuplab.cli import (
     sweep,
     write_report,
 )
-from blowuplab.config import parse_config
+from blowuplab import solver
+from blowuplab.config import parse_config, with_axes_point
 from blowuplab.errors import ConfigError
+from blowuplab.model import FluxFamily
 from blowuplab.solver import COLUMNS
 
 REFERENCE = """\
@@ -200,6 +202,26 @@ def test_report_key_sequence(text, status, keys, tmp_path):
     assert list(read_report(artifacts.report)) == keys
 
 
+def serial_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that appends its size to sizes
+    and maps serially: no process is started."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    return SerialPool
+
+
 @pytest.fixture(scope="module")
 def pq_sweep(tmp_path_factory):
     config = parse_config(REFERENCE + "\n[sweep]\np = 2, 3\n")
@@ -273,28 +295,94 @@ class TestSweep:
     ])
     def test_pool_is_sized_to_the_runs(self, tmp_path, monkeypatch,
                                        max_parallel, points, workers):
-        # records the pool size and maps serially: no process is started
         sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("blowuplab.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("blowuplab.cli.ProcessPoolExecutor", serial_pool(sizes))
         config = parse_config(TINY + f"\n[sweep]\np = {points}\n")
         summary = sweep(config, tmp_path / "pool", max_parallel=max_parallel)
         assert sizes == ([] if workers is None else [workers])
         serial = sweep(config, tmp_path / "serial")
         assert summary.read_text() == serial.read_text()
+
+
+# a symmetric 2 x 2 sweep, every run to blow-up
+MIRRORED = """\
+[problem]
+p = 2
+q = 2
+R = 1.0
+n = 2
+flux = power
+
+[solver]
+N = 41
+
+[sweep]
+p = 2, 3
+q = 2, 3
+"""
+
+
+class TestSweepMirrors:
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize("problem, solves", [
+        ("", ["2.0 2.0", "2.0 3.0", "3.0 3.0"]),
+        # u0 != v0: no point is another's mirror
+        ("u0_base = 0.25\n", ["2.0 2.0", "2.0 3.0", "3.0 2.0", "3.0 3.0"]),
+    ], ids=["symmetric", "asymmetric"])
+    def test_a_mirror_pair_is_solved_once(self, tmp_path, monkeypatch,
+                                          max_parallel, problem, solves):
+        # every solve appends its (p, q) to a file; the pool's workers are
+        # forked from this process, so theirs are counted too
+        calls = tmp_path / "calls"
+
+        def counting_run(params, config):
+            with open(calls, "a") as f:
+                f.write(f"{params.p} {params.q}\n")
+            return solver.run(params, config)
+
+        monkeypatch.setattr("blowuplab.cli.run", counting_run)
+        text = MIRRORED.replace("flux = power\n", "flux = power\n" + problem)
+        summary = sweep(parse_config(text), tmp_path / "out", max_parallel)
+        assert sorted(calls.read_text().splitlines()) == solves
+        assert len(summary.read_text().splitlines()) == 5
+
+    def test_pool_is_sized_to_the_jobs(self, tmp_path, monkeypatch):
+        # (2, 2), the pair (2, 3) and (3, 2), and (3, 3)
+        sizes = []
+        monkeypatch.setattr("blowuplab.cli.ProcessPoolExecutor", serial_pool(sizes))
+        sweep(parse_config(MIRRORED), tmp_path, max_parallel=8)
+        assert sizes == [3]
+
+    def test_every_point_writes_what_its_own_run_writes(self, tmp_path):
+        config = parse_config(MIRRORED)
+        sweep(config, tmp_path / "sweep")
+        points = [(2.0, 2.0), (2.0, 3.0), (3.0, 2.0), (3.0, 3.0)]
+        for index, (p, q) in enumerate(points):
+            point = with_axes_point(config, p=p, q=q, N=41, flux=FluxFamily.POWER)
+            run_experiment(point, tmp_path / f"direct_{index}")
+            for name in ("trajectory.csv", "report.txt", "config.ini"):
+                got = tmp_path / "sweep" / f"run_{index:03d}" / name
+                assert got.read_bytes() == (tmp_path / f"direct_{index}" / name).read_bytes()
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_a_failed_pair_reports_each_point_own_error(self, tmp_path,
+                                                         max_parallel):
+        # u0(R) = v0(R) = 30.5: v^p and u^q both pass the overflow guard,
+        # and the error names v's argument, checked first, which differs
+        # between (2, 3) and (3, 2)
+        text = (MIRRORED.replace("power", "exp_power")
+                .replace("n = 2\n", "n = 2\nu0_base = 30\nv0_base = 30\n"))
+        summary = sweep(parse_config(text), tmp_path, max_parallel)
+        status = SWEEP_COLUMNS.index("status")
+        rows = summary.read_text().splitlines()[1:]
+        assert [row.split(",")[status] for row in rows] == ["error: FluxOverflow"] * 4
+        details = ["930", "930", "2.84e+04", "2.84e+04"]
+        for index, arg in enumerate(details):
+            report = (tmp_path / f"run_{index:03d}" / "report.txt").read_text()
+            assert report == (
+                "overall.status = error\n"
+                f"overall.detail = exponent argument {arg} >= 700.0\n"
+            )
 
 
 class TestMain:

@@ -31,6 +31,7 @@ from blowuplab.solver import (
     _max,
     _max_abs,
     _min,
+    _sample_maxima,
     run,
     step,
 )
@@ -267,6 +268,29 @@ class TestStep:
             assert type(g) is float
             assert math.isnan(g) if math.isnan(w) else g == w
 
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, -1.5]),
+                st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+            min_size=2 * 16, max_size=2 * 40,
+        ).filter(lambda values: len(values) % 2 == 0),
+        st.floats(0.0, 1.0),
+    )
+    def test_sample_maxima_match_the_axis_reductions(self, values, a):
+        # a sample records what F.max(axis=1), F.argmax(axis=1) and
+        # F[:, :k].max(axis=1) give, bit for bit, ties of 0.0 and -0.0
+        # included
+        F = np.array(values).reshape(2, -1)
+        k = max(1, int(a * F.shape[1]))
+        got = _sample_maxima(F, (*F, *F[:, :k]), k)
+        want = [*F.max(axis=1).tolist(), *F.argmax(axis=1).tolist(),
+                *F[:, :k].max(axis=1).tolist()]
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+
     def test_iterated_steps_reproduce_the_run(self):
         # one update rule: step() from the initial data walks through the
         # very states run() records, bit for bit
@@ -475,6 +499,83 @@ class TestRun:
         config = SolverConfig(N=101, t_end=1e-4, record_every=10)
         traj = run(params, config)
         assert traj.stop.reason is StopReason.TIME_LIMIT
+
+    def test_signed_zero_interior_records_the_reductions(self):
+        # zero for r <= 0.6, then rising; in the zeros u has 0.0 at r = 0
+        # and -0.0 elsewhere, v the opposite. At t = 0 the interior
+        # maximum is a tie of signed zeros, where F[:, :k].max(axis=1)
+        # takes the other sign than the first maximum: the column keeps
+        # the reduction's
+        grid = make_grid(1.0, 41)
+        rise = np.maximum(grid.r - 0.6, 0.0) ** 2
+        zeros = np.where(np.arange(grid.N) == 0, 0.0, -0.0)
+        u0 = np.where(rise > 0, rise, zeros)
+        v0 = np.where(rise > 0, rise, -zeros)
+        params = exp_power_params(flux=FluxFamily.POWER, initial=Tabulated(u0, v0))
+        config = SolverConfig(N=41, t_end=2e-3, record_every=1)
+        traj = run(params, config)
+        k = int(np.searchsorted(grid.r, config.interior_radius * (1 + 1e-12),
+                                side="right"))
+        first = [f[:k].item(f[:k].argmax()) for f in (u0, v0)]
+        recorded = [traj.sup_u_interior[0].item(), traj.sup_v_interior[0].item()]
+        assert repr(first) == "[0.0, -0.0]"
+        assert repr(recorded) == "[-0.0, 0.0]"
+        assert len(traj.states) == len(traj) > 1
+        for row, state in enumerate(traj.states):
+            F = np.stack([state.u, state.v])
+            want = [*F.max(axis=1), *F.argmax(axis=1), *F[:, :k].max(axis=1)]
+            got = [traj.M[row], traj.Nmax[row], traj.argmax_u[row],
+                   traj.argmax_v[row], traj.sup_u_interior[row],
+                   traj.sup_v_interior[row]]
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+class TestMirror:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        family=st.sampled_from(FluxFamily),
+        n=st.sampled_from([1, 2, 3]),
+        pq=st.sampled_from([(1.5, 2.0), (2.0, 3.0), (2.0, 2.5), (3.0, 1.5)]),
+        N=st.integers(16, 41),
+        a=st.sampled_from([0.25, 0.5, 1.0]),
+        b=st.sampled_from([0.0, 0.5]),
+        t_end=st.one_of(st.none(), st.floats(1e-4, 0.05)),
+        record_every=st.sampled_from([1, 3]),
+        state_every=st.sampled_from([0, 1, 2]),
+    )
+    def test_swapping_p_and_q_mirrors_the_run(
+        self, family, n, pq, N, a, b, t_end, record_every, state_every,
+    ):
+        # with u0 = v0, run(q, p) is run(p, q) with u and v swapped, bit
+        # for bit: the fact a sweep solves each mirror pair once on
+        p, q = pq
+        if family is FluxFamily.EXP_LINEAR:
+            p, q = p - 1.0, q - 1.0
+        config = SolverConfig(
+            N=N, cfl=_CFL[n], t_end=t_end, record_every=record_every,
+            state_every=state_every,
+            u_stop=600.0 if family is FluxFamily.POWER else 9.0,
+        )
+        initial = QuadraticRadial(a, b, a, b)
+        traj = run(ProblemParams(p, q, 1.0, n, family, initial), config)
+        other = run(ProblemParams(q, p, 1.0, n, family, initial), config)
+        mirror = other.mirrored()
+        for column in COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(mirror, column), getattr(traj, column),
+                err_msg=column, strict=True,
+            )
+        assert (mirror.steps, mirror.stop, mirror.config) == (
+            traj.steps, traj.stop, traj.config)
+        assert len(mirror.states) == len(traj.states)
+        for got, want in zip(mirror.states, traj.states):
+            assert got.t == want.t
+            np.testing.assert_array_equal(got.u, want.u, strict=True)
+            np.testing.assert_array_equal(got.v, want.v, strict=True)
+        # the mirror of the mirror is the run itself
+        again = mirror.mirrored()
+        for column in COLUMNS:
+            assert getattr(again, column) is getattr(other, column)
 
 
 # -- bit-for-bit reference ---------------------------------------------------

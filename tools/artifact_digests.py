@@ -11,7 +11,10 @@ with two worker processes (the two trees must digest alike). The runs are
 written into DIR and kept there, so two trees' reports can be compared
 with `diff -r`; DIR must be empty or not yet exist. Without DIR they go
 to a temporary directory that is deleted, and the output is the same.
-One run, `dominance_fail`, fails its dominance
+Two more sweeps go through the verb the same two ways:
+`sweep_asymmetric` (power, u0_base = 0.25, so no point has a mirror
+whose run it can reuse) and `sweep_ep_pq_N` (exp_power over p, q and
+N). One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
 `flat_data` starts from constant initial data. Most runs are at N = 101,
@@ -77,6 +80,19 @@ def matrix() -> dict[str, str]:
     return runs
 
 
+def sweeps() -> dict[str, str]:
+    """Sweep name -> INI text of the sweeps beyond the benchmark's."""
+    axes = "[sweep]\np = 2, 3\nq = 2, 3\n"
+    return {
+        # u0 != v0, so no point is solved as another's mirror
+        "sweep_asymmetric": _ini("power", 2, 2, N=41, problem=("u0_base = 0.25",))
+        + axes,
+        # mirror pairs at each N of an axis
+        "sweep_ep_pq_N": _ini("exp_power", 2, 2, u_stop=9.0, record_every=2)
+        + axes + "N = 41, 101\n",
+    }
+
+
 def _digests(root: Path, name: str) -> list[str]:
     return [
         f"{name}/{path.relative_to(root).as_posix()} "
@@ -134,9 +150,14 @@ def main() -> int:
             ini.write_text(text)
             lines += _verb(f"validate_{name}", ["validate", str(ini)])
         # the sweep verb runs cli.sweep and sets the exit status
-        for name, workers in (("sweep", "1"), ("sweep_parallel2", "2")):
+        runs = [("sweep", SWEEP_CONFIG, "1"), ("sweep_parallel2", SWEEP_CONFIG, "2")]
+        for name, text in sweeps().items():
+            ini = root / f"{name}.ini"
+            ini.write_text(text)
+            runs += [(name, ini, "1"), (f"{name}_parallel2", ini, "2")]
+        for name, config, workers in runs:
             out = root / name
-            code = cli.main(["sweep", str(SWEEP_CONFIG), "--output-dir",
+            code = cli.main(["sweep", str(config), "--output-dir",
                              str(out), "--max-parallel", workers, "--quiet"])
             lines += _digests(out, name)
             lines.append(f"{name} exit {code}")
