@@ -21,16 +21,18 @@ solve (alpha/2) C_A = c C_B^p together with (beta/2) C_B = c C_A^q.
 These orbits are machine-checkable ground truth for the integrator and
 for the exponent fits.
 
-In similarity variables a = A (T-t)^{alpha/2}, b = B (T-t)^{beta/2} the
-orbit is a saddle point of the flow, so generic data does not track it:
-data above the orbit blows up strictly BEFORE T, data below stays below
-forever (the system is cooperative, hence order preserving).  Runs that
-probe the (T-t)^{-alpha/2} rate must therefore start on the orbit
-itself; integrate_system is indifferent to where it starts.
+In the similarity variables x = log(A (g/g0)^{alpha/2}) and
+y = log(B (g/g0)^{beta/2}), with g = T - t, g0 = T - t0 and the clock
+s = log(g0/g), the system is autonomous and of order one for any T:
 
-Integration is carried out in (log A, log B).  Along near-orbit runs the
-state then grows linearly in log(T-t) instead of exponentially, and a
-float overflow below the divergence cap is impossible.
+    x' = -alpha/2 + c' e^{p y - x},   y' = -beta/2 + c' e^{q x - y},
+
+c' = c sqrt(g0). Its fixed point, the self-similar orbit, is a saddle:
+data above the orbit blows up strictly BEFORE T, data below stays
+below forever (the system is cooperative, hence order preserving).
+Runs that probe the (T-t)^{-alpha/2} rate must therefore start on the
+orbit itself; integrate_system, which steps (x, y) in s, is indifferent
+to where it starts and keeps an orbit run at the fixed point to rounding.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from .model import rate_exponents
 # overflow for any exponent up to ~25.
 DIVERGENCE_CAP = 1e12
 
-# Data above the self-similar orbit blows up at some t* < T, and the
-# cap crossing then sits within a few ulps of t*: the step size
-# underflows before the event can be localized. A run that dies there
-# with its deepest resolved state within this factor of the cap is the
+# Data above the self-similar orbit blows up at some t* < T, often within
+# a few ulps of the cap crossing, so the step size underflows before the
+# crossing. A deepest resolved state within this factor of the cap is the
 # cap halt for all practical purposes and is reported as one.
 CAP_MARGIN = 1e-2
 
@@ -67,8 +68,8 @@ TAIL_DECADE = 10.0
 RATE_SLACK = 1.05
 TREND_TOL = 0.10
 
-RTOL = 1e-10
-ATOL = 1e-12
+# local error allowed per step in log a plus log b
+TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -166,12 +167,10 @@ def integrate_system(
 
     Integration runs to t0 + t_stop_frac (T - t0) or until A or B
     crosses DIVERGENCE_CAP, whichever comes first. Sampling is
-    geometric in T - t between the endpoints. The integrator is DOP853
-    on (log A, log B); the tight default tolerances are cheap because
-    the log state is nearly affine in log(T - t). When the run dies on
-    step-size underflow at a singularity sharper than float resolution,
-    the deepest accepted step stands in for the cap crossing provided
-    it got within CAP_MARGIN of the cap.
+    geometric in T - t between the endpoints, and the integrator steps
+    exactly onto every sample: classical RK4 with step doubling on the
+    similarity variables (module docstring). The step that crosses the
+    cap is bisected, and the last state below the cap ends the series.
 
     Raises ParamsTooStiff when the cap is crossed before ten samples
     exist: such a run says nothing about the approach to T, only that
@@ -186,74 +185,73 @@ def integrate_system(
             f"initial values already at the divergence cap {DIVERGENCE_CAP:g}"
         )
 
-    p, q, c, T = params.p, params.q, params.c, params.T
+    p, q, T = params.p, params.q, params.T
     gap0 = T - params.t0
     gap_end = gap0 * (1.0 - t_stop_frac)
+    if T - gap_end == T:
+        raise ValueError(f"t_stop_frac = {t_stop_frac} leaves an end gap (T - t0)"
+                         f"(1 - t_stop_frac) = {gap_end:g} that rounds to 0 at T = {T:g}")
     t_eval = T - np.geomspace(gap0, gap_end, n_samples)
     t_eval[0] = params.t0  # geomspace endpoint roundoff
+    s_eval = (-np.log((T - t_eval) / gap0)).tolist()
+    ha, hb = 0.5 * params.exponents[0], 0.5 * params.exponents[1]
+    c = params.c * math.sqrt(gap0)
     log_cap = math.log(DIVERGENCE_CAP)
 
-    def rhs(t: float, y: np.ndarray):
-        la, lb = y
-        root = math.sqrt(T - t)
-        # Trial steps may overshoot the cap, where the log state can
-        # reach inf and the exponent inf - inf. The resulting inf or
-        # nan rates just make the controller reject the step.
-        with np.errstate(over="ignore", invalid="ignore"):
-            da = c * np.exp(p * lb - la) / root
-            db = c * np.exp(q * la - lb) / root
-        return (da, db)
+    def rhs(x: float, y: float) -> tuple[float, float]:
+        return -ha + c * math.exp(p * y - x), -hb + c * math.exp(q * x - y)
 
-    def hit_cap(t: float, y: np.ndarray) -> float:
-        return max(y[0], y[1]) - log_cap
+    def rk4(x: float, y: float, h: float) -> tuple[float, float]:
+        k1x, k1y = rhs(x, y)
+        k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+        k4x, k4y = rhs(x + h * k3x, y + h * k3y)
+        return (x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+                y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y))
 
-    hit_cap.terminal = True
-    hit_cap.direction = 1.0
-
-    # imported here so that importing blowuplab does not load scipy
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        rhs,
-        (params.t0, T - gap_end),
-        [math.log(params.A0), math.log(params.B0)],
-        method="DOP853",
-        rtol=RTOL,
-        atol=ATOL,
-        t_eval=t_eval,
-        events=hit_cap,
-        dense_output=True,
-    )
-    t = sol.t
-    la, lb = sol.y
-    capped = bool(sol.t_events[0].size)
-    extra: tuple[float, float, float] | None = None
-    if capped:
-        te = float(sol.t_events[0][0])
-        if t.size == 0 or te > t[-1]:
-            extra = (te, float(sol.y_events[0][0, 0]), float(sol.y_events[0][0, 1]))
-    elif not sol.success:
-        # Step-size underflow at an intrinsic singularity t* < T. The
-        # deepest accepted step tells whether this was the cap in all
-        # but name or a genuine integration failure.
-        t_last = float(sol.sol.t_max)
-        y_last = sol.sol(t_last)
-        if float(max(y_last)) >= log_cap + math.log(CAP_MARGIN):
-            capped = True
-            if t.size == 0 or t_last > t[-1]:
-                extra = (t_last, float(y_last[0]), float(y_last[1]))
-        else:
-            raise ParamsTooStiff(f"integration failed: {sol.message}")
-    if extra is not None:
-        t = np.append(t, extra[0])
-        la = np.append(la, extra[1])
-        lb = np.append(lb, extra[2])
+    s, x, y = 0.0, math.log(params.A0), math.log(params.B0)  # s_eval[0] = 0
+    samples = [(s, x, y)]
+    h, capped = math.inf, False
+    for s_next in s_eval[1:]:
+        while s < s_next:
+            h_try = min(h, s_next - s)
+            if s + h_try == s:
+                # underflow at the bisected cap crossing or a singularity t* < T
+                if max(x + ha * s, y + hb * s) < log_cap + math.log(CAP_MARGIN):
+                    raise ParamsTooStiff("integration failed: Required step size "
+                                         "is less than spacing between numbers.")
+                capped = True
+                break
+            # two half steps, and one full step for their error; a trial
+            # step past the range of exp or of floats has an inf or NaN error
+            try:
+                x1, y1 = rk4(x, y, h_try)
+                x2, y2 = rk4(*rk4(x, y, 0.5 * h_try), 0.5 * h_try)
+                err = (abs(x2 - x1) + abs(y2 - y1)) / 15.0
+            except OverflowError:
+                err = math.inf
+            s1 = s_next if h_try == s_next - s else s + h_try
+            if err <= TOL and max(x2 + ha * s1, y2 + hb * s1) < log_cap:
+                s, x, y = s1, x2, y2
+                h = h_try * (min(5.0, 0.9 * (TOL / err) ** 0.2) if err else 5.0)
+            else:
+                # too large an error, or a step across the cap: halving
+                # the step each time it crosses bisects toward the crossing
+                h = 0.5 * h_try
+        if capped:
+            break
+        samples.append((s, x, y))
+    t = t_eval[: len(samples)]
+    if capped and T - gap0 * math.exp(-s) > t[-1]:
+        t = np.append(t, T - gap0 * math.exp(-s))
+        samples.append((s, x, y))
     if capped and int(t.size) < MIN_SERIES_SAMPLES:
         raise ParamsTooStiff(
             f"divergence cap reached after {t.size} of {n_samples} samples; "
             f"shrink t_stop_frac or start closer to the self-similar orbit"
         )
-    return OdeSeries(t=t, A=np.exp(la), B=np.exp(lb), capped=capped)
+    s, x, y = np.array(samples).T
+    return OdeSeries(t=t, A=np.exp(x + ha * s), B=np.exp(y + hb * s), capped=capped)
 
 
 def verify_lemma_bounds(series: OdeSeries, params: OdeParams) -> LemmaReport:

@@ -406,11 +406,13 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         # the stop state is always the last sample and, with snapshots
         # on, the last snapshot
         if reason is not None or steps % record_every == 0:
-            # unguarded: past the stop the argument may exceed the overflow
-            # guard, in which case inf is the honest value to write
-            with np.errstate(over="ignore"):
-                flux_u = flux.from_arg(arg_u)
-                flux_v = flux.from_arg(arg_v)
+            # a state that stepped on has its arguments below the overflow
+            # guard; past the stop, inf is the honest value to write
+            if reason is None:
+                flux_u, flux_v = flux.from_arg(arg_u), flux.from_arg(arg_v)
+            else:
+                with np.errstate(over="ignore"):
+                    flux_u, flux_v = flux.from_arg(arg_u), flux.from_arg(arg_v)
             # one value per name in COLUMNS, in that order
             rows.append((
                 t, dt, *_sample_maxima(F, sampled[i], k), flux_u, flux_v,

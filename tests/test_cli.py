@@ -557,10 +557,9 @@ class TestMain:
 
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
-    # only the ODE oracle imports scipy (inside integrate_system), so a
-    # fresh process that validates, runs through the blow-up fit and
-    # sweeps in a pool never pays for it; the oracle shows the probe
-    # sees a load
+    # no verb imports scipy: a fresh process that validates, runs through
+    # the blow-up fit, sweeps in a pool and runs both oracles (the ODE on
+    # the orbit and on capped data) never loads any scipy module
     ini = tmp_path / "five_keys.ini"
     ini.write_text("[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = exp_power\n")
     power = "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n[solver]\nN = 41\n"
@@ -582,8 +581,11 @@ def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
         f"main(['sweep', {str(sweep_ini)!r}, '--output-dir', "
         f"{str(tmp_path / 'sweep')!r}, '--max-parallel', '2', '--quiet'])\n"
         "print(code, loaded + scipy_loaded())\n"
-        "main(['oracle', 'ode', '--p', '2', '--q', '2', '--quiet'])\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "codes = [main(['oracle', 'ode', '--p', '2', '--q', '2', '--c', '0.5', '--quiet']),\n"
+        "         main(['oracle', 'ode', '--p', '3', '--q', '2', '--c', '1',\n"
+        "               '--stop-frac', '0.99', '--quiet']),\n"
+        "         main(['oracle', 'jump', '--quiet'])]\n"
+        "print(codes, scipy_loaded())\n"
     )
     src = str(Path(blowuplab.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -591,5 +593,5 @@ def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["blowup_threshold True", "0 []", "True"]
+    assert out.stdout.splitlines() == ["blowup_threshold True", "0 []", "[0, 2, 0] []"]
     assert (tmp_path / "sweep" / "run_001" / "report.txt").exists()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blowuplab.errors import DegenerateExponents, FitFailed, ParamsTooStiff
 from blowuplab.model import rate_exponents
@@ -160,8 +162,8 @@ class TestIntegrateSystem:
         assert np.allclose(ratios, ratios[0], rtol=1e-10)
 
     def test_generic_reference_values(self):
-        # Frozen from the same integrator at 100x tighter tolerance
-        # (rtol 1e-12, atol 1e-14); the two runs agree to ~1e-12.
+        # Frozen from scipy's DOP853 in t on (log A, log B) at rtol 1e-12,
+        # atol 1e-14, which agreed with its own rtol 1e-10 run to ~1e-12.
         params = OdeParams(p=3.0, q=2.0, c=1.0, T=1.0, A0=1.0, B0=1.0)
         series = integrate_system(params, 0.4)
         assert not series.capped
@@ -206,6 +208,11 @@ class TestIntegrateSystem:
                 integrate_system(params, frac)
         with pytest.raises(ValueError):
             integrate_system(params, 0.5, n_samples=5)
+        # an end gap that rounds to 0 is named, not left to geomspace
+        tiny = OdeParams(p=2.0, q=2.0, c=0.5, T=5e-324, A0=1.0, B0=1.0)
+        with pytest.raises(ValueError, match=r"t_stop_frac = 0\.5 leaves an end gap "
+                           r"\(T - t0\)\(1 - t_stop_frac\) = 0 that rounds to 0"):
+            integrate_system(tiny, 0.5)
 
 
 class TestOrbitGeometry:
@@ -219,6 +226,29 @@ class TestOrbitGeometry:
         drift_b = np.abs(series.B / (cb * gaps ** (-beta / 2)) - 1.0).max()
         assert drift_a < 1e-6
         assert drift_b < 1e-6
+
+    @settings(deadline=None)
+    @given(
+        p=st.floats(1.05, 6.0),
+        q=st.floats(1.05, 6.0),
+        c=st.floats(0.1, 5.0),
+        T=st.floats(0.5, 3.0),
+        t0_frac=st.floats(0.0, 0.5, exclude_max=True),
+    )
+    def test_on_orbit_data_stays_on_the_orbit(self, p, q, c, T, t0_frac):
+        # the orbit is the fixed point of the similarity variables, so
+        # only rounding, amplified by the saddle's (T-t)^{-1/2}, moves it
+        params = on_orbit_params(p, q, c, T=T, t0=t0_frac * T)
+        alpha, beta = params.exponents
+        ca, cb = self_similar_constants(p, q, c)
+        # near p = q = 1 the orbit itself may pass the cap: skip draws
+        # where it does so before the tenth of the 200 samples
+        gap9 = (T - params.t0) * 1e-6 ** (9 / 199)
+        assume(max(ca * gap9 ** (-alpha / 2), cb * gap9 ** (-beta / 2)) < DIVERGENCE_CAP / 2)
+        series = integrate_system(params, 1.0 - 1e-6)
+        gaps = T - series.t
+        assert np.abs(series.A / (ca * gaps ** (-alpha / 2)) - 1.0).max() < 1e-10
+        assert np.abs(series.B / (cb * gaps ** (-beta / 2)) - 1.0).max() < 1e-10
 
     def test_below_orbit_data_stays_below(self):
         alpha, beta = rate_exponents(3.0, 2.0)

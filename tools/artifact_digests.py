@@ -25,7 +25,10 @@ on three array lengths. The stdout of
 jump` at the default m = 24, at m = 48 and 64 (the benchmark's
 quadratures) and at m = 80 and 96 (where the BLAS reduction of a layer
 sum blocks differently, so every m the tests pin is covered), and
-`oracle ode --p 2 --q 2 --c 0.5` is digested too. The output has one
+`oracle ode` on the orbit (`--p 2 --q 2 --c 0.5`), on data that reach
+the divergence cap (`--p 3 --q 2 --c 1 --stop-frac 0.99`) and on data
+off the orbit that end uncapped at the requested stop (`--p 3 --q 2
+--c 1 --A0 0.4 --B0 0.55`) is digested too. The output has one
 `name/file sha256` line per artifact, one `name/stdout sha256` line per
 verb whose output is digested and one `name exit code` line per run, in
 a fixed order.
@@ -110,6 +113,12 @@ STDOUT_VERBS = {
     "oracle_jump_m80": ["oracle", "jump", "--m", "80"],
     "oracle_jump_m96": ["oracle", "jump", "--m", "96"],
     "oracle_ode": ["oracle", "ode", "--p", "2", "--q", "2", "--c", "0.5"],
+    # the two other ways an ODE run ends: on the cap, and off the orbit
+    # at the requested stop
+    "oracle_ode_capped": ["oracle", "ode", "--p", "3", "--q", "2", "--c", "1",
+                          "--stop-frac", "0.99"],
+    "oracle_ode_off_orbit": ["oracle", "ode", "--p", "3", "--q", "2", "--c", "1",
+                             "--A0", "0.4", "--B0", "0.55"],
 }
 
 
