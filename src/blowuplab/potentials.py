@@ -39,6 +39,40 @@ band between -708 and -746, and at m = 64 a third to two thirds of the
 live entries of a jump check sit at or below EXP_ZERO. Every entry
 goes through the same elementwise operations in the same order, so no
 bit changes.
+
+Polar rings. On a radial problem the density depends on time alone, and
+at a point on the polar axis every node of a polar ring of the sphere
+rule is the same distance from the point, so the layer sum over the
+2 m^2 nodes is a sum over m rings. `single_layer` and `jump_check` sum
+over rings when all three of these hold:
+
+1. the rule has polar rings, read from its own nodes and weights: runs
+   of consecutive nodes with the same z, bit for bit, of the first
+   run's length, which divides M_q, whose weights and x^2 + y^2 agree
+   to RING_ULPS units in the last place (`sphere_quadrature` builds its
+   nodes this way; a circle rule, or a hand-built rule without such
+   runs, keeps the full sum);
+2. the point is on the polar axis: x[0] == x[1] == 0 exactly, and so is
+   eta where eta is given (`jump_check` walks along x0's normal, so
+   checking x0 is enough);
+3. the density block is constant on every ring in every sigma column,
+   compared as floats, so a NaN density keeps the full sum.
+
+The reduced rule keeps each ring's first node and the ring's weight
+sum, and `_layer_sum` runs on it unchanged. The sum moves by rounding
+only. A node's squared distance differs from its ring's first by at most
+RING_ULPS ulp of itself, so its kernel entry moves by at most
+RING_ULPS * eps * |exponent| relative (exponent above -746), and the
+reordered sums round differently. Over 3,000 random draws of m, R, t,
+the axis point and eta the reduced sum stayed within 8e-14 of the sum
+of |w K density| (the property test asserts 1e-12), and the reports of
+`jump_check` at m = 24 to 96 move by at most 2.5e-13 relative. The
+density block is still filled on every node, because the ring test
+needs it, and the resolution scale of `jump_check` still comes from the
+full rule. A pole `jump_check` with a constant density takes 3.8, 5.7
+and 12.7 ms at m = 48, 64 and 96, against 41, 73 and 181 ms over every
+node (medians of six alternating fresh processes, 2-core VM, Python
+3.11.7, numpy 2.4.6, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -72,6 +106,10 @@ EXP_ZERO = -746.0
 # it stays in cache from the exponent to the density product, and the
 # block's slice of the column-major density block is contiguous per column
 KERNEL_BLOCK_ROWS = 512
+
+# nodes of one polar ring may differ in weight and in x^2 + y^2 by this
+# many units in the last place; sphere_quadrature's differ by at most 4
+RING_ULPS = 8.0
 
 
 def heat_kernel(x, t, n: int):
@@ -140,6 +178,12 @@ class SphereQuadrature:
 def _check_radius(R: float) -> None:
     if not (math.isfinite(R) and R > 0):
         raise ConfigError(f"radius R = {R} must be positive and finite")
+    # float products give inf where R**2 would raise OverflowError
+    if not math.isfinite(4.0 * math.pi * R * R):
+        raise ConfigError(
+            f"radius R = {R} is too large: the sphere's measure 4 pi R^2 "
+            f"overflows float64"
+        )
 
 
 def circle_quadrature(R: float, m: int) -> SphereQuadrature:
@@ -268,6 +312,51 @@ def _layer_sum(
     return float(columns @ omega)
 
 
+def _ring_size(quad: SphereQuadrature) -> int:
+    """Nodes per polar ring of the rule, or 0 if it has no polar rings."""
+    if quad.n != 3:
+        return 0
+    z = quad.nodes[:, 2]
+    changes = np.flatnonzero(z != z[0])
+    k = int(changes[0]) if changes.size else quad.M_q
+    if k < 2 or quad.M_q % k:
+        return 0
+    if not (z.reshape(-1, k) == z[::k, None]).all():
+        return 0
+    tol = RING_ULPS * np.finfo(float).eps
+    for column in (quad.weights, (quad.nodes[:, :2] ** 2).sum(axis=1)):
+        rings = column.reshape(-1, k)
+        if not np.all(np.abs(rings - rings[:, :1]) <= tol * np.abs(rings[:, :1])):
+            return 0
+    return k
+
+
+def _polar_rings(
+    quad: SphereQuadrature,
+    x: np.ndarray,
+    density: np.ndarray,
+    eta: np.ndarray | None = None,
+) -> tuple[SphereQuadrature, np.ndarray]:
+    """The rule and density block a layer sum at x needs: one node per
+    polar ring where the module docstring's three conditions hold, else
+    quad and density themselves."""
+    on_axis = x[0] == 0.0 and x[1] == 0.0
+    if not on_axis or (eta is not None and (eta[0] != 0.0 or eta[1] != 0.0)):
+        return quad, density
+    k = _ring_size(quad)
+    if not k:
+        return quad, density
+    # row a + k b of the block is node a of ring b
+    rings = density.reshape(k, -1, density.shape[1], order="F")
+    if not (rings == rings[0]).all():
+        return quad, density
+    reduced = SphereQuadrature(
+        n=quad.n, R=quad.R, nodes=quad.nodes[::k],
+        weights=quad.weights.reshape(-1, k).sum(axis=1),
+    )
+    return reduced, rings[0]
+
+
 def single_layer(
     x,
     t: float,
@@ -282,12 +371,15 @@ def single_layer(
     and return a scalar or an (M,) array. Evaluation exactly on a
     quadrature node makes the kernel singular and returns inf; the
     nodes never include the poles, so polar-axis evaluation is safe.
+    There a density constant on every polar ring is summed over the
+    rings (see the module docstring).
     """
     sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
     _inside(x, quad)
     density, finite = _density_block(phi, quad, t, sigma)
-    return _layer_sum(x, quad, sigma, omega, density, finite)
+    ring_quad, ring_density = _polar_rings(quad, x, density)
+    return _layer_sum(x, ring_quad, sigma, omega, ring_density, finite)
 
 
 @dataclass(frozen=True)
@@ -321,7 +413,9 @@ def jump_check(
     takes a centered difference of the potential at each d (step d/8),
     fits a polynomial in d to extrapolate the interior limit, and
     subtracts that from the direct boundary quadrature; the difference
-    should be -phi(x0, t)/2 whatever R and t are.
+    should be -phi(x0, t)/2 whatever R and t are. From a pole, a density
+    constant on every polar ring is summed over the rings (see the
+    module docstring).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (quad.n,):
@@ -348,18 +442,22 @@ def jump_check(
     # every evaluation shares t and the sigma panels, so one density block
     sigma, omega = _sigma_panels(t, 0.0, steps)
     density, finite = _density_block(phi, quad, t, sigma)
+    # eta and the walk stay on the polar axis with x0
+    ring_quad, ring_density = _polar_rings(quad, x0, density)
 
     def u_at(dist: float) -> float:
         x = x0 - dist * eta
         _inside(x, quad)
-        return _layer_sum(x, quad, sigma, omega, density, finite)
+        return _layer_sum(x, ring_quad, sigma, omega, ring_density, finite)
 
     derivs = np.empty(d.size)
     for i, di in enumerate(d):
         h = di / 8.0
         derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
 
-    boundary = _layer_sum(x0, quad, sigma, omega, density, finite, eta=eta)
+    boundary = _layer_sum(
+        x0, ring_quad, sigma, omega, ring_density, finite, eta=eta
+    )
     degree = min(2, d.size - 1)
     interior_limit = float(np.polynomial.polynomial.polyfit(d, derivs, degree)[0])
     jump = boundary - interior_limit

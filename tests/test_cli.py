@@ -532,6 +532,8 @@ class TestMain:
         ["ode", "--p", "nan", "--q", "2"],
         ["jump", "--R", "inf"],
         ["jump", "--R", "nan"],
+        # 4 pi R^2 overflows float64
+        ["jump", "--R", "1e200"],
         ["jump", "--distances", "0.16,nan,0.04"],
         ["jump", "--window", "nan"],
         ["jump", "--window", "inf"],

@@ -24,6 +24,7 @@ from blowuplab.potentials import (
     SphereQuadrature,
     _density_block,
     _layer_sum,
+    _polar_rings,
     _sigma_panels,
     circle_quadrature,
     heat_kernel,
@@ -181,6 +182,21 @@ class TestSphereQuadrature:
         good = sphere_quadrature(1.0, 4)
         with pytest.raises(ConfigError, match="finite"):
             SphereQuadrature(n=3, R=R, nodes=good.nodes, weights=good.weights)
+
+    @pytest.mark.parametrize("R", [1e200, 3.8e153])
+    def test_rejects_a_radius_whose_measure_overflows(self, R):
+        # R**2 used to raise OverflowError above about 1.3e154
+        for build in (circle_quadrature, sphere_quadrature):
+            with pytest.raises(ConfigError, match=re.escape(f"R = {R!r} is too large")):
+                build(R, 8)
+        good = sphere_quadrature(1.0, 4)
+        with pytest.raises(ConfigError, match="too large"):
+            SphereQuadrature(n=3, R=R, nodes=R * good.nodes, weights=good.weights)
+
+    def test_largest_radius_builds(self):
+        R = 3.7e153
+        q = sphere_quadrature(R, 8)
+        np.testing.assert_allclose(q.weights.sum(), 4.0 * math.pi * R * R, rtol=1e-13)
 
     def test_rejects_inconsistent_hand_built_rules(self):
         good = sphere_quadrature(1.0, 6)
@@ -507,12 +523,39 @@ def _report_values(report: JumpReport) -> list[float]:
             *report.derivatives.tolist()]
 
 
+def full_node_report(x0, phi, t, quad, distances, steps=48) -> list[float]:
+    """jump_check's report values with every layer sum over all nodes of
+    quad, in jump_check's own arithmetic."""
+    sigma, omega = _sigma_panels(t, 0.0, steps)
+    density, finite = _density_block(phi, quad, t, sigma)
+    eta = x0 / math.sqrt(float(x0 @ x0))
+
+    def u_at(dist):
+        return _layer_sum(x0 - dist * eta, quad, sigma, omega, density, finite)
+
+    d = np.asarray(distances, dtype=float)
+    derivs = np.empty(d.size)
+    for i, di in enumerate(d):
+        h = di / 8.0
+        derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
+    boundary = _layer_sum(x0, quad, sigma, omega, density, finite, eta=eta)
+    degree = min(2, d.size - 1)
+    interior = float(np.polynomial.polynomial.polyfit(d, derivs, degree)[0])
+    return [boundary - interior, boundary, interior, *derivs.tolist()]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestLiveColumns:
     """Layer sums skip sigma columns whose kernel is exactly zero.
 
-    The literals are the reports of the sum over every column, which
-    computed each exp on the underflow path; the skip must give the
-    same bits wherever the live columns are reduced the same way.
+    FULL_SUM holds the reports of the sum over every column and every
+    node, which computed each exp on the underflow path; the skip must
+    give the same bits wherever the live columns are reduced the same
+    way. jump_check itself sums the pole walk over polar rings, whose
+    reports RING_SUM pins.
     """
 
     POLE = np.array([0.0, 0.0, 1.0])
@@ -536,11 +579,34 @@ class TestLiveColumns:
              0.3404733093787434, 0.35212132314899336],
     }
 
+    # jump_check's reports, summed over polar rings
+    RING_SUM = {
+        24: [-0.5016199303196027, -0.1261565986017658, 0.37546333171783697,
+             0.2769695645643215, 0.3031485744653571, 0.3221942441398926,
+             0.3404552884957261, 0.3524455291960063],
+        48: [-0.5009791962172354, -0.12615659974667986, 0.37482259647055555,
+             0.2769695771414511, 0.30314841686166355, 0.3221940822746029,
+             0.34047330960122285, 0.35212129342977877],
+        64: [-0.500979254349206, -0.1261565986844273, 0.37482265566477874,
+             0.27696957714145287, 0.3031484168617075, 0.32219408227278895,
+             0.3404733093790256, 0.3521213231063511],
+    }
+
     @pytest.mark.parametrize("m", [24, 48, 64])
     def test_pole_reports_are_bit_equal(self, m):
+        # the same walk with every layer sum over all 2 m^2 nodes
+        q = sphere_quadrature(1.0, m)
+        report = full_node_report(self.POLE, unit_density, 0.05, q, self.DISTANCES)
+        assert report == self.FULL_SUM[m]
+
+    @pytest.mark.parametrize("m", [24, 48, 64])
+    def test_ring_reports_are_pinned_and_agree(self, m):
         q = sphere_quadrature(1.0, m)
         report = jump_check(self.POLE, unit_density, 0.05, q, self.DISTANCES)
-        assert _report_values(report) == self.FULL_SUM[m]
+        assert _report_values(report) == self.RING_SUM[m]
+        np.testing.assert_allclose(
+            _report_values(report), self.FULL_SUM[m], rtol=1e-12
+        )
 
     @pytest.mark.parametrize("m", [80, 96])
     def test_fine_pole_reports_agree(self, m):
@@ -578,8 +644,14 @@ class TestLiveColumns:
 
     def test_time_dependent_single_layer_is_bit_equal(self):
         q = sphere_quadrature(1.0, 16)
-        center = single_layer(np.zeros(3), 0.2, lambda p, tau: tau, 0.0, q, steps=48)
+        sigma, omega = _sigma_panels(0.2, 0.0, 48)
+        block, finite = _density_block(lambda p, tau: tau, q, 0.2, sigma)
+        center = _layer_sum(np.zeros(3), q, sigma, omega, block, finite)
         assert center == 0.007403440164450971
+        # single_layer sums the centre over polar rings
+        rings = single_layer(np.zeros(3), 0.2, lambda p, tau: tau, 0.0, q, steps=48)
+        assert rings == 0.0074034401644509674
+        np.testing.assert_allclose(rings, center, rtol=1e-12)
         off_axis = single_layer(
             np.array([0.1, -0.2, 0.85]), 0.2, lambda p, tau: tau + p[:, 2], 0.0, q,
             steps=48,
@@ -681,10 +753,167 @@ class TestLiveColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the density block takes 12.6 MB and the kernel of the boundary
-        # evaluation (113 live columns) 7.4 MB; a second buffer of the
-        # kernel's size would reach 28 MB
+        # the density block takes 12.6 MB, and the ring test's comparison
+        # of it 1.6 MB; the pole sums run over 64 rings, so the boundary
+        # kernel (113 live columns) takes 58 kB instead of the 7.4 MB of
+        # all 8,192 nodes, and a second density block would reach 25 MB
         assert peak < 24_000_000
+
+
+def magnitude_layer_sum(x, quad, sigma, omega, density, eta=None):
+    """The layer sum with |density| and |slope|: the scale of its rounding."""
+    vec = x - quad.nodes
+    kernel = np.exp(-(vec**2).sum(axis=1)[:, None] / (4.0 * sigma))
+    kernel *= (4.0 * np.pi * sigma) ** (-quad.n / 2.0)
+    if eta is not None:
+        kernel *= np.abs(vec @ eta)[:, None] / (2.0 * sigma)
+    return float(quad.weights @ (kernel * np.abs(density)) @ omega)
+
+
+class TestPolarRings:
+    """On the polar axis a ring-constant density is summed over rings."""
+
+    ON_AXIS = np.array([0.0, 0.0, 0.3])
+
+    @staticmethod
+    def full_and_rings(phi, quad, x, t=0.2, steps=24, eta=None):
+        sigma, omega = _sigma_panels(t, 0.0, steps)
+        block, finite = _density_block(phi, quad, t, sigma)
+        ring_quad, ring_block = _polar_rings(quad, x, block, eta)
+        full = _layer_sum(x, quad, sigma, omega, block, finite, eta)
+        rings = _layer_sum(x, ring_quad, sigma, omega, ring_block, finite, eta)
+        return ring_quad, full, rings
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        m=st.integers(4, 32),
+        R=st.floats(0.1, 10.0),
+        t=st.floats(1e-3, 2.0),
+        t1_frac=st.floats(0.0, 0.9),
+        z_frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        eta_z=st.sampled_from([None, 1.0, -1.0]),
+        steps=st.integers(4, 48),
+        density=st.sampled_from(["constant", "tau", "z"]),
+        c=st.floats(-3.0, 3.0),
+    )
+    @example(m=32, R=1.0, t=0.05, t1_frac=0.0, z_frac=1.0 - 1e-9, eta_z=1.0,
+             steps=48, density="z", c=1.0)
+    def test_ring_sum_matches_the_full_sum(
+        self, m, R, t, t1_frac, z_frac, eta_z, steps, density, c
+    ):
+        q = sphere_quadrature(R, m)
+        x = np.array([0.0, 0.0, z_frac * R])
+        eta = None if eta_z is None else np.array([0.0, 0.0, eta_z])
+        sigma, omega = _sigma_panels(t, t1_frac * t, steps)
+
+        def phi(pts, tau):
+            if density == "constant":
+                return c
+            if density == "tau":
+                return c + tau
+            return c + pts[:, 2] * tau
+
+        block, finite = _density_block(phi, q, t, sigma)
+        ring_quad, ring_block = _polar_rings(q, x, block, eta)
+        assert ring_quad.M_q == m
+        np.testing.assert_allclose(ring_quad.weights.sum(), q.surface_measure,
+                                   rtol=1e-13)
+        got = _layer_sum(x, ring_quad, sigma, omega, ring_block, finite, eta)
+        want = _layer_sum(x, q, sigma, omega, block, finite, eta)
+        scale = magnitude_layer_sum(x, q, sigma, omega, block, eta)
+        assert abs(got - want) <= 1e-12 * scale
+        if eta is None and t1_frac == 0.0:
+            assert same_bits(single_layer(x, t, phi, 0.0, q, steps=steps), got)
+
+    def test_azimuth_dependent_density_sums_every_node(self):
+        q = sphere_quadrature(1.0, 12)
+        phi = lambda pts, tau: 1.0 + pts[:, 0]
+        ring_quad, full, rings = self.full_and_rings(phi, q, self.ON_AXIS)
+        assert ring_quad is q
+        assert same_bits(single_layer(self.ON_AXIS, 0.2, phi, 0.0, q, steps=24), full)
+        report = jump_check(np.array([0.0, 0.0, 1.0]), phi, 0.05, q, [0.3, 0.2],
+                            steps=8)
+        assert _report_values(report) == full_node_report(
+            np.array([0.0, 0.0, 1.0]), phi, 0.05, q, [0.3, 0.2], steps=8
+        )
+
+    @pytest.mark.parametrize("x", [
+        np.array([1e-300, 0.0, 0.3]), np.array([0.0, -0.2, 0.3]),
+        np.array([0.1, 0.1, 0.0]),
+    ])
+    def test_off_axis_point_sums_every_node(self, x):
+        q = sphere_quadrature(1.0, 12)
+        ring_quad, full, _ = self.full_and_rings(unit_density, q, x)
+        assert ring_quad is q
+        assert same_bits(single_layer(x, 0.2, unit_density, 0.0, q, steps=24), full)
+
+    def test_off_axis_slope_sums_every_node(self):
+        q = sphere_quadrature(1.0, 12)
+        eta = np.array([0.6, 0.0, 0.8])
+        ring_quad, _, _ = self.full_and_rings(unit_density, q, self.ON_AXIS, eta=eta)
+        assert ring_quad is q
+
+    def test_nan_on_one_node_of_a_ring_sums_every_node(self):
+        q = sphere_quadrature(1.0, 12)
+
+        def phi(pts, tau):
+            values = np.ones(len(pts))
+            values[5] = math.nan
+            return values
+
+        ring_quad, full, _ = self.full_and_rings(phi, q, self.ON_AXIS)
+        assert ring_quad is q
+        assert math.isnan(full)
+        assert same_bits(single_layer(self.ON_AXIS, 0.2, phi, 0.0, q, steps=24), full)
+
+    def test_circle_rule_sums_every_node(self):
+        q = circle_quadrature(1.0, 64)
+        x = np.array([0.0, 0.3])
+        ring_quad, full, _ = self.full_and_rings(unit_density, q, x)
+        assert ring_quad is q
+        assert same_bits(single_layer(x, 0.2, unit_density, 0.0, q, steps=24), full)
+
+    def test_rules_without_rings_sum_every_node(self):
+        good = sphere_quadrature(1.0, 6)
+        order = np.random.default_rng(3).permutation(good.M_q)
+        shuffled = SphereQuadrature(n=3, R=1.0, nodes=good.nodes[order],
+                                    weights=good.weights[order])
+        # one ring's weights moved by far more than a few ulp
+        weights = good.weights.copy()
+        weights[0] *= 1.0 + 1e-9
+        weights[1] /= 1.0 + 1e-9
+        uneven = SphereQuadrature(n=3, R=1.0, nodes=good.nodes, weights=weights)
+        for q in (shuffled, uneven):
+            ring_quad, full, _ = self.full_and_rings(unit_density, q, self.ON_AXIS)
+            assert ring_quad is q
+        assert _polar_rings(good, self.ON_AXIS, np.ones((good.M_q, 1)))[0].M_q == 6
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        poison=st.lists(
+            st.tuples(st.integers(0, 95), st.sampled_from([math.inf, -math.inf])),
+            min_size=1, max_size=3,
+        ),
+        z_frac=st.floats(-0.99, 0.99),
+        eta_z=st.sampled_from([None, 1.0, -1.0]),
+    )
+    @example(poison=[(0, math.inf)], z_frac=0.0, eta_z=None)
+    @example(poison=[(95, -math.inf)], z_frac=0.5, eta_z=None)
+    @example(poison=[(40, math.inf), (41, -math.inf)], z_frac=0.0, eta_z=None)
+    def test_ring_constant_infinite_density_matches_the_full_sum(
+        self, poison, z_frac, eta_z
+    ):
+        q = sphere_quadrature(1.0, 8)
+        sigma, _ = _sigma_panels(0.2, 0.0, 24)
+        bad = {0.2 - sigma[i]: value for i, value in poison}
+        phi = lambda pts, tau: bad.get(tau, 1.0)
+        x = np.array([0.0, 0.0, z_frac])
+        eta = None if eta_z is None else np.array([0.0, 0.0, eta_z])
+        with np.errstate(invalid="ignore"):
+            ring_quad, full, rings = self.full_and_rings(phi, q, x, eta=eta)
+        assert ring_quad.M_q == 8
+        assert not math.isfinite(full)
+        assert same_bits(rings, full) or (math.isnan(rings) and math.isnan(full))
 
 
 class TestSurfaceIntegralBound:
