@@ -276,64 +276,44 @@ def _mirror(config: ExperimentConfig) -> ExperimentConfig | None:
     """The config whose run is this one's mirrored (Trajectory.mirrored),
     or None if there is none other than itself.
 
-    That is the config with p and q swapped, when p != q and the initial
-    data evaluate to a u0 and a v0 that are equal bit for bit.
+    That is the config with p and q swapped, when p != q and u0 and v0
+    have the same coefficients. Equal coefficients evaluate to equal
+    fields bit for bit, except for a signed-zero tie, whose data are
+    identically zero and refused by every run.
     """
-    params = config.params
-    if params.p == params.q:
-        return None
-    try:
-        u0, v0 = params.initial.evaluate(make_grid(params.R, config.solver.N))
-    except BlowupLabError:
-        return None
-    if u0.tobytes() != v0.tobytes():
+    params, init = config.params, config.params.initial
+    if params.p == params.q or (init.a_u, init.b_u) != (init.a_v, init.b_v):
         return None
     return replace(config, params=replace(params, p=params.q, q=params.p))
 
 
-def _sweep_jobs(tasks: list) -> list[list]:
-    """The sweep tasks grouped into jobs: each task with its mirror's
-    task, if the sweep has one not yet taken, and alone otherwise."""
-    jobs: list[list] = []
-    # config -> the jobs still waiting for a task with that config
-    waiting: dict[ExperimentConfig, list[list]] = {}
-    for task in tasks:
-        if waiting.get(task[1]):
-            waiting[task[1]].pop(0).append(task)
-            continue
-        jobs.append([task])
-        mirror = _mirror(task[1])
-        if mirror is not None:
-            waiting.setdefault(mirror, []).append(jobs[-1])
-    return jobs
-
-
-def _sweep_job(job: list) -> list[tuple[int, dict]]:
-    """Run a job's points (see _sweep_jobs), solving a mirror pair once."""
-    first, *mirror = job
-    if not mirror:
-        return [_sweep_point(first)]
-    config = first[1]
+def _sweep_job(job: tuple) -> list[tuple[int, dict]]:
+    """Solve a job's run once and write each of its points from it: the
+    run itself for a point with the job's config, mirrored otherwise."""
+    config, tasks = job
     try:
         traj = run(config.params, config.solver)
     except BlowupLabError:
-        # an error names the field it checked first, so each point of
-        # the pair reports its own
-        return [_sweep_point(task) for task in job]
-    return [_sweep_point(first, traj), _sweep_point(mirror[0], traj.mirrored())]
+        # run raises before its first step; an error names the field it
+        # checked first, so each point runs on its own and reports its own
+        return [_sweep_point(task) for task in tasks]
+    return [
+        _sweep_point(task, traj if task[1] == config else traj.mirrored())
+        for task in tasks
+    ]
 
 
 def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Path:
     """Run the axis cross product and aggregate one row per run.
 
     Rows appear in axis order (flux, p, q, N nested last), whatever the
-    parallelism; failed runs keep their row with an error status. A
-    point and its mirror, the point with p and q swapped, form one job
-    when the initial data have u0 = v0 bit for bit: the pair is solved
-    once and the mirror's files are written from the swapped trajectory,
-    byte for byte what its own run writes. If that solve raises, each
-    point is run on its own. At most min(max_parallel, jobs) worker
-    processes are started.
+    parallelism; failed runs keep their row with an error status. A job
+    is one distinct run and the points that read it: the points with its
+    config and, when u0 and v0 have the same coefficients, those with p
+    and q swapped (see _mirror), whose files are written from the
+    mirrored trajectory, byte for byte what their own run writes. If the
+    solve raises, each point is run on its own. At most
+    min(max_parallel, jobs) worker processes are started.
     """
     if max_parallel < 1:
         raise ConfigError(f"max_parallel must be at least 1, got {max_parallel}")
@@ -346,7 +326,8 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
+    # config of a distinct run -> the tasks of the points that read it
+    jobs: dict[ExperimentConfig, list] = {}
     invalid: dict[int, dict] = {}
     for index, (flux, p, q, N) in enumerate(
         product(axes.flux, axes.p, axes.q, axes.N)
@@ -359,16 +340,18 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
             # the status cell must stay a single CSV field
             invalid[index]["status"] = f"invalid: {exc}".replace(",", ";")
             continue
-        tasks.append((index, point, str(run_dir)))
+        # under its mirror's config if that is already a job, else its own
+        mirror = _mirror(point)
+        key = mirror if mirror in jobs else point
+        jobs.setdefault(key, []).append((index, point, str(run_dir)))
 
-    jobs = _sweep_jobs(tasks)
     workers = min(max_parallel, len(jobs))
     if workers > 1:
         # a pool starts all max_workers processes up front, used or not
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_sweep_job, jobs))
+            done = list(pool.map(_sweep_job, jobs.items()))
     else:
-        done = list(map(_sweep_job, jobs))
+        done = list(map(_sweep_job, jobs.items()))
     results = dict(row for rows in done for row in rows)
     results.update(invalid)
 
@@ -462,6 +445,8 @@ def _cmd_oracle_jump(args) -> int:
     density = args.density
     if not math.isfinite(density):
         raise ConfigError(f"--density {density} must be finite")
+    # the defaults scale with R: distances as R, the window as R^2
+    window = 0.05 * args.R * args.R if args.window is None else args.window
     # the library rejects out-of-range arguments with ValueError
     try:
         if args.distances:
@@ -469,7 +454,7 @@ def _cmd_oracle_jump(args) -> int:
         else:
             distances = [f * args.R for f in (0.16, 0.12, 0.09, 0.06, 0.04)]
         report = jump_check(
-            x0, lambda pts, tau: density, args.window, quad,
+            x0, lambda pts, tau: density, window, quad,
             distances, steps=args.steps, tol_jump=args.tol,
         )
     except ValueError as exc:
@@ -531,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jump = o_sub.add_parser("jump", help="single-layer jump relation")
     p_jump.add_argument("--R", type=float, default=1.0)
     p_jump.add_argument("--m", type=int, default=24, help="polar quadrature nodes")
-    p_jump.add_argument("--window", type=float, default=0.05)
+    p_jump.add_argument("--window", type=float, default=None,
+                        help="heat-kernel time window (default 0.05 R^2)")
     p_jump.add_argument("--density", type=float, default=1.0)
     p_jump.add_argument("--distances", default=None,
                         help="comma-separated approach distances")

@@ -210,10 +210,10 @@ def interior_nodes(grid: RadialGrid, a: float) -> int:
     return int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
 
 
-def boundary_flux(
-    flux: FluxFamily, w: float, e: float, arg: float | None = None
-) -> float:
+def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     """Outward normal flux induced by a boundary value w of the driving field.
+
+    It computes flux.arg(w, e) itself; a NaN w gives a NaN flux.
 
     Parameters
     ----------
@@ -223,8 +223,6 @@ def boundary_flux(
         Boundary value of the driving field, must be nonnegative.
     e : float
         Exponent attached to the driving field (p or q).
-    arg : float, optional
-        flux.arg(w, e), for a caller that has computed it already.
 
     Raises
     ------
@@ -235,8 +233,7 @@ def boundary_flux(
     """
     if w < 0:
         raise ValueError(f"flux argument must be nonnegative, got {w}")
-    if arg is None:
-        arg = flux.arg(w, e)
+    arg = flux.arg(w, e)
     if arg >= flux.arg_limit:
         raise FluxOverflow(f"exponent argument {arg:.3g} >= {flux.arg_limit}")
     return flux.from_arg(arg)

@@ -78,6 +78,7 @@ node (medians of six alternating fresh processes, 2-core VM, Python
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -184,6 +185,8 @@ def _check_radius(R: float) -> None:
             f"radius R = {R} is too large: the sphere's measure 4 pi R^2 "
             f"overflows float64"
         )
+    if R * R < sys.float_info.min:
+        raise ConfigError(f"radius R = {R} is too small: R^2 underflows float64")
 
 
 def circle_quadrature(R: float, m: int) -> SphereQuadrature:

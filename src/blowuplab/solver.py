@@ -24,11 +24,11 @@ array, view or reshape: run() flips the index of the current buffer.
 At N = 201 a step costs numpy's call overhead more than arithmetic, so
 a step makes no Python call it can do without: one flat take reads the
 eight end values, the flux, ghost and end-node arithmetic is inline on
-Python floats (boundary_flux runs only to raise its error), the
-whole-array reductions are argmax/argmin plus item(), which beat numpy's
-reduce on small arrays and return the first NaN, and dt reaches the
-update as a 0-d array, which numpy does not convert. A sample reads its
-maxima the same way, row by row (_sample_maxima). run() builds a
+Python floats (boundary_flux runs only to raise or pass a NaN on), the
+whole-array reductions are argmax/argmin plus item() in place, which
+beat numpy's reduce on small arrays and return the first NaN, and dt
+reaches the update as a 0-d array, which numpy does not convert. A
+sample reads its maxima the same way, row by row (_sample_maxima). run() builds a
 FieldState only for snapshots; the stop state is the last recorded row
 and, with snapshots on, the last snapshot. step() is a thin wrapper
 that takes one FieldState through the same kernel, so there is one
@@ -185,28 +185,6 @@ COLUMNS = (
 )
 
 
-# _Kernel.advance inlines _max_abs, _max and _min, which pin down what
-# its reductions return
-
-
-def _max_abs(a: np.ndarray, work: np.ndarray) -> float:
-    """max |a| as a Python float, with work a buffer like a; NaN if a
-    holds one."""
-    np.abs(a, work)
-    return work.item(work.argmax())
-
-
-def _max(a: np.ndarray) -> float:
-    """max a as a Python float; NaN if a holds one (argmax returns the
-    first NaN)."""
-    return a.item(a.argmax())
-
-
-def _min(a: np.ndarray) -> float:
-    """min a as a Python float; NaN if a holds one."""
-    return a.item(a.argmin())
-
-
 class _Kernel:
     """The forward-Euler update of the state F = [u; v] of shape (2, N).
 
@@ -248,14 +226,14 @@ class _Kernel:
         if uN >= 0.0 and vN >= 0.0 and arg_v < limit and arg_u < limit:
             flux_v, flux_u = flux.from_arg(arg_v), flux.from_arg(arg_u)
         else:
-            flux_v = boundary_flux(flux, vN, params.p, arg_v)
-            flux_u = boundary_flux(flux, uN, params.q, arg_u)
+            flux_v = boundary_flux(flux, vN, params.p)
+            flux_u = boundary_flux(flux, uN, params.q)
         # Neumann closure: u's outward derivative is the flux induced by
         # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) = flux
         two_dr = lap.two_dr
         lap.apply(ends, (ends[2] + two_dr * flux_v, ends[6] + two_dr * flux_u),
                   self._bound[i])
-        # max |G|, as _max_abs
+        # max |G|; argmax returns the first NaN
         work = self._abs
         np.abs(self._rates_flat, work)
         max_rate = work.item(work.argmax())
@@ -279,8 +257,8 @@ class _Kernel:
         G = self.rates
         self._dt[()] = dt
         np.add(self.states[i], np.multiply(G, self._dt, G), self.states[1 - i])
-        # every value is finite exactly when the max and the min are
-        # (_max and _min; a NaN fails both comparisons)
+        # every value is finite exactly when the max and the min are (a
+        # NaN, which argmax and argmin return first, fails both comparisons)
         o = self.flat[1 - i]
         hi, lo = o.item(o.argmax()), o.item(o.argmin())
         if not (-math.inf < lo and hi < math.inf):
@@ -299,7 +277,8 @@ def _sample_maxima(F: np.ndarray, rows: tuple, k: int) -> list:
     """
     u, v, u_in, v_in = rows
     a_u, a_v = u.argmax(), v.argmax()
-    values = [u.item(a_u), v.item(a_v), int(a_u), int(a_v), _max(u_in), _max(v_in)]
+    values = [u.item(a_u), v.item(a_v), int(a_u), int(a_v),
+              u_in.item(u_in.argmax()), v_in.item(v_in.argmax())]
     if values[0] == 0.0 or values[1] == 0.0:
         values[0:2] = F.max(axis=1).tolist()
     if values[4] == 0.0 or values[5] == 0.0:

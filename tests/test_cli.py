@@ -322,6 +322,28 @@ q = 2, 3
 """
 
 
+def count_solves(monkeypatch, calls):
+    """Make every solve of a sweep append its (p, q) to the file calls;
+    the pool's workers are forked from this process, so theirs count too."""
+
+    def counting_run(params, config):
+        with open(calls, "a") as f:
+            f.write(f"{params.p} {params.q}\n")
+        return solver.run(params, config)
+
+    monkeypatch.setattr("blowuplab.cli.run", counting_run)
+
+
+def assert_points_write_their_own_runs(config, sweep_dir, points, tmp_path):
+    """Each point's three files in sweep_dir are its own run's, byte for byte."""
+    for index, (p, q) in enumerate(points):
+        point = with_axes_point(config, p=p, q=q, N=41, flux=FluxFamily.POWER)
+        run_experiment(point, tmp_path / f"direct_{index}")
+        for name in ("trajectory.csv", "report.txt", "config.ini"):
+            got = sweep_dir / f"run_{index:03d}" / name
+            assert got.read_bytes() == (tmp_path / f"direct_{index}" / name).read_bytes()
+
+
 class TestSweepMirrors:
     @pytest.mark.parametrize("max_parallel", [1, 2])
     @pytest.mark.parametrize("problem, solves", [
@@ -331,20 +353,25 @@ class TestSweepMirrors:
     ], ids=["symmetric", "asymmetric"])
     def test_a_mirror_pair_is_solved_once(self, tmp_path, monkeypatch,
                                           max_parallel, problem, solves):
-        # every solve appends its (p, q) to a file; the pool's workers are
-        # forked from this process, so theirs are counted too
         calls = tmp_path / "calls"
-
-        def counting_run(params, config):
-            with open(calls, "a") as f:
-                f.write(f"{params.p} {params.q}\n")
-            return solver.run(params, config)
-
-        monkeypatch.setattr("blowuplab.cli.run", counting_run)
+        count_solves(monkeypatch, calls)
         text = MIRRORED.replace("flux = power\n", "flux = power\n" + problem)
         summary = sweep(parse_config(text), tmp_path / "out", max_parallel)
         assert sorted(calls.read_text().splitlines()) == solves
         assert len(summary.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_a_repeated_axis_value_shares_one_solve(self, tmp_path, monkeypatch,
+                                                    max_parallel):
+        # six points, three distinct runs up to mirroring: (2, 2) twice,
+        # (2, 3) twice with its mirror (3, 2), and (3, 3)
+        calls = tmp_path / "calls"
+        count_solves(monkeypatch, calls)
+        config = parse_config(MIRRORED.replace("p = 2, 3\nq", "p = 2, 2, 3\nq"))
+        sweep(config, tmp_path / "sweep", max_parallel)
+        assert sorted(calls.read_text().splitlines()) == ["2.0 2.0", "2.0 3.0", "3.0 3.0"]
+        points = [(p, q) for p in (2.0, 2.0, 3.0) for q in (2.0, 3.0)]
+        assert_points_write_their_own_runs(config, tmp_path / "sweep", points, tmp_path)
 
     def test_pool_is_sized_to_the_jobs(self, tmp_path, monkeypatch):
         # (2, 2), the pair (2, 3) and (3, 2), and (3, 3)
@@ -357,12 +384,7 @@ class TestSweepMirrors:
         config = parse_config(MIRRORED)
         sweep(config, tmp_path / "sweep")
         points = [(2.0, 2.0), (2.0, 3.0), (3.0, 2.0), (3.0, 3.0)]
-        for index, (p, q) in enumerate(points):
-            point = with_axes_point(config, p=p, q=q, N=41, flux=FluxFamily.POWER)
-            run_experiment(point, tmp_path / f"direct_{index}")
-            for name in ("trajectory.csv", "report.txt", "config.ini"):
-                got = tmp_path / "sweep" / f"run_{index:03d}" / name
-                assert got.read_bytes() == (tmp_path / f"direct_{index}" / name).read_bytes()
+        assert_points_write_their_own_runs(config, tmp_path / "sweep", points, tmp_path)
 
     @pytest.mark.parametrize("max_parallel", [1, 2])
     def test_a_failed_pair_reports_each_point_own_error(self, tmp_path,
@@ -534,6 +556,8 @@ class TestMain:
         ["jump", "--R", "nan"],
         # 4 pi R^2 overflows float64
         ["jump", "--R", "1e200"],
+        # R^2 underflows below the smallest normal float64
+        ["jump", "--R", "1e-200"],
         ["jump", "--distances", "0.16,nan,0.04"],
         ["jump", "--window", "nan"],
         ["jump", "--window", "inf"],
@@ -556,6 +580,19 @@ class TestMain:
         assert "verdict: pass" in out
         jump = float(out.split("jump = ")[1].splitlines()[0])
         assert jump == pytest.approx(-0.5, abs=0.05)
+
+    @pytest.mark.parametrize("R", ["100", "1e-3"])
+    def test_oracle_jump_defaults_are_scale_free(self, R, capsys):
+        # the default distances scale as R and the window as R^2, so the
+        # check at any R is the check at R = 1 rescaled
+        jumps = []
+        for radius in ("1", R):
+            code = main(["oracle", "jump", "--R", radius])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "verdict: pass" in out
+            jumps.append(float(out.split("jump = ")[1].splitlines()[0]))
+        assert jumps[1] == pytest.approx(jumps[0], rel=1e-12)
 
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):

@@ -198,6 +198,20 @@ class TestSphereQuadrature:
         q = sphere_quadrature(R, 8)
         np.testing.assert_allclose(q.weights.sum(), 4.0 * math.pi * R * R, rtol=1e-13)
 
+    @pytest.mark.parametrize("R", [1e-200, 5e-160])
+    def test_rejects_a_radius_whose_square_underflows(self, R):
+        # R^2 in the weights used to fail as "weights must be positive" or
+        # "nodes do not lie on the sphere"
+        for build in (circle_quadrature, sphere_quadrature):
+            with pytest.raises(ConfigError, match=re.escape(f"R = {R!r} is too small")):
+                build(R, 8)
+
+    @pytest.mark.parametrize("m", [4, 24, 96])
+    def test_smallest_radius_builds(self, m):
+        R = 1.5e-154
+        q = sphere_quadrature(R, m)
+        np.testing.assert_allclose(q.weights.sum(), 4.0 * math.pi * R * R, rtol=1e-12)
+
     def test_rejects_inconsistent_hand_built_rules(self):
         good = sphere_quadrature(1.0, 6)
         with pytest.raises(ConfigError):

@@ -28,9 +28,6 @@ from blowuplab.solver import (
     UNDERFLOW_FACTOR,
     SolverConfig,
     StopReason,
-    _max,
-    _max_abs,
-    _min,
     _sample_maxima,
     run,
     step,
@@ -249,24 +246,6 @@ class TestStep:
             error, match = FluxOverflow, "exponent argument inf >= 700"
         with np.errstate(invalid="ignore"), pytest.raises(error, match=match):
             step(state, params, grid, SolverConfig(N=41))
-
-    @settings(deadline=None)
-    @given(st.lists(
-        st.one_of(
-            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
-            st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        min_size=1, max_size=500,
-    ))
-    def test_reductions_match_numpy(self, values):
-        # the kernel's argmax reductions give what numpy's reductions
-        # give, NaN included; a tie of -0.0 and 0.0 may pick either zero
-        a = np.array(values)
-        got = (_max_abs(a, np.empty_like(a)), _max(a), _min(a))
-        want = (np.max(np.abs(a)), np.max(a), np.min(a))
-        for g, w in zip(got, want):
-            assert type(g) is float
-            assert math.isnan(g) if math.isnan(w) else g == w
 
     @settings(deadline=None)
     @given(

@@ -11,10 +11,11 @@ with two worker processes (the two trees must digest alike). The runs are
 written into DIR and kept there, so two trees' reports can be compared
 with `diff -r`; DIR must be empty or not yet exist. Without DIR they go
 to a temporary directory that is deleted, and the output is the same.
-Two more sweeps go through the verb the same two ways:
+Three more sweeps go through the verb the same two ways:
 `sweep_asymmetric` (power, u0_base = 0.25, so no point has a mirror
-whose run it can reuse) and `sweep_ep_pq_N` (exp_power over p, q and
-N). One run, `dominance_fail`, fails its dominance
+whose run it can reuse), `sweep_ep_pq_N` (exp_power over p, q and N)
+and `sweep_repeated` (power, p = 2, 2, 3, so two points share each run
+of p = 2). One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
 `flat_data` starts from constant initial data. Most runs are at N = 101,
@@ -93,6 +94,8 @@ def sweeps() -> dict[str, str]:
         # mirror pairs at each N of an axis
         "sweep_ep_pq_N": _ini("exp_power", 2, 2, u_stop=9.0, record_every=2)
         + axes + "N = 41, 101\n",
+        # a repeated axis value: six points that read three runs
+        "sweep_repeated": _ini("power", 2, 2, N=41) + "[sweep]\np = 2, 2, 3\nq = 2, 3\n",
     }
 
 
