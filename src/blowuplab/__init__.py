@@ -11,6 +11,8 @@ layer potentials on spheres: jump relation, surface integrability).
 `config` and `cli` wrap everything into reproducible experiments.
 """
 
+import importlib
+
 from .analysis import (
     boundary_set_check,
     estimate_blowup_time,
@@ -29,18 +31,30 @@ from .model import (
     rate_exponents,
     validate_initial_data,
 )
-from .ode import OdeParams, integrate_system, verify_lemma_bounds
-from .potentials import (
-    circle_quadrature,
-    heat_kernel,
-    jump_check,
-    single_layer,
-    sphere_quadrature,
-    surface_integral_bound,
-)
 from .solver import SolverConfig, StopReason, Trajectory, run
 
 __version__ = "0.1.0"
+
+# the oracle modules load on first access, so `run`, `sweep` and
+# `validate` never compile them
+_ORACLE_EXPORTS = {
+    "OdeParams": "ode",
+    "integrate_system": "ode",
+    "verify_lemma_bounds": "ode",
+    "circle_quadrature": "potentials",
+    "heat_kernel": "potentials",
+    "jump_check": "potentials",
+    "single_layer": "potentials",
+    "sphere_quadrature": "potentials",
+    "surface_integral_bound": "potentials",
+}
+
+
+def __getattr__(name: str):
+    module = _ORACLE_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 __all__ = [
     "ComparisonParams",

@@ -48,8 +48,6 @@ from .errors import (
     FitFailed,
 )
 from .model import FluxFamily, make_grid, validate_initial_data
-from .ode import OdeParams, integrate_system, verify_lemma_bounds
-from .potentials import jump_check, sphere_quadrature
 from .solver import COLUMNS, StopReason, Trajectory, run
 
 SWEEP_COLUMNS = ("p", "q", "N", "flux", "T_hat", "alpha_hat", "beta_hat", "status")
@@ -416,6 +414,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_ode(args) -> int:
+    # the oracle modules load only for their verbs, not for run or sweep
+    from .ode import OdeParams, integrate_system, verify_lemma_bounds
+
     # the library rejects out-of-range arguments with ValueError
     try:
         params = OdeParams(
@@ -440,6 +441,9 @@ def _cmd_oracle_ode(args) -> int:
 
 
 def _cmd_oracle_jump(args) -> int:
+    # the oracle modules load only for their verbs, not for run or sweep
+    from .potentials import jump_check, sphere_quadrature
+
     quad = sphere_quadrature(args.R, args.m)
     x0 = np.array([0.0, 0.0, args.R])
     density = args.density

@@ -55,7 +55,7 @@ over rings when all three of these hold:
 2. the point is on the polar axis: x[0] == x[1] == 0 exactly, and so is
    eta where eta is given (`jump_check` walks along x0's normal, so
    checking x0 is enough);
-3. the density block is constant on every ring in every sigma column,
+3. the density is constant on every ring in every sigma column,
    compared as floats, so a NaN density keeps the full sum.
 
 The reduced rule keeps each ring's first node and the ring's weight
@@ -66,13 +66,22 @@ RING_ULPS * eps * |exponent| relative (exponent above -746), and the
 reordered sums round differently. Over 3,000 random draws of m, R, t,
 the axis point and eta the reduced sum stayed within 8e-14 of the sum
 of |w K density| (the property test asserts 1e-12), and the reports of
-`jump_check` at m = 24 to 96 move by at most 2.5e-13 relative. The
-density block is still filled on every node, because the ring test
-needs it, and the resolution scale of `jump_check` still comes from the
-full rule. A pole `jump_check` with a constant density takes 3.8, 5.7
-and 12.7 ms at m = 48, 64 and 96, against 41, 73 and 181 ms over every
-node (medians of six alternating fresh processes, 2-core VM, Python
-3.11.7, numpy 2.4.6, one BLAS thread).
+`jump_check` at m = 24 to 96 move by at most 2.5e-13 relative.
+
+`_density_block` tests condition 3 as phi fills each sigma column and
+keeps one row per ring while it holds; a scalar phi, such as the CLI's
+constant density, fills its ring column without touching the 2 m^2
+nodes. The first column that breaks the condition expands the rows
+kept so far by exact repetition, and every node is kept from there on,
+so each sum has the bits it had when the whole block was filled first
+and then compared. The rule's ring size and ring rule are computed once
+per rule, and the resolution scale of `jump_check` still comes from the
+full rule. A pole `jump_check` with a constant density takes 1.8, 2.1
+and 2.5 ms at m = 48, 64 and 96, against 3.4, 5.2 and 11.4 ms when
+every node was filled and then compared (medians of six alternating
+fresh processes of 15 calls each, 2-core VM, Python 3.11.7, numpy
+2.4.6, one BLAS thread), and its traced allocations peak at 0.39 MB at
+m = 64, against 14.2 MB.
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -175,6 +185,35 @@ class SphereQuadrature:
     def surface_measure(self) -> float:
         return 2.0 * math.pi * self.R if self.n == 2 else 4.0 * math.pi * self.R**2
 
+    @cached_property
+    def ring_size(self) -> int:
+        """Nodes per polar ring of the rule, or 0 if it has no polar rings
+        (condition 1 of the module docstring)."""
+        if self.n != 3:
+            return 0
+        z = self.nodes[:, 2]
+        changes = np.flatnonzero(z != z[0])
+        k = int(changes[0]) if changes.size else self.M_q
+        if k < 2 or self.M_q % k:
+            return 0
+        if not (z.reshape(-1, k) == z[::k, None]).all():
+            return 0
+        tol = RING_ULPS * np.finfo(float).eps
+        for column in (self.weights, (self.nodes[:, :2] ** 2).sum(axis=1)):
+            rings = column.reshape(-1, k)
+            if not np.all(np.abs(rings - rings[:, :1]) <= tol * np.abs(rings[:, :1])):
+                return 0
+        return k
+
+    @cached_property
+    def ring_rule(self) -> SphereQuadrature:
+        """Each polar ring's first node with the ring's weight sum."""
+        k = self.ring_size
+        return SphereQuadrature(
+            n=self.n, R=self.R, nodes=self.nodes[::k],
+            weights=self.weights.reshape(-1, k).sum(axis=1),
+        )
+
 
 def _check_radius(R: float) -> None:
     if not (math.isfinite(R) and R > 0):
@@ -250,17 +289,62 @@ def _inside(x: np.ndarray, quad: SphereQuadrature) -> None:
 
 
 def _density_block(
-    phi: Callable, quad: SphereQuadrature, t: float, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi at every node and sigma node, and which sigma columns are finite.
+    phi: Callable,
+    quad: SphereQuadrature,
+    t: float,
+    sigma: np.ndarray,
+    x: np.ndarray | None = None,
+    eta: np.ndarray | None = None,
+) -> tuple[SphereQuadrature, np.ndarray, np.ndarray]:
+    """The rule a layer sum at x runs on, phi on its nodes at every sigma
+    node, and which sigma columns are finite.
 
-    The block is column-major, so filling a sigma column and taking the
-    live columns copy contiguous memory.
+    phi is called once per sigma column on every node. From a point on
+    the polar axis (and eta, where given) a rule with polar rings keeps
+    one row per ring while every column so far is constant on every ring
+    (conditions 2 and 3 of the module docstring); a scalar phi fills its
+    column without touching the nodes. The first column that is not
+    expands the rows kept so far by repetition, and from there on every
+    node is kept. Without x every node is kept. The block is
+    column-major, so filling a sigma column and taking the live columns
+    copy contiguous memory.
     """
-    block = np.empty((quad.M_q, sigma.size), order="F")
+    k = 0 if x is None else quad.ring_size
+    if k and not (x[0] == x[1] == 0.0 and (eta is None or eta[0] == eta[1] == 0.0)):
+        k = 0
+    block = np.empty((quad.M_q // (k or 1), sigma.size), order="F")
+    column = np.empty(quad.M_q) if k else None
+    # ring-constant columns whose rings mix 0.0 and -0.0: a repeated ring
+    # value would lose those signs
+    signed_zeros = {}
     for g, tau in enumerate(t - sigma):
-        block[:, g] = phi(quad.nodes, tau)
-    return block, np.isfinite(block).all(axis=0)
+        values = phi(quad.nodes, tau)
+        if not k:
+            block[:, g] = values
+            continue
+        if np.ndim(values) == 0:
+            block[:, g] = values
+            # "==" fails on a NaN, which keeps every node
+            if block[0, g] == block[0, g]:
+                continue
+            values = block[0, g]
+        else:
+            column[:] = values
+            rings = column.reshape(-1, k)
+            if (rings == rings[:, :1]).all():
+                block[:, g] = rings[:, 0]
+                zero = rings[rings[:, 0] == 0.0]
+                if (np.signbit(zero) != np.signbit(zero[:, :1])).any():
+                    signed_zeros[g] = column.copy()
+                continue
+        # row a + k b of the full block is node a of ring b
+        full = np.empty((quad.M_q, sigma.size), order="F")
+        full[:, :g] = np.repeat(block[:, :g], k, axis=0)
+        for h, kept in signed_zeros.items():
+            full[:, h] = kept
+        full[:, g] = values
+        block, k = full, 0
+    return (quad.ring_rule if k else quad), block, np.isfinite(block).all(axis=0)
 
 
 def _layer_sum(
@@ -315,51 +399,6 @@ def _layer_sum(
     return float(columns @ omega)
 
 
-def _ring_size(quad: SphereQuadrature) -> int:
-    """Nodes per polar ring of the rule, or 0 if it has no polar rings."""
-    if quad.n != 3:
-        return 0
-    z = quad.nodes[:, 2]
-    changes = np.flatnonzero(z != z[0])
-    k = int(changes[0]) if changes.size else quad.M_q
-    if k < 2 or quad.M_q % k:
-        return 0
-    if not (z.reshape(-1, k) == z[::k, None]).all():
-        return 0
-    tol = RING_ULPS * np.finfo(float).eps
-    for column in (quad.weights, (quad.nodes[:, :2] ** 2).sum(axis=1)):
-        rings = column.reshape(-1, k)
-        if not np.all(np.abs(rings - rings[:, :1]) <= tol * np.abs(rings[:, :1])):
-            return 0
-    return k
-
-
-def _polar_rings(
-    quad: SphereQuadrature,
-    x: np.ndarray,
-    density: np.ndarray,
-    eta: np.ndarray | None = None,
-) -> tuple[SphereQuadrature, np.ndarray]:
-    """The rule and density block a layer sum at x needs: one node per
-    polar ring where the module docstring's three conditions hold, else
-    quad and density themselves."""
-    on_axis = x[0] == 0.0 and x[1] == 0.0
-    if not on_axis or (eta is not None and (eta[0] != 0.0 or eta[1] != 0.0)):
-        return quad, density
-    k = _ring_size(quad)
-    if not k:
-        return quad, density
-    # row a + k b of the block is node a of ring b
-    rings = density.reshape(k, -1, density.shape[1], order="F")
-    if not (rings == rings[0]).all():
-        return quad, density
-    reduced = SphereQuadrature(
-        n=quad.n, R=quad.R, nodes=quad.nodes[::k],
-        weights=quad.weights.reshape(-1, k).sum(axis=1),
-    )
-    return reduced, rings[0]
-
-
 def single_layer(
     x,
     t: float,
@@ -380,9 +419,8 @@ def single_layer(
     sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
     _inside(x, quad)
-    density, finite = _density_block(phi, quad, t, sigma)
-    ring_quad, ring_density = _polar_rings(quad, x, density)
-    return _layer_sum(x, ring_quad, sigma, omega, ring_density, finite)
+    rule, density, finite = _density_block(phi, quad, t, sigma, x)
+    return _layer_sum(x, rule, sigma, omega, density, finite)
 
 
 @dataclass(frozen=True)
@@ -418,7 +456,9 @@ def jump_check(
     subtracts that from the direct boundary quadrature; the difference
     should be -phi(x0, t)/2 whatever R and t are. From a pole, a density
     constant on every polar ring is summed over the rings (see the
-    module docstring).
+    module docstring). Where R, t and the distances make the kernel
+    scale, the slope factor or the fit's powers of d overflow float64,
+    the check raises ConfigError rather than report from an inf.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (quad.n,):
@@ -442,27 +482,34 @@ def jump_check(
             f"or stop farther out"
         )
     eta = x0 / r0
-    # every evaluation shares t and the sigma panels, so one density block
+    # every evaluation shares t and the sigma panels, so one density
+    # block; eta and the walk stay on the polar axis with x0
     sigma, omega = _sigma_panels(t, 0.0, steps)
-    density, finite = _density_block(phi, quad, t, sigma)
-    # eta and the walk stay on the polar axis with x0
-    ring_quad, ring_density = _polar_rings(quad, x0, density)
+    rule, density, finite = _density_block(phi, quad, t, sigma, x0)
 
     def u_at(dist: float) -> float:
         x = x0 - dist * eta
         _inside(x, quad)
-        return _layer_sum(x, ring_quad, sigma, omega, ring_density, finite)
+        return _layer_sum(x, rule, sigma, omega, density, finite)
 
-    derivs = np.empty(d.size)
-    for i, di in enumerate(d):
-        h = di / 8.0
-        derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
-
-    boundary = _layer_sum(
-        x0, ring_quad, sigma, omega, ring_density, finite, eta=eta
-    )
-    degree = min(2, d.size - 1)
-    interior_limit = float(np.polynomial.polynomial.polyfit(d, derivs, degree)[0])
+    # with the CLI's scale-free defaults, R above about 7e77 overflows the
+    # fit's powers of d, and R below about 3e-76 the slope factor or the
+    # kernel scale; a NaN or inf density raises no overflow, so it still
+    # reaches the sums
+    try:
+        with np.errstate(over="raise"):
+            derivs = np.empty(d.size)
+            for i, di in enumerate(d):
+                h = di / 8.0
+                derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
+            boundary = _layer_sum(x0, rule, sigma, omega, density, finite, eta=eta)
+            fit = np.polynomial.polynomial.polyfit(d, derivs, min(2, d.size - 1))
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"jump check at R = {quad.R:g}, window {t:g} and distances "
+            f"{d[0]:g} to {d[-1]:g} leaves float64 range: {exc}"
+        ) from exc
+    interior_limit = float(fit[0])
     jump = boundary - interior_limit
 
     phi0 = float(np.asarray(phi(x0[None, :], t)).reshape(-1)[0])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -594,11 +595,52 @@ class TestMain:
             jumps.append(float(out.split("jump = ")[1].splitlines()[0]))
         assert jumps[1] == pytest.approx(jumps[0], rel=1e-12)
 
+    @pytest.mark.parametrize("R, cause", [
+        ("1e90", "square"), ("1e100", "square"),
+        ("1e-80", "multiply"), ("1e-100", "power"),
+    ])
+    def test_oracle_jump_refuses_radii_that_leave_float_range(self, R, cause, capsys):
+        # the fit's powers of d, the slope factor or the kernel scale
+        # overflow; the verb says so on one line and warns nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["oracle", "jump", "--R", R])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert caught == []
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: jump check at R = ")
+        assert err.rstrip().endswith(f"leaves float64 range: overflow encountered in {cause}")
+
+    @pytest.mark.parametrize("R, lines", [
+        ("1e-75", ["jump = -0.5016199303196043", "target = -0.5",
+                   "boundary_term = -0.12615659860176376",
+                   "interior_limit = 0.3754633317178405",
+                   "resolution = 9.625560005957379e-78", "verdict: pass"]),
+        ("1", ["jump = -0.5016199303196027", "target = -0.5",
+               "boundary_term = -0.1261565986017658",
+               "interior_limit = 0.37546333171783697",
+               "resolution = 0.009625560005957379", "verdict: pass"]),
+        ("1e77", ["jump = -0.5016199303196134", "target = -0.5",
+                  "boundary_term = -0.12615659860178108",
+                  "interior_limit = 0.37546333171783236",
+                  "resolution = 9.625560005957379e+74", "verdict: pass"]),
+    ])
+    def test_oracle_jump_at_the_extreme_accepted_radii(self, R, lines, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["oracle", "jump", "--R", R])
+        out, err = capsys.readouterr()
+        assert (code, caught, err) == (0, [], "")
+        assert out.splitlines() == lines
+
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     # no verb imports scipy: a fresh process that validates, runs through
     # the blow-up fit, sweeps in a pool and runs both oracles (the ODE on
-    # the orbit and on capped data) never loads any scipy module
+    # the orbit and on capped data) never loads any scipy module; and the
+    # oracle modules load only for the oracle verbs
     ini = tmp_path / "five_keys.ini"
     ini.write_text("[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = exp_power\n")
     power = "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n[solver]\nN = 41\n"
@@ -617,6 +659,8 @@ def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
         f"{str(tmp_path / 'run')!r}, '--quiet'])\n"
         f"report = read_report({str(tmp_path / 'run' / 'report.txt')!r})\n"
         "print(report['run.stop_reason'], report['blowup.T_hat'] != 'nan')\n"
+        "oracles = ('blowuplab.ode', 'blowuplab.potentials')\n"
+        "print([m for m in oracles if m in sys.modules])\n"
         f"main(['sweep', {str(sweep_ini)!r}, '--output-dir', "
         f"{str(tmp_path / 'sweep')!r}, '--max-parallel', '2', '--quiet'])\n"
         "print(code, loaded + scipy_loaded())\n"
@@ -632,5 +676,18 @@ def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["blowup_threshold True", "0 []", "[0, 2, 0] []"]
+    assert out.stdout.splitlines() == [
+        "blowup_threshold True", "[]", "0 []", "[0, 2, 0] []",
+    ]
     assert (tmp_path / "sweep" / "run_001" / "report.txt").exists()
+
+
+def test_package_exports_resolve():
+    # the oracle re-exports of the package resolve on first access
+    from blowuplab import OdeParams, jump_check, ode, potentials
+
+    assert jump_check is potentials.jump_check
+    assert OdeParams is ode.OdeParams
+    assert all(hasattr(blowuplab, name) for name in blowuplab.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        blowuplab.nope

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from blowuplab.potentials import (
     SphereQuadrature,
     _density_block,
     _layer_sum,
-    _polar_rings,
     _sigma_panels,
     circle_quadrature,
     heat_kernel,
@@ -512,6 +512,28 @@ class TestJumpCheck:
         )
         assert exact.passed
 
+    @pytest.mark.parametrize("R", [1e90, 1e100, 1e-80, 1e-100])
+    def test_rejects_radii_whose_sums_or_fit_overflow(self, R):
+        # the CLI's scale-free defaults: at 1e90 and 1e100 the fit's d^4
+        # overflows, at 1e-80 the slope factor and at 1e-100 the kernel scale
+        q = sphere_quadrature(R, 24)
+        distances = [f * R for f in (0.16, 0.12, 0.09, 0.06, 0.04)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="leaves float64 range"):
+                jump_check(np.array([0.0, 0.0, R]), unit_density, 0.05 * R * R, q,
+                           distances)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_still_reaches_the_sums(self, value):
+        q = sphere_quadrature(1.0, 24)
+        with np.errstate(invalid="ignore"):
+            report = jump_check(self.POLE, lambda p, s: value, 0.05, q,
+                                self.DISTANCES)
+        assert not math.isfinite(report.boundary_term)
+        assert not math.isfinite(report.jump)
+        assert not report.passed
+
 
 def full_array_layer_sum(x, quad, sigma, omega, density, finite, eta=None):
     """_layer_sum as one pass over the whole (M_q, live) kernel, with the
@@ -541,7 +563,12 @@ def full_node_report(x0, phi, t, quad, distances, steps=48) -> list[float]:
     """jump_check's report values with every layer sum over all nodes of
     quad, in jump_check's own arithmetic."""
     sigma, omega = _sigma_panels(t, 0.0, steps)
-    density, finite = _density_block(phi, quad, t, sigma)
+    _, density, finite = _density_block(phi, quad, t, sigma)
+    return walk_report(x0, quad, sigma, omega, density, finite, distances)
+
+
+def walk_report(x0, quad, sigma, omega, density, finite, distances) -> list[float]:
+    """jump_check's report values from the given rule and density block."""
     eta = x0 / math.sqrt(float(x0 @ x0))
 
     def u_at(dist):
@@ -558,8 +585,9 @@ def full_node_report(x0, phi, t, quad, distances, steps=48) -> list[float]:
     return [boundary - interior, boundary, interior, *derivs.tolist()]
 
 
-def same_bits(a: float, b: float) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestLiveColumns:
@@ -659,7 +687,7 @@ class TestLiveColumns:
     def test_time_dependent_single_layer_is_bit_equal(self):
         q = sphere_quadrature(1.0, 16)
         sigma, omega = _sigma_panels(0.2, 0.0, 48)
-        block, finite = _density_block(lambda p, tau: tau, q, 0.2, sigma)
+        _, block, finite = _density_block(lambda p, tau: tau, q, 0.2, sigma)
         center = _layer_sum(np.zeros(3), q, sigma, omega, block, finite)
         assert center == 0.007403440164450971
         # single_layer sums the centre over polar rings
@@ -751,7 +779,7 @@ class TestLiveColumns:
                 return bad[tau]
             return c + pts[:, 0] * tau - pts[:, -1]
 
-        block, finite = _density_block(phi, q, t, sigma)
+        _, block, finite = _density_block(phi, q, t, sigma)
         with np.errstate(invalid="ignore", over="ignore"):
             got = _layer_sum(x, q, sigma, omega, block, finite, eta)
             want = full_array_layer_sum(
@@ -767,11 +795,12 @@ class TestLiveColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the density block takes 12.6 MB, and the ring test's comparison
-        # of it 1.6 MB; the pole sums run over 64 rings, so the boundary
-        # kernel (113 live columns) takes 58 kB instead of the 7.4 MB of
-        # all 8,192 nodes, and a second density block would reach 25 MB
-        assert peak < 24_000_000
+        # the constant density fills one row per ring: 98 kB for 64 rings
+        # and 192 sigma nodes, where every node took 12.6 MB; the boundary
+        # kernel (113 live columns over 64 rings) takes 58 kB, and the
+        # largest arrays left are the 197 kB node-to-x0 differences of the
+        # resolution scale
+        assert peak < 1_000_000
 
 
 def magnitude_layer_sum(x, quad, sigma, omega, density, eta=None):
@@ -792,10 +821,13 @@ class TestPolarRings:
     @staticmethod
     def full_and_rings(phi, quad, x, t=0.2, steps=24, eta=None):
         sigma, omega = _sigma_panels(t, 0.0, steps)
-        block, finite = _density_block(phi, quad, t, sigma)
-        ring_quad, ring_block = _polar_rings(quad, x, block, eta)
+        _, block, finite = _density_block(phi, quad, t, sigma)
+        ring_quad, ring_block, ring_finite = _density_block(
+            phi, quad, t, sigma, x, eta
+        )
+        assert np.array_equal(ring_finite, finite)
         full = _layer_sum(x, quad, sigma, omega, block, finite, eta)
-        rings = _layer_sum(x, ring_quad, sigma, omega, ring_block, finite, eta)
+        rings = _layer_sum(x, ring_quad, sigma, omega, ring_block, ring_finite, eta)
         return ring_quad, full, rings
 
     @settings(deadline=None, max_examples=80)
@@ -812,6 +844,9 @@ class TestPolarRings:
     )
     @example(m=32, R=1.0, t=0.05, t1_frac=0.0, z_frac=1.0 - 1e-9, eta_z=1.0,
              steps=48, density="z", c=1.0)
+    # a subnormal density: the two sums differ by two subnormal steps
+    @example(m=4, R=1.0, t=1.0, t1_frac=0.0, z_frac=0.0, eta_z=1.0, steps=4,
+             density="constant", c=2.2250738585e-313)
     def test_ring_sum_matches_the_full_sum(
         self, m, R, t, t1_frac, z_frac, eta_z, steps, density, c
     ):
@@ -827,15 +862,21 @@ class TestPolarRings:
                 return c + tau
             return c + pts[:, 2] * tau
 
-        block, finite = _density_block(phi, q, t, sigma)
-        ring_quad, ring_block = _polar_rings(q, x, block, eta)
+        _, block, finite = _density_block(phi, q, t, sigma)
+        ring_quad, ring_block, ring_finite = _density_block(phi, q, t, sigma, x, eta)
         assert ring_quad.M_q == m
         np.testing.assert_allclose(ring_quad.weights.sum(), q.surface_measure,
                                    rtol=1e-13)
-        got = _layer_sum(x, ring_quad, sigma, omega, ring_block, finite, eta)
+        got = _layer_sum(x, ring_quad, sigma, omega, ring_block, ring_finite, eta)
         want = _layer_sum(x, q, sigma, omega, block, finite, eta)
         scale = magnitude_layer_sum(x, q, sigma, omega, block, eta)
-        assert abs(got - want) <= 1e-12 * scale
+        # below the normal range rounding is absolute: a product that lands
+        # on the subnormal grid is off by up to 2^-1075, weighted by
+        # w omega for kernel times density, by omega for the weight sums
+        # and by 1 in the sum over omega, in each of the two sums
+        floor = 2.0**-1074 * ((q.surface_measure + q.M_q) * (t - t1_frac * t)
+                              + sigma.size)
+        assert abs(got - want) <= 1e-12 * scale + floor
         if eta is None and t1_frac == 0.0:
             assert same_bits(single_layer(x, t, phi, 0.0, q, steps=steps), got)
 
@@ -900,7 +941,8 @@ class TestPolarRings:
         for q in (shuffled, uneven):
             ring_quad, full, _ = self.full_and_rings(unit_density, q, self.ON_AXIS)
             assert ring_quad is q
-        assert _polar_rings(good, self.ON_AXIS, np.ones((good.M_q, 1)))[0].M_q == 6
+        rule = _density_block(unit_density, good, 1.0, np.array([0.5]), self.ON_AXIS)[0]
+        assert rule.M_q == 6
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -928,6 +970,117 @@ class TestPolarRings:
         assert ring_quad.M_q == 8
         assert not math.isfinite(full)
         assert same_bits(rings, full) or (math.isnan(rings) and math.isnan(full))
+
+
+class TestStreamedBlock:
+    """From the pole the density block keeps one row per polar ring while
+    every sigma column so far is ring-constant, and every node from the
+    first column that is not: the full block's bits either way, and the
+    reports of the sum over rings or over every node."""
+
+    POLE = np.array([0.0, 0.0, 1.0])
+    DISTANCES = [0.3, 0.2]
+    STEPS = 8
+    T = 0.05
+    SIGMA, OMEGA = _sigma_panels(T, 0.0, STEPS)
+    TAUS = T - SIGMA
+
+    def blocks_and_report(self, phi, quad):
+        with np.errstate(invalid="ignore"):
+            streamed = _density_block(phi, quad, self.T, self.SIGMA, self.POLE)
+            full = _density_block(phi, quad, self.T, self.SIGMA)
+            report = jump_check(
+                self.POLE, phi, self.T, quad, self.DISTANCES, steps=self.STEPS
+            )
+        return streamed, full, _report_values(report)
+
+    def assert_keeps_every_node(self, phi):
+        q = sphere_quadrature(1.0, 12)
+        (rule, block, finite), (_, full, full_finite), report = (
+            self.blocks_and_report(phi, q)
+        )
+        assert rule is q
+        assert same_bits(block, full)
+        assert np.array_equal(finite, full_finite)
+        with np.errstate(invalid="ignore"):
+            want = full_node_report(
+                self.POLE, phi, self.T, q, self.DISTANCES, steps=self.STEPS
+            )
+        assert same_bits(report, want)
+
+    def assert_keeps_rings(self, phi):
+        q = sphere_quadrature(1.0, 12)
+        (rule, block, finite), (_, full, full_finite), report = (
+            self.blocks_and_report(phi, q)
+        )
+        assert rule is q.ring_rule
+        assert same_bits(block, full[::q.ring_size])
+        assert np.array_equal(finite, full_finite)
+        # the sum over each ring's first node that every ring-constant
+        # block gave before the block was streamed
+        with np.errstate(invalid="ignore"):
+            want = walk_report(
+                self.POLE, q.ring_rule, self.SIGMA, self.OMEGA,
+                full[::q.ring_size], full_finite, self.DISTANCES,
+            )
+        assert same_bits(report, want)
+
+    def test_ring_rule_is_built_once(self):
+        q = sphere_quadrature(1.0, 12)
+        assert q.ring_size == 24
+        assert q.ring_rule is q.ring_rule
+        assert q.ring_rule.M_q == 12
+        assert circle_quadrature(1.0, 12).ring_size == 0
+
+    @pytest.mark.parametrize("kind", ["scalar", "array"])
+    def test_ring_constant_densities_keep_rings(self, kind):
+        if kind == "scalar":
+            self.assert_keeps_rings(lambda pts, tau: 1.0 + tau)
+        else:
+            self.assert_keeps_rings(lambda pts, tau: 1.0 + pts[:, 2] * tau)
+
+    @pytest.mark.parametrize("g", [0, 13, 31])
+    @pytest.mark.parametrize("kind", ["scalar", "array"])
+    def test_a_ring_breaking_column_keeps_every_node(self, g, kind):
+        # before column g the density is a scalar or a ring-constant array
+        def phi(pts, tau):
+            if tau == self.TAUS[g]:
+                return 1.0 + pts[:, 0]
+            return 1.0 + tau if kind == "scalar" else 1.0 + pts[:, 2] * tau
+
+        self.assert_keeps_every_node(phi)
+
+    @pytest.mark.parametrize("g", [0, 13, 31])
+    def test_a_scalar_nan_keeps_every_node(self, g):
+        self.assert_keeps_every_node(
+            lambda pts, tau: math.nan if tau == self.TAUS[g] else 1.0
+        )
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_a_scalar_infinity_keeps_rings(self, value):
+        self.assert_keeps_rings(
+            lambda pts, tau: value if tau == self.TAUS[13] else 1.0
+        )
+
+    def test_nan_on_one_node_keeps_every_node(self):
+        def phi(pts, tau):
+            if tau != self.TAUS[13]:
+                return 1.0
+            values = np.ones(len(pts))
+            values[30] = math.nan
+            return values
+
+        self.assert_keeps_every_node(phi)
+
+    def test_signed_zeros_survive_the_expansion(self):
+        # 0 * x is -0.0 on the nodes with x < 0, so every ring mixes
+        # 0.0 and -0.0, which compare equal
+        self.assert_keeps_rings(lambda pts, tau: 0.0 * pts[:, 0])
+
+        def phi(pts, tau):
+            return pts[:, 0] if tau == self.TAUS[20] else 0.0 * pts[:, 0]
+
+        self.assert_keeps_every_node(phi)
 
 
 class TestSurfaceIntegralBound:

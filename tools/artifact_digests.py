@@ -29,10 +29,12 @@ sum blocks differently, so every m the tests pin is covered), and
 `oracle ode` on the orbit (`--p 2 --q 2 --c 0.5`), on data that reach
 the divergence cap (`--p 3 --q 2 --c 1 --stop-frac 0.99`) and on data
 off the orbit that end uncapped at the requested stop (`--p 3 --q 2
---c 1 --A0 0.4 --B0 0.55`) is digested too. The output has one
-`name/file sha256` line per artifact, one `name/stdout sha256` line per
-verb whose output is digested and one `name exit code` line per run, in
-a fixed order.
+--c 1 --A0 0.4 --B0 0.55`) is digested too, and so is `oracle jump` at
+R = 1e90 and 1e-80, whose sums or fit leave float64 range, so the text
+of the refusal is pinned. The output has one `name/file sha256` line
+per artifact, one `name/stdout sha256` line per verb whose output is
+digested, a `name/stderr sha256` line where that verb wrote to stderr,
+and one `name exit code` line per run, in a fixed order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import hashlib
 import io
 import sys
 import tempfile
-from contextlib import nullcontext, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from blowuplab import cli
@@ -122,6 +124,9 @@ STDOUT_VERBS = {
                           "--stop-frac", "0.99"],
     "oracle_ode_off_orbit": ["oracle", "ode", "--p", "3", "--q", "2", "--c", "1",
                              "--A0", "0.4", "--B0", "0.55"],
+    # refused: the fit's powers of d and the slope factor overflow
+    "oracle_jump_R1e90": ["oracle", "jump", "--R", "1e90"],
+    "oracle_jump_R1e-80": ["oracle", "jump", "--R", "1e-80"],
 }
 
 
@@ -130,12 +135,14 @@ def _sha256(data: bytes) -> str:
 
 
 def _verb(name: str, argv: list[str]) -> list[str]:
-    """The digest of a verb's stdout and its exit code."""
-    stdout = io.StringIO()
-    with redirect_stdout(stdout):
+    """The digests of a verb's stdout and of any stderr, and its exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli.main(argv)
-    return [f"{name}/stdout {_sha256(stdout.getvalue().encode())}",
-            f"{name} exit {code}"]
+    lines = [f"{name}/stdout {_sha256(stdout.getvalue().encode())}"]
+    if stderr.getvalue():
+        lines.append(f"{name}/stderr {_sha256(stderr.getvalue().encode())}")
+    return lines + [f"{name} exit {code}"]
 
 
 def main() -> int:
