@@ -186,7 +186,7 @@ class SphereQuadrature:
         return 2.0 * math.pi * self.R if self.n == 2 else 4.0 * math.pi * self.R**2
 
     @cached_property
-    def ring_size(self) -> int:
+    def _ring_size(self) -> int:
         """Nodes per polar ring of the rule, or 0 if it has no polar rings
         (condition 1 of the module docstring)."""
         if self.n != 3:
@@ -206,9 +206,9 @@ class SphereQuadrature:
         return k
 
     @cached_property
-    def ring_rule(self) -> SphereQuadrature:
+    def _ring_rule(self) -> SphereQuadrature:
         """Each polar ring's first node with the ring's weight sum."""
-        k = self.ring_size
+        k = self._ring_size
         return SphereQuadrature(
             n=self.n, R=self.R, nodes=self.nodes[::k],
             weights=self.weights.reshape(-1, k).sum(axis=1),
@@ -309,7 +309,7 @@ def _density_block(
     column-major, so filling a sigma column and taking the live columns
     copy contiguous memory.
     """
-    k = 0 if x is None else quad.ring_size
+    k = 0 if x is None else quad._ring_size
     if k and not (x[0] == x[1] == 0.0 and (eta is None or eta[0] == eta[1] == 0.0)):
         k = 0
     block = np.empty((quad.M_q // (k or 1), sigma.size), order="F")
@@ -344,7 +344,7 @@ def _density_block(
             full[:, h] = kept
         full[:, g] = values
         block, k = full, 0
-    return (quad.ring_rule if k else quad), block, np.isfinite(block).all(axis=0)
+    return (quad._ring_rule if k else quad), block, np.isfinite(block).all(axis=0)
 
 
 def _layer_sum(
@@ -458,7 +458,8 @@ def jump_check(
     constant on every polar ring is summed over the rings (see the
     module docstring). Where R, t and the distances make the kernel
     scale, the slope factor or the fit's powers of d overflow float64,
-    the check raises ConfigError rather than report from an inf.
+    or a finite density is large enough to overflow the sums, the check
+    raises ConfigError rather than report from an inf.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (quad.n,):
@@ -494,8 +495,9 @@ def jump_check(
 
     # with the CLI's scale-free defaults, R above about 7e77 overflows the
     # fit's powers of d, and R below about 3e-76 the slope factor or the
-    # kernel scale; a NaN or inf density raises no overflow, so it still
-    # reaches the sums
+    # kernel scale; a finite density near the float64 maximum overflows
+    # the sums, while a NaN or inf density raises no overflow, so it
+    # still reaches the sums
     try:
         with np.errstate(over="raise"):
             derivs = np.empty(d.size)
@@ -505,9 +507,11 @@ def jump_check(
             boundary = _layer_sum(x0, rule, sigma, omega, density, finite, eta=eta)
             fit = np.polynomial.polynomial.polyfit(d, derivs, min(2, d.size - 1))
     except FloatingPointError as exc:
+        size = float(np.abs(density[:, finite]).max(initial=0.0))
         raise ConfigError(
-            f"jump check at R = {quad.R:g}, window {t:g} and distances "
-            f"{d[0]:g} to {d[-1]:g} leaves float64 range: {exc}"
+            f"jump check at R = {quad.R:g}, window {t:g}, distances "
+            f"{d[0]:g} to {d[-1]:g} and density magnitude up to {size:g} "
+            f"leaves float64 range: {exc}"
         ) from exc
     interior_limit = float(fit[0])
     jump = boundary - interior_limit

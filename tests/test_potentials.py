@@ -524,6 +524,19 @@ class TestJumpCheck:
                 jump_check(np.array([0.0, 0.0, R]), unit_density, 0.05 * R * R, q,
                            distances)
 
+    def test_rejects_a_density_whose_sums_overflow(self):
+        # R = 1 is well inside range: the message names the density's size
+        q = sphere_quadrature(1.0, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                jump_check(self.POLE, lambda p, s: 1e308, 0.05, q, self.DISTANCES)
+        assert str(info.value) == (
+            "jump check at R = 1, window 0.05, distances 0.16 to 0.04 and "
+            "density magnitude up to 1e+308 leaves float64 range: "
+            "overflow encountered in multiply"
+        )
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_density_still_reaches_the_sums(self, value):
         q = sphere_quadrature(1.0, 24)
@@ -844,9 +857,14 @@ class TestPolarRings:
     )
     @example(m=32, R=1.0, t=0.05, t1_frac=0.0, z_frac=1.0 - 1e-9, eta_z=1.0,
              steps=48, density="z", c=1.0)
-    # a subnormal density: the two sums differ by two subnormal steps
+    # a subnormal density: rounding on the subnormal grid is absolute, and
+    # the two sums differ by two subnormal steps (-5e-324 against 5e-324),
+    # outside the relative bound
     @example(m=4, R=1.0, t=1.0, t1_frac=0.0, z_frac=0.0, eta_z=1.0, steps=4,
-             density="constant", c=2.2250738585e-313)
+             density="constant", c=2.2250738585e-313).xfail(
+        raises=AssertionError,
+        reason="the ring sum misses the 1e-12 relative bound on subnormal sums",
+    )
     def test_ring_sum_matches_the_full_sum(
         self, m, R, t, t1_frac, z_frac, eta_z, steps, density, c
     ):
@@ -870,13 +888,7 @@ class TestPolarRings:
         got = _layer_sum(x, ring_quad, sigma, omega, ring_block, ring_finite, eta)
         want = _layer_sum(x, q, sigma, omega, block, finite, eta)
         scale = magnitude_layer_sum(x, q, sigma, omega, block, eta)
-        # below the normal range rounding is absolute: a product that lands
-        # on the subnormal grid is off by up to 2^-1075, weighted by
-        # w omega for kernel times density, by omega for the weight sums
-        # and by 1 in the sum over omega, in each of the two sums
-        floor = 2.0**-1074 * ((q.surface_measure + q.M_q) * (t - t1_frac * t)
-                              + sigma.size)
-        assert abs(got - want) <= 1e-12 * scale + floor
+        assert abs(got - want) <= 1e-12 * scale
         if eta is None and t1_frac == 0.0:
             assert same_bits(single_layer(x, t, phi, 0.0, q, steps=steps), got)
 
@@ -1013,24 +1025,24 @@ class TestStreamedBlock:
         (rule, block, finite), (_, full, full_finite), report = (
             self.blocks_and_report(phi, q)
         )
-        assert rule is q.ring_rule
-        assert same_bits(block, full[::q.ring_size])
+        assert rule is q._ring_rule
+        assert same_bits(block, full[::q._ring_size])
         assert np.array_equal(finite, full_finite)
         # the sum over each ring's first node that every ring-constant
         # block gave before the block was streamed
         with np.errstate(invalid="ignore"):
             want = walk_report(
-                self.POLE, q.ring_rule, self.SIGMA, self.OMEGA,
-                full[::q.ring_size], full_finite, self.DISTANCES,
+                self.POLE, q._ring_rule, self.SIGMA, self.OMEGA,
+                full[::q._ring_size], full_finite, self.DISTANCES,
             )
         assert same_bits(report, want)
 
     def test_ring_rule_is_built_once(self):
         q = sphere_quadrature(1.0, 12)
-        assert q.ring_size == 24
-        assert q.ring_rule is q.ring_rule
-        assert q.ring_rule.M_q == 12
-        assert circle_quadrature(1.0, 12).ring_size == 0
+        assert q._ring_size == 24
+        assert q._ring_rule is q._ring_rule
+        assert q._ring_rule.M_q == 12
+        assert circle_quadrature(1.0, 12)._ring_size == 0
 
     @pytest.mark.parametrize("kind", ["scalar", "array"])
     def test_ring_constant_densities_keep_rings(self, kind):
