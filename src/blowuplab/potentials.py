@@ -414,13 +414,27 @@ def single_layer(
     quadrature node makes the kernel singular and returns inf; the
     nodes never include the poles, so polar-axis evaluation is safe.
     There a density constant on every polar ring is summed over the
-    rings (see the module docstring).
+    rings (see the module docstring). Where R and the window make the
+    kernel scale overflow float64, or a finite density is large enough
+    to overflow the sum, it raises ConfigError rather than return an
+    inf or a NaN.
     """
     sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
     _inside(x, quad)
     rule, density, finite = _density_block(phi, quad, t, sigma, x)
-    return _layer_sum(x, rule, sigma, omega, density, finite)
+    # at the scale-free window 0.05 R^2, R below about 6e-100 overflows
+    # the kernel scale; a NaN or inf density raises no overflow, so it
+    # still reaches the sum
+    try:
+        with np.errstate(over="raise"):
+            return _layer_sum(x, rule, sigma, omega, density, finite)
+    except FloatingPointError as exc:
+        size = float(np.abs(density[:, finite]).max(initial=0.0))
+        raise ConfigError(
+            f"single layer at R = {quad.R:g}, window {t1:g} to {t:g} and "
+            f"density magnitude up to {size:g} leaves float64 range: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)

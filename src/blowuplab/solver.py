@@ -16,27 +16,34 @@ UNDERFLOW_FACTOR * dr^2, or t + dt rounds back to t. A step that cannot
 advance t is refused before it touches the fields, so every recorded
 sample after the first has dt > 0 and t strictly increases.
 
-The state is one (2, N) float64 array F with u in row 0 and v in row 1.
-One kernel (_Kernel.advance) updates it. The kernel owns the two state
-buffers, the rate buffer and, built once, each buffer's flat view and
-its stencil bound by model.RadialLaplacian.bind, so a step makes no
-array, view or reshape: run() flips the index of the current buffer.
-At N = 201 a step costs numpy's call overhead more than arithmetic, so
-a step makes no Python call it can do without: one flat take reads the
-eight end values, the flux, ghost and end-node arithmetic is inline on
+The state is one (rows, N) float64 array F: u in row 0 and v in row 1,
+or u alone for a run that is its own mirror (below). One kernel
+(_Kernel.advance) updates it. The kernel owns the two state buffers,
+the rate buffer and, built once, each buffer's flat view and its
+stencil bound by model.RadialLaplacian.bind, so a step makes no array,
+view or reshape: run() flips the index of the current buffer. At
+N = 201 a step costs numpy's call overhead more than arithmetic, so a
+step makes no Python call it can do without: one flat take reads the
+eight end values (u's four twice with one row), the flux, ghost and
+end-node arithmetic is inline on
 Python floats (boundary_flux runs only to raise or pass a NaN on), the
 whole-array reductions are argmax/argmin plus item() in place, which
 beat numpy's reduce on small arrays and return the first NaN, and dt
 reaches the update as a 0-d array, which numpy does not convert. A
 sample reads its maxima the same way, row by row (_sample_maxima). run() builds a
-FieldState only for snapshots; the stop state is the last recorded row
-and, with snapshots on, the last snapshot. step() is a thin wrapper
-that takes one FieldState through the same kernel, so there is one
-update rule.
+FieldState only for snapshots, from one copy of each row of F, made
+read-only; the stop state is the last recorded row and, with snapshots
+on, the last snapshot. step() is a thin wrapper that takes one
+FieldState through the same two-row kernel, so there is one update rule.
 
 The two rows are treated alike, so with u0 = v0 the run with p and q
 swapped is the run mirrored (Trajectory.mirrored), bit for bit; a sweep
-solves such a pair once.
+solves such a pair once. For the same reason, with p = q and u0 = v0
+bit for bit (compared as bytes, since 0.0 == -0.0) v is u at every
+step: run() then steps the (1, N) state u, whose end values the kernel
+reads in v's place too, and each snapshot's u and v are one array.
+That is the same arithmetic on half the array, so the trajectory has
+the same bits.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
@@ -133,7 +140,9 @@ class Trajectory:
     solutions) and Nmax the same for v. flux_u is the flux induced by
     u's boundary value (it drives v) and flux_v the one induced by v.
     Each snapshot in states is a recorded sample and carries that
-    sample's t; t strictly increases, so the times place them.
+    sample's t; t strictly increases, so the times place them. Its
+    arrays are read-only copies, and where the run stepped u alone (p =
+    q and u0 = v0) its u and v are the same array.
     """
 
     t: np.ndarray
@@ -186,22 +195,29 @@ COLUMNS = (
 
 
 class _Kernel:
-    """The forward-Euler update of the state F = [u; v] of shape (2, N).
+    """The forward-Euler update of the state F of shape (rows, N): F =
+    [u; v] with two rows, or F = [u] with one when u is v.
 
     It is built once per run and owns the two state buffers (states),
     the rate buffer and, for each state buffer, its flat view and its
     stencil bound by RadialLaplacian.bind, so a step allocates no array
     and makes no view: advance() steps states[i] into states[1 - i].
+    end_nodes are the flat indices of u's and v's end values, u's four
+    read twice with one row, so a step runs the same code on either.
     """
 
-    def __init__(self, params: ProblemParams, grid: RadialGrid, config: SolverConfig):
+    def __init__(
+        self, params: ProblemParams, grid: RadialGrid, config: SolverConfig,
+        rows: int = 2,
+    ):
         self.params, self.config = params, config
-        self.lap = lap = RadialLaplacian(grid, params.n, rows=2)
-        self.states = (np.empty((2, grid.N)), np.empty((2, grid.N)))
-        self.rates = np.empty((2, grid.N))
+        self.lap = lap = RadialLaplacian(grid, params.n, rows)
+        self.end_nodes = np.concatenate([lap.end_nodes] * (2 // rows))
+        self.states = (np.empty((rows, grid.N)), np.empty((rows, grid.N)))
+        self.rates = np.empty((rows, grid.N))
         self.flat = [F.reshape(-1) for F in self.states]
         self._bound = [lap.bind(F, self.rates) for F in self.states]
-        self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(2 * grid.N)
+        self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(rows * grid.N)
         self._dt = np.empty(())
         self._dt_max = config.cfl * lap.dr2
         self._dt_min = UNDERFLOW_FACTOR * lap.dr2
@@ -212,7 +228,7 @@ class _Kernel:
     ) -> tuple[float, float]:
         """Write the state one step after (t, states[i]) into states[1 - i].
 
-        ends is lap.end_values(states[i]), arg_u and arg_v the flux
+        ends is states[i]'s values at end_nodes, arg_u and arg_v the flux
         exponent arguments of its boundary values and peak its max.
         Returns the new time and the new state's max, which is the next
         step's peak.
@@ -229,7 +245,8 @@ class _Kernel:
             flux_v = boundary_flux(flux, vN, params.p)
             flux_u = boundary_flux(flux, uN, params.q)
         # Neumann closure: u's outward derivative is the flux induced by
-        # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) = flux
+        # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) =
+        # flux; with one row apply() uses u's ghost alone
         two_dr = lap.two_dr
         lap.apply(ends, (ends[2] + two_dr * flux_v, ends[6] + two_dr * flux_u),
                   self._bound[i])
@@ -268,21 +285,23 @@ class _Kernel:
 
 def _sample_maxima(F: np.ndarray, rows: tuple, k: int) -> list:
     """[max u, max v, argmax u, argmax v, max u[:k], max v[:k]] of F as
-    Python numbers, rows being (u, v, u[:k], v[:k]).
+    Python numbers, rows being (u, v, u[:k], v[:k]) and F either [u; v]
+    or, when u is v, [u].
 
-    These are F.max(axis=1), F.argmax(axis=1) and F[:, :k].max(axis=1),
-    bit for bit: item(argmax()) is the first maximum, and where that is
-    a zero, which the reductions may take with either sign from a tie of
-    0.0 and -0.0, the pair comes from the reduction itself.
+    These are the reductions max(axis=1), argmax(axis=1) and
+    [:, :k].max(axis=1) of [u; v] = F[[0, -1]], bit for bit:
+    item(argmax()) is the first maximum, and where that is a zero, which
+    the reductions may take with either sign from a tie of 0.0 and -0.0,
+    the pair comes from the reduction itself.
     """
     u, v, u_in, v_in = rows
     a_u, a_v = u.argmax(), v.argmax()
     values = [u.item(a_u), v.item(a_v), int(a_u), int(a_v),
               u_in.item(u_in.argmax()), v_in.item(v_in.argmax())]
     if values[0] == 0.0 or values[1] == 0.0:
-        values[0:2] = F.max(axis=1).tolist()
+        values[0:2] = F[[0, -1]].max(axis=1).tolist()
     if values[4] == 0.0 or values[5] == 0.0:
-        values[4:6] = F[:, :k].max(axis=1).tolist()
+        values[4:6] = F[[0, -1], :k].max(axis=1).tolist()
     return values
 
 
@@ -343,18 +362,22 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         failed = [c.name for c in report.checks if not c.passed]
         raise InvalidInitialData(f"initial data failed: {', '.join(failed)}")
 
-    kernel = _Kernel(params, grid, config)
+    u0, v0 = params.initial.evaluate(grid)
+    # a run that is its own mirror has u = v at every step, bit for bit:
+    # step u alone. Bytes, not values, since 0.0 == -0.0
+    one = params.p == params.q and u0.tobytes() == v0.tobytes()
+    kernel = _Kernel(params, grid, config, rows=1 if one else 2)
     i = 0
     F = kernel.states[i]
-    F[:] = params.initial.evaluate(grid)
+    F[:] = u0 if one else (u0, v0)
     k = interior_nodes(grid, config.interior_radius)
     # u, v, u[:k] and v[:k] of each state buffer, for _sample_maxima
-    sampled = [(*G, *G[:, :k]) for G in kernel.states]
+    sampled = [(G[0], G[-1], G[0, :k], G[-1, :k]) for G in kernel.states]
     rows: list[tuple] = []
     states: list[FieldState] = []
     flux, p, q = params.flux, params.p, params.q
     arg, advance = flux.arg, kernel.advance
-    flat, end_nodes = kernel.flat, kernel.lap.end_nodes
+    flat, end_nodes = kernel.flat, kernel.end_nodes
     u_stop, t_end, record_every = config.u_stop, config.t_end, config.record_every
 
     # each pass visits one state (t, F): decide whether it is the stop
@@ -400,8 +423,12 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
             if config.state_every and (
                 reason is not None or sample % config.state_every == 0
             ):
-                # the buffers are reused, so a snapshot owns a copy
-                states.append(FieldState(t, *F.copy()))
+                # the buffers are reused, so a snapshot owns a copy of each
+                # row, read-only since with one row u and v are one array
+                c = [row.copy() for row in F]
+                for row in c:
+                    row.flags.writeable = False
+                states.append(FieldState(t, c[0], c[-1]))
         if reason is not None:
             break
         steps += 1

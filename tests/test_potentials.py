@@ -318,6 +318,35 @@ class TestSingleLayer:
         )
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
+    def test_rejects_a_radius_whose_kernel_scale_overflows(self):
+        # the same scale-free problem gives R times the value at R = 1
+        R = 1e-100
+        q = sphere_quadrature(R, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                single_layer(np.array([0.0, 0.0, R]), 0.05 * R * R,
+                             unit_density, 0.0, q)
+        assert str(info.value) == (
+            "single layer at R = 1e-100, window 0 to 5e-202 and density "
+            "magnitude up to 1 leaves float64 range: overflow encountered "
+            "in power"
+        )
+        q = sphere_quadrature(1.0, 24)
+        assert single_layer(np.array([0.0, 0.0, 1.0]), 0.05, unit_density,
+                            0.0, q) == 0.12615659936710236
+
+    def test_rejects_a_density_whose_sum_overflows(self):
+        q = sphere_quadrature(1.0, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=(
+                "at R = 1, window 0 to 0.05 and density magnitude up to "
+                "1e\\+308 leaves float64 range"
+            )):
+                single_layer(np.array([0.0, 0.0, 1.0]), 0.05,
+                             lambda p, s: 1e308, 0.0, q)
+
     def test_rejects_bad_window(self):
         q = sphere_quadrature(1.0, 8)
         with pytest.raises(BadWindow):
@@ -857,14 +886,15 @@ class TestPolarRings:
     )
     @example(m=32, R=1.0, t=0.05, t1_frac=0.0, z_frac=1.0 - 1e-9, eta_z=1.0,
              steps=48, density="z", c=1.0)
-    # a subnormal density: rounding on the subnormal grid is absolute, and
-    # the two sums differ by two subnormal steps (-5e-324 against 5e-324),
-    # outside the relative bound
+    # subnormal densities, whose sums differ by subnormal steps (-5e-324
+    # against 5e-324 at the first), and a tiny normal one, where the
+    # relative term dwarfs the subnormal floor
     @example(m=4, R=1.0, t=1.0, t1_frac=0.0, z_frac=0.0, eta_z=1.0, steps=4,
-             density="constant", c=2.2250738585e-313).xfail(
-        raises=AssertionError,
-        reason="the ring sum misses the 1e-12 relative bound on subnormal sums",
-    )
+             density="constant", c=2.2250738585e-313)
+    @example(m=4, R=1.0, t=1.0, t1_frac=0.0, z_frac=0.0, eta_z=1.0, steps=4,
+             density="constant", c=5e-324)
+    @example(m=4, R=1.0, t=1.0, t1_frac=0.0, z_frac=0.0, eta_z=1.0, steps=4,
+             density="constant", c=1e-300)
     def test_ring_sum_matches_the_full_sum(
         self, m, R, t, t1_frac, z_frac, eta_z, steps, density, c
     ):
@@ -888,7 +918,21 @@ class TestPolarRings:
         got = _layer_sum(x, ring_quad, sigma, omega, ring_block, ring_finite, eta)
         want = _layer_sum(x, q, sigma, omega, block, finite, eta)
         scale = magnitude_layer_sum(x, q, sigma, omega, block, eta)
-        assert abs(got - want) <= 1e-12 * scale
+        # A rounding to a subnormal result errs by up to half the subnormal
+        # step, 2^-1075, whatever the result, so no relative bound holds
+        # there. In a layer sum such roundings are each kernel entry's
+        # product with the density, the weights' products in the matvec
+        # and the products with omega; sums of subnormals are exact. The
+        # matvec multiplies an entry's error by w_i and the last dot by
+        # omega_j, so one sum errs by at most 2^-1075 times
+        #   |S| (t - t1)  for the entries (sum of w_i omega_j),
+        #   M_q (t - t1)  for the M_q weight products per sigma node,
+        #   G             for the G products with omega,
+        # beyond its relative rounding, |S| the sphere's measure. The two
+        # sums compared err together by at most K 2^-1074, K this count
+        # of roundings weighted by what the sum multiplies them by.
+        K = sigma.size + (t - t1_frac * t) * (q.surface_measure + q.M_q)
+        assert abs(got - want) <= 1e-12 * scale + K * 2**-1074
         if eta is None and t1_frac == 0.0:
             assert same_bits(single_layer(x, t, phi, 0.0, q, steps=steps), got)
 

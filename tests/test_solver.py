@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +270,13 @@ class TestStep:
         want = [*F.max(axis=1).tolist(), *F.argmax(axis=1).tolist(),
                 *F[:, :k].max(axis=1).tolist()]
         assert [type(x) for x in got] == [type(x) for x in want]
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+        # one row, u is v: the reductions of [u; u]
+        u = F[:1]
+        got = _sample_maxima(u, (u[0], u[0], u[0, :k], u[0, :k]), k)
+        both = F[[0, 0]]
+        want = [*both.max(axis=1).tolist(), *both.argmax(axis=1).tolist(),
+                *both[:, :k].max(axis=1).tolist()]
         assert [repr(x) for x in got] == [repr(x) for x in want]
 
     def test_iterated_steps_reproduce_the_run(self):
@@ -720,3 +729,138 @@ class TestReferenceLoop:
             for name in ("power_t_end", "exp_power_underflow", "power_n2")
         }
         assert reasons == set(StopReason)
+
+
+# -- the one-field path --------------------------------------------------------
+#
+# With p = q and u0 = v0 bit for bit, run() steps u alone: v is u at every
+# step. The per-field reference loop steps both fields, so it checks the
+# one-field path against the two-field update.
+
+
+def _signed_zero_rise(grid):
+    """Zero for r <= 0.6, then 10 (r - 0.6)^2, with 0.0 at r = 0 and -0.0
+    at the other zeros."""
+    rise = 10.0 * np.maximum(grid.r - 0.6, 0.0) ** 2
+    return np.where(rise > 0, rise, np.where(np.arange(grid.N) == 0, 0.0, -0.0))
+
+
+def _matches_the_reference_loop(params, config):
+    """run(params, config), checked against _reference_run bit for bit."""
+    traj = run(params, config)
+    columns, snapshots, samples, steps, stop = _reference_run(params, config)
+    for column in COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(traj, column), columns[column], err_msg=column, strict=True
+        )
+    assert traj.steps == steps
+    assert [s.t for s in traj.states] == traj.t[samples].tolist()
+    assert len(traj.states) == len(snapshots)
+    for state, (t, u, v) in zip(traj.states, snapshots):
+        assert state.t == t
+        np.testing.assert_array_equal(state.u, u, strict=True)
+        np.testing.assert_array_equal(state.v, v, strict=True)
+    reason, detail, t_stop, *_ = stop
+    assert (traj.stop.reason, traj.stop.detail, traj.stop.t_stop) == (
+        reason, detail, t_stop)
+    return traj
+
+
+class TestOneField:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        family=st.sampled_from(FluxFamily),
+        n=st.sampled_from([1, 2, 3]),
+        e=st.sampled_from([1.5, 2.0, 3.0]),
+        N=st.integers(16, 41),
+        a=st.sampled_from([0.25, 0.5, 1.0]),
+        b=st.sampled_from([0.0, 0.5]),
+        data=st.sampled_from(["quadratic", "quartic", "signed_zero"]),
+        t_end=st.one_of(st.none(), st.floats(1e-4, 0.05)),
+        record_every=st.sampled_from([1, 3]),
+        state_every=st.sampled_from([0, 1, 2]),
+    )
+    def test_run_matches_the_reference_loop(
+        self, family, n, e, N, a, b, data, t_end, record_every, state_every,
+    ):
+        if family is FluxFamily.EXP_LINEAR:
+            e -= 1.0
+        grid = make_grid(1.0, N)
+        initial = QuadraticRadial(a, b, a, b)
+        if data == "quartic":
+            w = a + b * grid.r**2 + 0.5 * grid.r**4
+            initial = Tabulated(w, w)
+        elif data == "signed_zero":
+            w = _signed_zero_rise(grid)
+            initial = Tabulated(w, w)
+        config = SolverConfig(
+            N=N, cfl=_CFL[n], t_end=t_end, record_every=record_every,
+            state_every=state_every,
+            u_stop=600.0 if family is FluxFamily.POWER else 9.0,
+        )
+        traj = _matches_the_reference_loop(
+            ProblemParams(e, e, 1.0, n, family, initial), config
+        )
+        assert all(np.shares_memory(s.u, s.v) for s in traj.states)
+
+    @pytest.mark.parametrize("params, reason, detail", [
+        (exp_power_params(), StopReason.STEP_UNDERFLOW,
+         "dt = 8.483e-20 below 1e-16 \\* dr\\^2"),
+        (exp_power_params(p=1.0, q=1.0, flux=FluxFamily.EXP_LINEAR),
+         StopReason.STEP_UNDERFLOW, "t \\+ dt == t: dt = 6.920e-19"),
+        # at R = 1e7 the ghost, f[N-2] + 2 dr e^699, is inf, and for n = 1
+        # the boundary node's drift 0 * inf is NaN: the first update is
+        # non-finite
+        (exp_power_params(
+            p=1.0, q=1.0, R=1e7, n=1, flux=FluxFamily.EXP_LINEAR,
+            initial=QuadraticRadial(699.0, 0.0, 699.0, 0.0)),
+         StopReason.BLOWUP_THRESHOLD, "non-finite field values at t = 0$"),
+    ], ids=["below_dr2", "t_plus_dt", "non_finite"])
+    def test_stops_match_the_reference_loop(self, params, reason, detail):
+        with np.errstate(invalid="ignore"):
+            traj = _matches_the_reference_loop(params, SolverConfig(N=16))
+        assert traj.stop.reason is reason
+        assert re.search(detail, traj.stop.detail)
+        assert np.shares_memory(traj.states[-1].u, traj.states[-1].v)
+
+    def test_flux_overflow_comes_from_the_initial_data(self):
+        grid = make_grid(1.0, 41)
+        w = 26.0 + 0.5 * grid.r**2
+        params = exp_power_params(initial=Tabulated(w, w))
+        with pytest.raises(FluxOverflow, match="exponent argument 702 >= 700"):
+            run(params, SolverConfig(N=41))
+
+    @pytest.mark.parametrize("q, data, shared", [
+        (2.0, "quadratic", True),
+        (3.0, "quadratic", False),
+        # v0 is u0 with the signs of its zeros flipped: two fields
+        (2.0, "signed_zero", False),
+    ])
+    def test_snapshots_are_read_only_and_share_u_and_v_only_if_equal(
+        self, q, data, shared,
+    ):
+        grid = make_grid(1.0, 41)
+        initial = QuadraticRadial()
+        if data == "signed_zero":
+            w = _signed_zero_rise(grid)
+            initial = Tabulated(w, np.where(w == 0.0, -w, w))
+        params = exp_power_params(q=q, flux=FluxFamily.POWER, initial=initial)
+        traj = run(params, SolverConfig(N=41, t_end=1e-2))
+        assert len(traj.states) > 2
+        for state in traj.states:
+            assert np.shares_memory(state.u, state.v) is shared
+            assert not (state.u.flags.writeable or state.v.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.states[0].u[0] = 1.0
+
+    def test_self_mirror_run_keeps_one_field_per_snapshot(self):
+        # 2,099 snapshots of 201 nodes: one field each is 3.4 MB
+        params = exp_power_params(flux=FluxFamily.POWER)
+        tracemalloc.start()
+        try:
+            traj = run(params, SolverConfig(N=201))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 2099
+        assert peak < 6e6
