@@ -55,8 +55,9 @@ over rings when all three of these hold:
 2. the point is on the polar axis: x[0] == x[1] == 0 exactly, and so is
    eta where eta is given (`jump_check` walks along x0's normal, so
    checking x0 is enough);
-3. the density is constant on every ring in every sigma column,
-   compared as floats, so a NaN density keeps the full sum.
+3. phi returned a scalar at every sigma node, so the density is
+   constant in space (an array return keeps the full sum, even one
+   constant on every ring).
 
 The reduced rule keeps each ring's first node and the ring's weight
 sum, and `_layer_sum` runs on it unchanged. The sum moves by rounding
@@ -68,20 +69,9 @@ the axis point and eta the reduced sum stayed within 8e-14 of the sum
 of |w K density| (the property test asserts 1e-12), and the reports of
 `jump_check` at m = 24 to 96 move by at most 2.5e-13 relative.
 
-`_density_block` tests condition 3 as phi fills each sigma column and
-keeps one row per ring while it holds; a scalar phi, such as the CLI's
-constant density, fills its ring column without touching the 2 m^2
-nodes. The first column that breaks the condition expands the rows
-kept so far by exact repetition, and every node is kept from there on,
-so each sum has the bits it had when the whole block was filled first
-and then compared. The rule's ring size and ring rule are computed once
-per rule, and the resolution scale of `jump_check` still comes from the
-full rule. A pole `jump_check` with a constant density takes 1.8, 2.1
-and 2.5 ms at m = 48, 64 and 96, against 3.4, 5.2 and 11.4 ms when
-every node was filled and then compared (medians of six alternating
-fresh processes of 15 calls each, 2-core VM, Python 3.11.7, numpy
-2.4.6, one BLAS thread), and its traced allocations peak at 0.39 MB at
-m = 64, against 14.2 MB.
+A scalar density is stored as one row and handed out broadcast over the
+rule's nodes, on the axis or off it, so its block costs one float per
+sigma node and each product reads the numbers a filled block holds.
 """
 
 from __future__ import annotations
@@ -270,6 +260,17 @@ def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarr
         raise BadWindow(f"need t1 < t, got t1 = {t1}, t = {t}")
     if steps < 4:
         raise ValueError(f"steps = {steps} is too few panels, need at least 4")
+    # the smallest node is h (1 + x_0), h = (t - t1) 2^-steps the last
+    # panel's half width. Halving is exact while it stays normal, and
+    # 0.5 ** k is zero past k = 1074, so past `usable` panels that node
+    # is below the smallest normal float64: subnormal and inexact, or
+    # zero, where the kernel is singular. Refused before any allocation.
+    usable = min(math.frexp((t - t1) + (t - t1) * _GAUSS[0][0])[1] + 1021, 1075)
+    if steps > usable:
+        raise ValueError(
+            f"steps = {steps} panels halve the window {t1:g} to {t:g} below "
+            f"float64's normal range; at most {usable} keep its nodes normal"
+        )
     uppers = (t - t1) * 0.5 ** np.arange(steps)
     lowers = np.append(uppers[1:], 0.0)
     mid = 0.5 * (uppers + lowers)
@@ -299,52 +300,41 @@ def _density_block(
     """The rule a layer sum at x runs on, phi on its nodes at every sigma
     node, and which sigma columns are finite.
 
-    phi is called once per sigma column on every node. From a point on
-    the polar axis (and eta, where given) a rule with polar rings keeps
-    one row per ring while every column so far is constant on every ring
-    (conditions 2 and 3 of the module docstring); a scalar phi fills its
-    column without touching the nodes. The first column that is not
-    expands the rows kept so far by repetition, and from there on every
-    node is kept. Without x every node is kept. The block is
-    column-major, so filling a sigma column and taking the live columns
-    copy contiguous memory.
+    phi is called once per sigma column on every node. A scalar return
+    is constant in space, so while every return is a scalar the block is
+    one row, handed out broadcast over the rule's nodes; from a point on
+    the polar axis (and eta, where given) that rule is the ring rule of
+    a rule with polar rings (conditions 2 and 3 of the module
+    docstring). From the first array return every node is stored, and
+    the rule is quad. The full block is column-major, so filling a sigma
+    column and taking the live columns copy contiguous memory.
     """
-    k = 0 if x is None else quad._ring_size
-    if k and not (x[0] == x[1] == 0.0 and (eta is None or eta[0] == eta[1] == 0.0)):
-        k = 0
-    block = np.empty((quad.M_q // (k or 1), sigma.size), order="F")
-    column = np.empty(quad.M_q) if k else None
-    # ring-constant columns whose rings mix 0.0 and -0.0: a repeated ring
-    # value would lose those signs
-    signed_zeros = {}
+    row = np.empty((1, sigma.size))
+    block = None
     for g, tau in enumerate(t - sigma):
         values = phi(quad.nodes, tau)
-        if not k:
-            block[:, g] = values
-            continue
-        if np.ndim(values) == 0:
-            block[:, g] = values
-            # "==" fails on a NaN, which keeps every node
-            if block[0, g] == block[0, g]:
+        if block is None:
+            if np.ndim(values) == 0:
+                row[0, g] = values
                 continue
-            values = block[0, g]
-        else:
-            column[:] = values
-            rings = column.reshape(-1, k)
-            if (rings == rings[:, :1]).all():
-                block[:, g] = rings[:, 0]
-                zero = rings[rings[:, 0] == 0.0]
-                if (np.signbit(zero) != np.signbit(zero[:, :1])).any():
-                    signed_zeros[g] = column.copy()
-                continue
-        # row a + k b of the full block is node a of ring b
-        full = np.empty((quad.M_q, sigma.size), order="F")
-        full[:, :g] = np.repeat(block[:, :g], k, axis=0)
-        for h, kept in signed_zeros.items():
-            full[:, h] = kept
-        full[:, g] = values
-        block, k = full, 0
-    return (quad._ring_rule if k else quad), block, np.isfinite(block).all(axis=0)
+            block = np.empty((quad.M_q, sigma.size), order="F")
+            block[:, :g] = row[:, :g]
+        block[:, g] = values
+    if block is not None:
+        return quad, block, np.isfinite(block).all(axis=0)
+    on_axis = x is not None and x[0] == x[1] == 0.0 and (
+        eta is None or eta[0] == eta[1] == 0.0
+    )
+    rule = quad._ring_rule if on_axis and quad._ring_size else quad
+    return rule, np.broadcast_to(row, (rule.M_q, sigma.size)), np.isfinite(row[0])
+
+
+def _magnitude(density: np.ndarray, finite: np.ndarray) -> float:
+    """The largest |density| over the finite sigma columns; a broadcast
+    row is read once."""
+    if not density.strides[0]:
+        density = density[:1]
+    return float(np.abs(density[:, finite]).max(initial=0.0))
 
 
 def _layer_sum(
@@ -413,11 +403,12 @@ def single_layer(
     and return a scalar or an (M,) array. Evaluation exactly on a
     quadrature node makes the kernel singular and returns inf; the
     nodes never include the poles, so polar-axis evaluation is safe.
-    There a density constant on every polar ring is summed over the
-    rings (see the module docstring). Where R and the window make the
-    kernel scale overflow float64, or a finite density is large enough
-    to overflow the sum, it raises ConfigError rather than return an
-    inf or a NaN.
+    A scalar return is constant in space and stored as one row; there it
+    is summed over the polar rings (see the module docstring). Where R
+    and the window make the kernel scale overflow float64, or a finite
+    density is large enough to overflow the sum, it raises ConfigError
+    rather than return an inf or a NaN; a panel count that halves the
+    window below float64's normal range raises ValueError.
     """
     sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
@@ -430,10 +421,10 @@ def single_layer(
         with np.errstate(over="raise"):
             return _layer_sum(x, rule, sigma, omega, density, finite)
     except FloatingPointError as exc:
-        size = float(np.abs(density[:, finite]).max(initial=0.0))
         raise ConfigError(
             f"single layer at R = {quad.R:g}, window {t1:g} to {t:g} and "
-            f"density magnitude up to {size:g} leaves float64 range: {exc}"
+            f"density magnitude up to {_magnitude(density, finite):g} leaves "
+            f"float64 range: {exc}"
         ) from exc
 
 
@@ -468,12 +459,13 @@ def jump_check(
     takes a centered difference of the potential at each d (step d/8),
     fits a polynomial in d to extrapolate the interior limit, and
     subtracts that from the direct boundary quadrature; the difference
-    should be -phi(x0, t)/2 whatever R and t are. From a pole, a density
-    constant on every polar ring is summed over the rings (see the
-    module docstring). Where R, t and the distances make the kernel
-    scale, the slope factor or the fit's powers of d overflow float64,
-    or a finite density is large enough to overflow the sums, the check
-    raises ConfigError rather than report from an inf.
+    should be -phi(x0, t)/2 whatever R and t are. A density phi returns
+    as a scalar is stored as one row, and from a pole it is summed over
+    the polar rings (see the module docstring). Where R, t and the
+    distances make the kernel scale, the slope factor or the fit's
+    powers of d overflow float64, or a finite density is large enough to
+    overflow the sums, the check raises ConfigError rather than report
+    from an inf.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (quad.n,):
@@ -521,11 +513,10 @@ def jump_check(
             boundary = _layer_sum(x0, rule, sigma, omega, density, finite, eta=eta)
             fit = np.polynomial.polynomial.polyfit(d, derivs, min(2, d.size - 1))
     except FloatingPointError as exc:
-        size = float(np.abs(density[:, finite]).max(initial=0.0))
         raise ConfigError(
             f"jump check at R = {quad.R:g}, window {t:g}, distances "
-            f"{d[0]:g} to {d[-1]:g} and density magnitude up to {size:g} "
-            f"leaves float64 range: {exc}"
+            f"{d[0]:g} to {d[-1]:g} and density magnitude up to "
+            f"{_magnitude(density, finite):g} leaves float64 range: {exc}"
         ) from exc
     interior_limit = float(fit[0])
     jump = boundary - interior_limit

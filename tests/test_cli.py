@@ -635,6 +635,28 @@ class TestMain:
         assert (code, caught, err) == (0, [], "")
         assert out.splitlines() == lines
 
+    def test_oracle_jump_refuses_panels_below_the_normal_range(self, capsys):
+        # at the default window the smallest sigma node of 1015 or more
+        # panels is subnormal: the verb names the count, not R or the density
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["oracle", "jump", "--steps", "1100"])
+        out, err = capsys.readouterr()
+        assert (code, caught, out) == (1, [], "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: steps = 1100 panels halve the window 0 to 0.05")
+        assert err.rstrip().endswith("at most 1014 keep its nodes normal")
+
+    def test_oracle_jump_at_1000_panels(self, capsys):
+        code = main(["oracle", "jump", "--steps", "1000"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "jump = -0.5016199303196027\ntarget = -0.5\n"
+            "boundary_term = -0.1261565986017658\n"
+            "interior_limit = 0.37546333171783697\n"
+            "resolution = 0.009625560005957379\nverdict: pass\n"
+        )
+
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     # no verb imports scipy: a fresh process that validates, runs through

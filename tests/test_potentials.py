@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -379,6 +380,19 @@ class TestSingleLayer:
         q = sphere_quadrature(1.0, 8)
         with pytest.raises(ValueError):
             single_layer(np.zeros(3), 0.3, unit_density, 0.0, q, steps=2)
+
+    @pytest.mark.parametrize("t, usable", [(0.05, 1014), (1.0, 1019), (1e300, 1075)])
+    def test_rejects_panels_that_halve_below_the_normal_range(self, t, usable):
+        # past the last usable count the smallest sigma node is subnormal
+        # or zero (1e300 halves 1074 times before 0.5 ** k underflows)
+        sigma, _ = _sigma_panels(t, 0.0, usable)
+        assert sigma.min() >= sys.float_info.min
+        message = f"steps = {usable + 1} .* at most {usable} keep"
+        with pytest.raises(ValueError, match=message):
+            _sigma_panels(t, 0.0, usable + 1)
+        q = sphere_quadrature(1.0, 8)
+        with pytest.raises(ValueError, match=f"at most {usable} keep"):
+            single_layer(np.zeros(3), t, unit_density, 0.0, q, steps=usable + 1)
 
 
 class TestJumpCheck:
@@ -790,7 +804,7 @@ class TestLiveColumns:
         t=st.floats(1e-3, 2.0),
         t1_frac=st.sampled_from([0.0, 0.5, 0.9]),
         steps=st.integers(4, 48),
-        density=st.sampled_from(["constant", "varying", "poisoned"]),
+        density=st.sampled_from(["constant", "tau", "varying", "poisoned"]),
         c=st.floats(-3.0, 3.0),
         poison=st.lists(
             st.tuples(
@@ -817,6 +831,8 @@ class TestLiveColumns:
         def phi(pts, tau):
             if density == "constant":
                 return c
+            if density == "tau":
+                return c + tau
             if density == "poisoned" and tau in bad:
                 return bad[tau]
             return c + pts[:, 0] * tau - pts[:, -1]
@@ -844,6 +860,26 @@ class TestLiveColumns:
         # resolution scale
         assert peak < 1_000_000
 
+    def test_off_axis_jump_check_stores_a_scalar_density_as_a_row(self):
+        # a scalar density off the axis is one row broadcast over the
+        # 8,192 nodes, where filling every node peaked at 18.45 MB; the
+        # reports keep the bits of the filled block
+        q = sphere_quadrature(1.0, 64)
+        tracemalloc.start()
+        try:
+            report = jump_check(
+                np.array([1.0, 0.0, 0.0]), unit_density, 0.05, q, self.DISTANCES
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert _report_values(report) == [
+            -0.5058482651659262, -0.12518761459182146, 0.38066065057410475,
+            0.2769695557069348, 0.3031474768608304, 0.3221834292796544,
+            0.3405672983364194, 0.35502134159905163,
+        ]
+
 
 def magnitude_layer_sum(x, quad, sigma, omega, density, eta=None):
     """The layer sum with |density| and |slope|: the scale of its rounding."""
@@ -856,7 +892,7 @@ def magnitude_layer_sum(x, quad, sigma, omega, density, eta=None):
 
 
 class TestPolarRings:
-    """On the polar axis a ring-constant density is summed over rings."""
+    """On the polar axis a scalar density is summed over rings."""
 
     ON_AXIS = np.array([0.0, 0.0, 0.3])
 
@@ -881,11 +917,11 @@ class TestPolarRings:
         z_frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
         eta_z=st.sampled_from([None, 1.0, -1.0]),
         steps=st.integers(4, 48),
-        density=st.sampled_from(["constant", "tau", "z"]),
+        density=st.sampled_from(["constant", "tau", "tau2"]),
         c=st.floats(-3.0, 3.0),
     )
     @example(m=32, R=1.0, t=0.05, t1_frac=0.0, z_frac=1.0 - 1e-9, eta_z=1.0,
-             steps=48, density="z", c=1.0)
+             steps=48, density="tau2", c=1.0)
     # subnormal densities, whose sums differ by subnormal steps (-5e-324
     # against 5e-324 at the first), and a tiny normal one, where the
     # relative term dwarfs the subnormal floor
@@ -908,7 +944,7 @@ class TestPolarRings:
                 return c
             if density == "tau":
                 return c + tau
-            return c + pts[:, 2] * tau
+            return c * tau * tau
 
         _, block, finite = _density_block(phi, q, t, sigma)
         ring_quad, ring_block, ring_finite = _density_block(phi, q, t, sigma, x, eta)
@@ -1029,10 +1065,10 @@ class TestPolarRings:
 
 
 class TestStreamedBlock:
-    """From the pole the density block keeps one row per polar ring while
-    every sigma column so far is ring-constant, and every node from the
-    first column that is not: the full block's bits either way, and the
-    reports of the sum over rings or over every node."""
+    """While phi returns scalars the density block is one row, summed
+    over polar rings from the pole, and from the first array every node
+    is stored: the full block's bits either way, and the reports of the
+    sum over rings or over every node."""
 
     POLE = np.array([0.0, 0.0, 1.0])
     DISTANCES = [0.3, 0.2]
@@ -1072,8 +1108,7 @@ class TestStreamedBlock:
         assert rule is q._ring_rule
         assert same_bits(block, full[::q._ring_size])
         assert np.array_equal(finite, full_finite)
-        # the sum over each ring's first node that every ring-constant
-        # block gave before the block was streamed
+        # the sum over each ring's first node of the every-node block
         with np.errstate(invalid="ignore"):
             want = walk_report(
                 self.POLE, q._ring_rule, self.SIGMA, self.OMEGA,
@@ -1090,10 +1125,12 @@ class TestStreamedBlock:
 
     @pytest.mark.parametrize("kind", ["scalar", "array"])
     def test_ring_constant_densities_keep_rings(self, kind):
+        # only a scalar density is known to be constant in space; an
+        # array constant on every ring is summed over every node
         if kind == "scalar":
             self.assert_keeps_rings(lambda pts, tau: 1.0 + tau)
         else:
-            self.assert_keeps_rings(lambda pts, tau: 1.0 + pts[:, 2] * tau)
+            self.assert_keeps_every_node(lambda pts, tau: 1.0 + pts[:, 2] * tau)
 
     @pytest.mark.parametrize("g", [0, 13, 31])
     @pytest.mark.parametrize("kind", ["scalar", "array"])
@@ -1107,10 +1144,12 @@ class TestStreamedBlock:
         self.assert_keeps_every_node(phi)
 
     @pytest.mark.parametrize("g", [0, 13, 31])
-    def test_a_scalar_nan_keeps_every_node(self, g):
-        self.assert_keeps_every_node(
-            lambda pts, tau: math.nan if tau == self.TAUS[g] else 1.0
-        )
+    def test_a_scalar_nan_keeps_rings(self, g):
+        phi = lambda pts, tau: math.nan if tau == self.TAUS[g] else 1.0
+        self.assert_keeps_rings(phi)
+        # as over every node, the NaN reaches every sum of the report
+        _, _, report = self.blocks_and_report(phi, sphere_quadrature(1.0, 12))
+        assert all(math.isnan(value) for value in report)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_a_scalar_infinity_keeps_rings(self, value):
@@ -1129,14 +1168,17 @@ class TestStreamedBlock:
         self.assert_keeps_every_node(phi)
 
     def test_signed_zeros_survive_the_expansion(self):
-        # 0 * x is -0.0 on the nodes with x < 0, so every ring mixes
-        # 0.0 and -0.0, which compare equal
-        self.assert_keeps_rings(lambda pts, tau: 0.0 * pts[:, 0])
-
-        def phi(pts, tau):
-            return pts[:, 0] if tau == self.TAUS[20] else 0.0 * pts[:, 0]
-
+        # 0.0 and -0.0 columns by turns, which compare equal
+        zeros = lambda pts, tau: -0.0 if tau in self.TAUS[::2] else 0.0
+        self.assert_keeps_rings(zeros)
+        # the scalar columns before an array keep their signs in the
+        # filled block
+        phi = lambda pts, tau: pts[:, 0] if tau == self.TAUS[20] else zeros(pts, tau)
         self.assert_keeps_every_node(phi)
+        q = sphere_quadrature(1.0, 12)
+        _, block, _ = _density_block(phi, q, self.T, self.SIGMA, self.POLE)
+        signs = np.signbit([zeros(None, tau) for tau in self.TAUS[:20]])
+        assert (np.signbit(block[:, :20]) == signs).all()
 
 
 class TestSurfaceIntegralBound:

@@ -37,10 +37,15 @@ the divergence cap (`--p 3 --q 2 --c 1 --stop-frac 0.99`) and on data
 off the orbit that end uncapped at the requested stop (`--p 3 --q 2
 --c 1 --A0 0.4 --B0 0.55`) is digested too, and so is `oracle jump` at
 R = 1e90 and 1e-80, whose sums or fit leave float64 range, so the text
-of the refusal is pinned. The output has one `name/file sha256` line
-per artifact, one `name/stdout sha256` line per verb whose output is
-digested, a `name/stderr sha256` line where that verb wrote to stderr,
-and one `name exit code` line per run, in a fixed order.
+of the refusal is pinned. Three layer-potential calls that no verb
+makes are digested from the library: `jump_check` off the polar axis at
+m = 64 with a scalar density, `single_layer` at the centre with the
+density tau, and a pole `jump_check` whose density is a scalar until an
+array column. The output has one `name/file sha256` line per artifact,
+one `name/stdout sha256` line per verb whose output is digested, a
+`name/stderr sha256` line where that verb wrote to stderr, one `name
+exit code` line per run and one `name/values sha256` line per layer
+call, in a fixed order.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ import numpy as np
 from blowuplab import cli
 from blowuplab.config import parse_config
 from blowuplab.model import FluxFamily, ProblemParams, Tabulated, make_grid
+from blowuplab.potentials import jump_check, single_layer, sphere_quadrature
 from blowuplab.solver import SolverConfig, run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -171,6 +177,31 @@ STDOUT_VERBS = {
 }
 
 
+def layer_calls() -> dict[str, list[float]]:
+    """Layer call name -> the values it returns."""
+    distances = [0.16, 0.12, 0.09, 0.06, 0.04]
+
+    def values(r) -> list[float]:
+        return [r.jump, r.target, r.boundary_term, r.interior_limit,
+                r.resolution, *r.derivatives.tolist()]
+
+    def scalar_then_array(pts, tau):
+        # a scalar over the first half of the window, then an array that
+        # varies around every polar ring
+        return 1.0 if tau < 0.025 else 1.0 + pts[:, 0] * tau
+
+    return {
+        "jump_off_axis_m64": values(jump_check(
+            np.array([1.0, 0.0, 0.0]), lambda pts, tau: 1.0, 0.05,
+            sphere_quadrature(1.0, 64), distances)),
+        "single_layer_centre_tau": [single_layer(
+            np.zeros(3), 0.2, lambda pts, tau: tau, 0.0, sphere_quadrature(1.0, 16))],
+        "jump_scalar_then_array": values(jump_check(
+            np.array([0.0, 0.0, 1.0]), scalar_then_array, 0.05,
+            sphere_quadrature(1.0, 24), distances)),
+    }
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -226,6 +257,8 @@ def main() -> int:
             lines.append(f"{name} exit {code}")
     for name, argv in STDOUT_VERBS.items():
         lines += _verb(name, argv)
+    for name, values in layer_calls().items():
+        lines.append(f"{name}/values {_sha256(repr(values).encode())}")
     print("\n".join(lines))
     return 0
 
