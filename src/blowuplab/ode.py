@@ -242,9 +242,12 @@ def integrate_system(
             break
         samples.append((s, x, y))
     t = t_eval[: len(samples)]
-    if capped and T - gap0 * math.exp(-s) > t[-1]:
-        t = np.append(t, T - gap0 * math.exp(-s))
-        samples.append((s, x, y))
+    t_cap = T - gap0 * math.exp(-s)
+    if capped and t_cap > t[-1]:
+        # the stored time rounds the gap to an ulp of T, a relative
+        # ulp(T) / gap; grow A and B to that gap as the samples do
+        t = np.append(t, t_cap)
+        samples.append((-math.log((T - t_cap) / gap0), x, y))
     if capped and int(t.size) < MIN_SERIES_SAMPLES:
         raise ParamsTooStiff(
             f"divergence cap reached after {t.size} of {n_samples} samples; "
