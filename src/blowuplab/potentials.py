@@ -46,12 +46,10 @@ rule is the same distance from the point, so the layer sum over the
 2 m^2 nodes is a sum over m rings. `single_layer` and `jump_check` sum
 over rings when all three of these hold:
 
-1. the rule has polar rings, read from its own nodes and weights: runs
-   of consecutive nodes with the same z, bit for bit, of the first
-   run's length, which divides M_q, whose weights and x^2 + y^2 agree
-   to RING_ULPS units in the last place (`sphere_quadrature` builds its
-   nodes this way; a circle rule, or a hand-built rule without such
-   runs, keeps the full sum);
+1. the rule came from `sphere_quadrature`, which lays its nodes out
+   ring by ring and records the ring size (a circle rule, a hand-built
+   rule or a `dataclasses.replace` copy keeps the full sum, even where
+   its layout is exactly ring by ring);
 2. the point is on the polar axis: x[0] == x[1] == 0 exactly, and so is
    eta where eta is given (`jump_check` walks along x0's normal, so
    checking x0 is enough);
@@ -61,13 +59,14 @@ over rings when all three of these hold:
 
 The reduced rule keeps each ring's first node and the ring's weight
 sum, and `_layer_sum` runs on it unchanged. The sum moves by rounding
-only. A node's squared distance differs from its ring's first by at most
-RING_ULPS ulp of itself, so its kernel entry moves by at most
-RING_ULPS * eps * |exponent| relative (exponent above -746), and the
-reordered sums round differently. Over 3,000 random draws of m, R, t,
-the axis point and eta the reduced sum stayed within 8e-14 of the sum
-of |w K density| (the property test asserts 1e-12), and the reports of
-`jump_check` at m = 24 to 96 move by at most 2.5e-13 relative.
+only. Within a ring z and the weights are bit-equal and x^2 + y^2
+agrees with the ring's first node to 4 ulp (the tests check this), so
+a node's kernel entry moves by at most 4 eps |exponent| relative
+(exponent above -746), and the reordered sums round differently. Over
+3,000 random draws of m, R, t, the axis point and eta the reduced sum
+stayed within 8e-14 of the sum of |w K density| (the property test
+asserts 1e-12), and the reports of `jump_check` at m = 24 to 96 move by
+at most 2.5e-13 relative.
 
 A scalar density is stored as one row and handed out broadcast over the
 rule's nodes, on the axis or off it, so its block costs one float per
@@ -78,7 +77,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -107,10 +106,6 @@ EXP_ZERO = -746.0
 # it stays in cache from the exponent to the density product, and the
 # block's slice of the column-major density block is contiguous per column
 KERNEL_BLOCK_ROWS = 512
-
-# nodes of one polar ring may differ in weight and in x^2 + y^2 by this
-# many units in the last place; sphere_quadrature's differ by at most 4
-RING_ULPS = 8.0
 
 
 def heat_kernel(x, t, n: int):
@@ -146,6 +141,9 @@ class SphereQuadrature:
     R: float
     nodes: np.ndarray
     weights: np.ndarray
+    # nodes per polar ring, recorded by sphere_quadrature; 0 for any other
+    # rule, a replace() copy included, whose layer sums take every node
+    _ring_nodes: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
@@ -176,29 +174,9 @@ class SphereQuadrature:
         return 2.0 * math.pi * self.R if self.n == 2 else 4.0 * math.pi * self.R**2
 
     @cached_property
-    def _ring_size(self) -> int:
-        """Nodes per polar ring of the rule, or 0 if it has no polar rings
-        (condition 1 of the module docstring)."""
-        if self.n != 3:
-            return 0
-        z = self.nodes[:, 2]
-        changes = np.flatnonzero(z != z[0])
-        k = int(changes[0]) if changes.size else self.M_q
-        if k < 2 or self.M_q % k:
-            return 0
-        if not (z.reshape(-1, k) == z[::k, None]).all():
-            return 0
-        tol = RING_ULPS * np.finfo(float).eps
-        for column in (self.weights, (self.nodes[:, :2] ** 2).sum(axis=1)):
-            rings = column.reshape(-1, k)
-            if not np.all(np.abs(rings - rings[:, :1]) <= tol * np.abs(rings[:, :1])):
-                return 0
-        return k
-
-    @cached_property
     def _ring_rule(self) -> SphereQuadrature:
         """Each polar ring's first node with the ring's weight sum."""
-        k = self._ring_size
+        k = self._ring_nodes
         return SphereQuadrature(
             n=self.n, R=self.R, nodes=self.nodes[::k],
             weights=self.weights.reshape(-1, k).sum(axis=1),
@@ -248,7 +226,9 @@ def sphere_quadrature(R: float, m: int) -> SphereQuadrature:
     nodes[:, 1] = R * np.outer(sin_theta, sin_phi).ravel()
     nodes[:, 2] = R * np.repeat(cos_theta, 2 * m)
     weights = np.repeat(4.0 * R**2 * s * ws, 2 * m) * (math.pi / m)
-    return SphereQuadrature(n=3, R=R, nodes=nodes, weights=weights)
+    quad = SphereQuadrature(n=3, R=R, nodes=nodes, weights=weights)
+    object.__setattr__(quad, "_ring_nodes", 2 * m)
+    return quad
 
 
 def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,6 +238,8 @@ def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarr
         raise BadWindow(f"need finite t1 and t, got t1 = {t1}, t = {t}")
     if t1 >= t:
         raise BadWindow(f"need t1 < t, got t1 = {t1}, t = {t}")
+    if not math.isfinite(t - t1):
+        raise BadWindow(f"need a finite width t - t1, got t1 = {t1}, t = {t}")
     if steps < 4:
         raise ValueError(f"steps = {steps} is too few panels, need at least 4")
     # the smallest node is h (1 + x_0), h = (t - t1) 2^-steps the last
@@ -273,8 +255,11 @@ def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarr
         )
     uppers = (t - t1) * 0.5 ** np.arange(steps)
     lowers = np.append(uppers[1:], 0.0)
-    mid = 0.5 * (uppers + lowers)
-    half = 0.5 * (uppers - lowers)
+    # halved before the sum, so a window near the float64 maximum does not
+    # overflow; halving a normal float is exact, so this rounds as
+    # 0.5 * (uppers + lowers) does
+    mid = 0.5 * uppers + 0.5 * lowers
+    half = 0.5 * uppers - 0.5 * lowers
     xg, wg = _GAUSS
     sigma = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     omega = (half[:, None] * wg[None, :]).ravel()
@@ -325,7 +310,7 @@ def _density_block(
     on_axis = x is not None and x[0] == x[1] == 0.0 and (
         eta is None or eta[0] == eta[1] == 0.0
     )
-    rule = quad._ring_rule if on_axis and quad._ring_size else quad
+    rule = quad._ring_rule if on_axis and quad._ring_nodes else quad
     return rule, np.broadcast_to(row, (rule.M_q, sigma.size)), np.isfinite(row[0])
 
 

@@ -1,5 +1,6 @@
 """Tests for the heat kernel, sphere quadrature, and layer potentials."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -213,6 +214,22 @@ class TestSphereQuadrature:
         q = sphere_quadrature(R, m)
         np.testing.assert_allclose(q.weights.sum(), 4.0 * math.pi * R * R, rtol=1e-12)
 
+    @pytest.mark.parametrize("R", [1e-3, 1.0, 7.5, 1e3])
+    @pytest.mark.parametrize("m", [4, 5, 24, 48, 64, 96])
+    def test_nodes_are_laid_out_ring_by_ring(self, m, R):
+        # a layer sum from the polar axis keeps each ring's first node
+        # with the ring's weight sum, which needs z and the weights equal
+        # on a ring and x^2 + y^2 equal to a few ulp
+        q = sphere_quadrature(R, m)
+        assert q._ring_nodes == 2 * m
+        z, weights = q.nodes[:, 2].reshape(m, -1), q.weights.reshape(m, -1)
+        rho2 = (q.nodes[:, :2] ** 2).sum(axis=1).reshape(m, -1)
+        assert (z == z[:, :1]).all()
+        assert (weights == weights[:, :1]).all()
+        assert (z[1:, 0] != z[:-1, 0]).all()
+        tol = 4.0 * np.finfo(float).eps
+        assert (np.abs(rho2 - rho2[:, :1]) <= tol * rho2[:, :1]).all()
+
     def test_rejects_inconsistent_hand_built_rules(self):
         good = sphere_quadrature(1.0, 6)
         with pytest.raises(ConfigError):
@@ -355,13 +372,27 @@ class TestSingleLayer:
         with pytest.raises(BadWindow):
             single_layer(np.zeros(3), 0.3, unit_density, 0.5, q)
 
+    # the last window has finite ends and an infinite width t - t1,
+    # which returned NaN after three numpy warnings
     @pytest.mark.parametrize(
-        "t, t1", [(math.nan, 0.0), (math.inf, 0.0), (0.3, -math.inf)]
+        "t, t1",
+        [(math.nan, 0.0), (math.inf, 0.0), (0.3, -math.inf), (1e308, -1e308)],
     )
     def test_rejects_non_finite_window(self, t, t1):
         q = sphere_quadrature(1.0, 8)
-        with pytest.raises(BadWindow, match="finite"):
-            single_layer(np.zeros(3), t, unit_density, t1, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadWindow, match=re.escape(f"t1 = {t1}, t = {t}")):
+                single_layer(np.zeros(3), t, unit_density, t1, q)
+
+    def test_a_window_near_the_float64_maximum_overflows_only_in_the_kernel(self):
+        # the panel bounds are halved before they are summed, so the only
+        # overflow is the kernel scale's
+        q = sphere_quadrature(1.0, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="window 0 to 1.7e\\+308"):
+                single_layer(np.zeros(3), 1.7e308, unit_density, 0.0, q)
 
     def test_rejects_points_outside_the_ball(self):
         q = sphere_quadrature(1.0, 8)
@@ -853,11 +884,10 @@ class TestLiveColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the constant density fills one row per ring: 98 kB for 64 rings
-        # and 192 sigma nodes, where every node took 12.6 MB; the boundary
-        # kernel (113 live columns over 64 rings) takes 58 kB, and the
-        # largest arrays left are the 197 kB node-to-x0 differences of the
-        # resolution scale
+        # the constant density is one row of 192 sigma nodes (1.5 kB),
+        # where every node took 12.6 MB; the boundary kernel (113 live
+        # columns over 64 rings) takes 58 kB, and the largest arrays left
+        # are the 197 kB node-to-x0 differences of the resolution scale
         assert peak < 1_000_000
 
     def test_off_axis_jump_check_stores_a_scalar_density_as_a_row(self):
@@ -1036,6 +1066,21 @@ class TestPolarRings:
         rule = _density_block(unit_density, good, 1.0, np.array([0.5]), self.ON_AXIS)[0]
         assert rule.M_q == 6
 
+    def test_hand_built_and_replaced_rules_sum_every_node(self):
+        # only sphere_quadrature records its rings, so a copy of its rule
+        # sums every node although its layout is exactly ring by ring
+        good = sphere_quadrature(1.0, 6)
+        _, _, want = self.full_and_rings(unit_density, good, self.ON_AXIS)
+        copies = (
+            SphereQuadrature(n=3, R=1.0, nodes=good.nodes, weights=good.weights),
+            dataclasses.replace(good),
+        )
+        for q in copies:
+            assert q._ring_nodes == 0
+            ring_quad, full, _ = self.full_and_rings(unit_density, q, self.ON_AXIS)
+            assert ring_quad is q
+            np.testing.assert_allclose(full, want, rtol=1e-13)
+
     @settings(deadline=None, max_examples=40)
     @given(
         poison=st.lists(
@@ -1106,22 +1151,22 @@ class TestStreamedBlock:
             self.blocks_and_report(phi, q)
         )
         assert rule is q._ring_rule
-        assert same_bits(block, full[::q._ring_size])
+        assert same_bits(block, full[::q._ring_nodes])
         assert np.array_equal(finite, full_finite)
         # the sum over each ring's first node of the every-node block
         with np.errstate(invalid="ignore"):
             want = walk_report(
                 self.POLE, q._ring_rule, self.SIGMA, self.OMEGA,
-                full[::q._ring_size], full_finite, self.DISTANCES,
+                full[::q._ring_nodes], full_finite, self.DISTANCES,
             )
         assert same_bits(report, want)
 
     def test_ring_rule_is_built_once(self):
         q = sphere_quadrature(1.0, 12)
-        assert q._ring_size == 24
+        assert q._ring_nodes == 24
         assert q._ring_rule is q._ring_rule
         assert q._ring_rule.M_q == 12
-        assert circle_quadrature(1.0, 12)._ring_size == 0
+        assert circle_quadrature(1.0, 12)._ring_nodes == 0
 
     @pytest.mark.parametrize("kind", ["scalar", "array"])
     def test_ring_constant_densities_keep_rings(self, kind):
