@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jump = o_sub.add_parser("jump", help="single-layer jump relation")
     p_jump.add_argument("--R", type=float, default=1.0)
-    p_jump.add_argument("--m", type=int, default=24, help="polar quadrature nodes")
+    p_jump.add_argument("--m", type=int, default=24, help="polar rings")
     p_jump.add_argument("--window", type=float, default=None,
                         help="heat-kernel time window (default 0.05 R^2)")
     p_jump.add_argument("--density", type=float, default=1.0)
@@ -537,7 +537,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BlowupLabError, OSError) as exc:
+    # an allocation the machine cannot hold, such as the quadrature of a
+    # huge --m, is an operational error like a file that cannot be written
+    except (BlowupLabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,15 +12,30 @@ are verified here numerically rather than assumed.
 
 Quadrature design. On the circle the nodes are midpoints of equal arcs.
 On the sphere the polar direction is Gauss-Legendre in s = sin(theta/2)
-against the exact surface element ds = 4 R^2 s ds dphi, with a uniform
-azimuth. The s variable is chosen because the chord distance from the
-north pole is exactly 2 R s: the integrand of the a = 1 surface bound
-becomes a constant in s and the quadrature reproduces 4 pi R with no
-discretization error at all, while the endpoint clustering of the
-Legendre nodes resolves the near-pole region at scale R/m^2, which is
-what the jump check needs when it walks toward the boundary. Neither
-rule ever places a node on the pole itself, so the singular point of
-the surface-bound integrand is excluded by construction.
+against the exact surface element ds = 4 R^2 s ds dphi. The s variable
+is chosen because the chord distance from the north pole is exactly
+2 R s: the integrand of the a = 1 surface bound becomes a constant in s
+and the quadrature reproduces 4 pi R with no discretization error at
+all, while the endpoint clustering of the Legendre nodes resolves the
+near-pole region at scale R/m^2, which is what the jump check needs
+when it walks toward the boundary. Neither rule ever places a node on
+the pole itself, so the singular point of the surface-bound integrand
+is excluded by construction.
+
+Polar axis. On a radial problem the density depends on time alone, so
+phi must return a scalar, and the layer and the surface bound are
+invariant under rotations of the sphere. Every sphere point is rotated
+onto the polar axis, to (0, 0, |x|) (jump_check's normal rotates with
+its point), where every point of a polar ring is the same distance away
+and the rule is exact in azimuth. So the sphere rule holds one node per
+ring, its azimuth-0 node, weighted with the sum of the ring's 2 m
+uniform azimuthal weights: m nodes where the product rule with 2 m
+azimuths holds 2 m^2, with the same sums at the pole to rounding
+(2.5e-13 relative at most over m = 24 to 96). Off the axis that product
+rule is coarse, since its nodes cluster at the poles: at the equator
+its m = 48 jump check reads -0.678, not -0.50098, and its a = 1 surface
+bound does not converge by m = 64. The circle rule keeps its m nodes
+and its points.
 
 Time integration of the layer grades geometric panels toward tau = t,
 where (t - tau)^{-n/2} concentrates; four-point Gauss per panel then
@@ -35,50 +50,15 @@ columns exp runs only where the exponent is above EXP_ZERO, and the
 entries at or below it are set to 0.0, which is what exp returns
 there. On numpy 2.4.6 (2-core Xeon) exp costs 1.4 ns per argument
 at -1 but 22 ns at -746 and below and 120-200 ns in the subnormal
-band between -708 and -746, and at m = 64 a third to two thirds of the
-live entries of a jump check sit at or below EXP_ZERO. Every entry
-goes through the same elementwise operations in the same order, so no
-bit changes.
-
-Polar rings. On a radial problem the density depends on time alone, and
-at a point on the polar axis every node of a polar ring of the sphere
-rule is the same distance from the point, so the layer sum over the
-2 m^2 nodes is a sum over m rings. `single_layer` and `jump_check` sum
-over rings when all three of these hold:
-
-1. the rule came from `sphere_quadrature`, which lays its nodes out
-   ring by ring and records the ring size (a circle rule, a hand-built
-   rule or a `dataclasses.replace` copy keeps the full sum, even where
-   its layout is exactly ring by ring);
-2. the point is on the polar axis: x[0] == x[1] == 0 exactly, and so is
-   eta where eta is given (`jump_check` walks along x0's normal, so
-   checking x0 is enough);
-3. phi returned a scalar at every sigma node, so the density is
-   constant in space (an array return keeps the full sum, even one
-   constant on every ring).
-
-The reduced rule keeps each ring's first node and the ring's weight
-sum, and `_layer_sum` runs on it unchanged. The sum moves by rounding
-only. Within a ring z and the weights are bit-equal and x^2 + y^2
-agrees with the ring's first node to 4 ulp (the tests check this), so
-a node's kernel entry moves by at most 4 eps |exponent| relative
-(exponent above -746), and the reordered sums round differently. Over
-3,000 random draws of m, R, t, the axis point and eta the reduced sum
-stayed within 8e-14 of the sum of |w K density| (the property test
-asserts 1e-12), and the reports of `jump_check` at m = 24 to 96 move by
-at most 2.5e-13 relative.
-
-A scalar density is stored as one row and handed out broadcast over the
-rule's nodes, on the axis or off it, so its block costs one float per
-sigma node and each product reads the numbers a filled block holds.
+band between -708 and -746. Every entry goes through the same
+elementwise operations in the same order, so no bit changes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,12 +80,6 @@ SPHERE_TOL = 1e-9
 # np.exp of any float64 at or below this is exactly 0.0, so a heat
 # kernel sigma column whose largest exponent lies below it is all zeros.
 EXP_ZERO = -746.0
-
-# node rows per block of a layer sum's elementwise passes: at the 113
-# live columns of an m = 64 boundary evaluation a block is 0.46 MB, so
-# it stays in cache from the exponent to the density product, and the
-# block's slice of the column-major density block is contiguous per column
-KERNEL_BLOCK_ROWS = 512
 
 
 def heat_kernel(x, t, n: int):
@@ -133,17 +107,20 @@ def heat_kernel(x, t, n: int):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
+# eq=False: the generated __eq__ would compare the arrays inside a tuple
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    """Nodes and positive weights summing to the surface measure of S_R."""
+    """Nodes and positive weights summing to the surface measure of S_R.
+
+    A sphere rule's node stands for its polar ring, so it is exact in
+    azimuth at points on the polar axis, where the layer sums rotate
+    every point (see the module docstring).
+    """
 
     n: int
     R: float
     nodes: np.ndarray
     weights: np.ndarray
-    # nodes per polar ring, recorded by sphere_quadrature; 0 for any other
-    # rule, a replace() copy included, whose layer sums take every node
-    _ring_nodes: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
@@ -173,15 +150,6 @@ class SphereQuadrature:
     def surface_measure(self) -> float:
         return 2.0 * math.pi * self.R if self.n == 2 else 4.0 * math.pi * self.R**2
 
-    @cached_property
-    def _ring_rule(self) -> SphereQuadrature:
-        """Each polar ring's first node with the ring's weight sum."""
-        k = self._ring_nodes
-        return SphereQuadrature(
-            n=self.n, R=self.R, nodes=self.nodes[::k],
-            weights=self.weights.reshape(-1, k).sum(axis=1),
-        )
-
 
 def _check_radius(R: float) -> None:
     if not (math.isfinite(R) and R > 0):
@@ -208,27 +176,20 @@ def circle_quadrature(R: float, m: int) -> SphereQuadrature:
 
 
 def sphere_quadrature(R: float, m: int) -> SphereQuadrature:
-    """Product rule with m Gauss-Legendre nodes in s = sin(theta/2) and
-    2m uniform azimuths; 2 m^2 nodes total."""
+    """m polar rings at Gauss-Legendre nodes in s = sin(theta/2), each its
+    azimuth-0 node weighted with the sum of 2m uniform azimuthal weights."""
     _check_radius(R)
     if m < 4:
-        raise ConfigError(f"m = {m} polar nodes is too few, need at least 4")
+        raise ConfigError(f"m = {m} polar rings is too few, need at least 4")
     xg, wg = np.polynomial.legendre.leggauss(m)
     s = 0.5 * (xg + 1.0)
     ws = 0.5 * wg
-    c = np.sqrt(1.0 - s**2)
-    sin_theta = 2.0 * s * c
+    sin_theta = 2.0 * s * np.sqrt(1.0 - s**2)
     cos_theta = 1.0 - 2.0 * s**2
-    phi = np.arange(2 * m) * (math.pi / m)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    nodes = np.empty((m * 2 * m, 3))
-    nodes[:, 0] = R * np.outer(sin_theta, cos_phi).ravel()
-    nodes[:, 1] = R * np.outer(sin_theta, sin_phi).ravel()
-    nodes[:, 2] = R * np.repeat(cos_theta, 2 * m)
-    weights = np.repeat(4.0 * R**2 * s * ws, 2 * m) * (math.pi / m)
-    quad = SphereQuadrature(n=3, R=R, nodes=nodes, weights=weights)
-    object.__setattr__(quad, "_ring_nodes", 2 * m)
-    return quad
+    nodes = np.column_stack([R * sin_theta, np.zeros(m), R * cos_theta])
+    azimuthal = 4.0 * R**2 * s * ws * (math.pi / m)
+    weights = np.broadcast_to(azimuthal[:, None], (m, 2 * m)).sum(axis=1)
+    return SphereQuadrature(n=3, R=R, nodes=nodes, weights=weights)
 
 
 def _sigma_panels(t: float, t1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,52 +235,28 @@ def _inside(x: np.ndarray, quad: SphereQuadrature) -> None:
         raise BadRadius(f"|x| = {math.sqrt(float(x @ x)):.6g} is outside the ball")
 
 
-def _density_block(
-    phi: Callable,
-    quad: SphereQuadrature,
-    t: float,
-    sigma: np.ndarray,
-    x: np.ndarray | None = None,
-    eta: np.ndarray | None = None,
-) -> tuple[SphereQuadrature, np.ndarray, np.ndarray]:
-    """The rule a layer sum at x runs on, phi on its nodes at every sigma
-    node, and which sigma columns are finite.
-
-    phi is called once per sigma column on every node. A scalar return
-    is constant in space, so while every return is a scalar the block is
-    one row, handed out broadcast over the rule's nodes; from a point on
-    the polar axis (and eta, where given) that rule is the ring rule of
-    a rule with polar rings (conditions 2 and 3 of the module
-    docstring). From the first array return every node is stored, and
-    the rule is quad. The full block is column-major, so filling a sigma
-    column and taking the live columns copy contiguous memory.
-    """
-    row = np.empty((1, sigma.size))
-    block = None
-    for g, tau in enumerate(t - sigma):
-        values = phi(quad.nodes, tau)
-        if block is None:
-            if np.ndim(values) == 0:
-                row[0, g] = values
-                continue
-            block = np.empty((quad.M_q, sigma.size), order="F")
-            block[:, :g] = row[:, :g]
-        block[:, g] = values
-    if block is not None:
-        return quad, block, np.isfinite(block).all(axis=0)
-    on_axis = x is not None and x[0] == x[1] == 0.0 and (
-        eta is None or eta[0] == eta[1] == 0.0
-    )
-    rule = quad._ring_rule if on_axis and quad._ring_nodes else quad
-    return rule, np.broadcast_to(row, (rule.M_q, sigma.size)), np.isfinite(row[0])
+def _on_axis(x: np.ndarray) -> np.ndarray:
+    """A sphere point rotated onto the polar axis, (0, 0, |x|); a circle
+    point as it is."""
+    if x.size == 2:
+        return x
+    return np.array([0.0, 0.0, math.sqrt(float(x @ x))])
 
 
-def _magnitude(density: np.ndarray, finite: np.ndarray) -> float:
-    """The largest |density| over the finite sigma columns; a broadcast
-    row is read once."""
-    if not density.strides[0]:
-        density = density[:1]
-    return float(np.abs(density[:, finite]).max(initial=0.0))
+def _density(phi: Callable, points: np.ndarray, taus) -> np.ndarray:
+    """phi(points, tau) at each tau, one value each: on a radial problem
+    the density depends on time alone, so any other return is refused."""
+    values = [phi(points, tau) for tau in taus]
+    if any(np.ndim(value) for value in values):
+        raise ValueError(
+            "phi must return a scalar: a radial density depends on time alone"
+        )
+    return np.array(values, dtype=float)
+
+
+def _magnitude(density: np.ndarray) -> float:
+    """The largest finite |density|."""
+    return float(np.abs(density[np.isfinite(density)]).max(initial=0.0))
 
 
 def _layer_sum(
@@ -328,10 +265,9 @@ def _layer_sum(
     sigma: np.ndarray,
     omega: np.ndarray,
     density: np.ndarray,
-    finite: np.ndarray,
     eta: np.ndarray | None = None,
 ) -> float:
-    """The layer at x as a kernel sum over the density block.
+    """The layer at x as a kernel sum with one density value per sigma node.
 
     With a unit vector eta the kernel is differentiated along eta in x,
     giving the layer's normal derivative. At a boundary point x that
@@ -343,32 +279,21 @@ def _layer_sum(
     a dead column contributes an exact zero to the sum over omega.
     Within the live columns exp runs only on exponents above EXP_ZERO,
     and the rest are set to the 0.0 that exp would return there, so
-    they skip numpy's slow path for tiny arguments. The elementwise
-    passes run over blocks of KERNEL_BLOCK_ROWS node rows, each entry
-    through the same operations in the same order, and one matvec
-    reduces the whole C-ordered kernel, so the result has the bits of
-    a single pass over the full kernel.
+    they skip numpy's slow path for tiny arguments.
     """
     vec = x - quad.nodes
     d2 = (vec**2).sum(axis=1)
-    live = ~((-d2.min() / (4.0 * sigma) < EXP_ZERO) & finite)
+    live = ~((-d2.min() / (4.0 * sigma) < EXP_ZERO) & np.isfinite(density))
     s = sigma[live]
-    minus_d2, four_s = -d2[:, None], 4.0 * s
-    scale = (4.0 * np.pi * s) ** (-quad.n / 2.0)
-    slope = None if eta is None else -(vec @ eta)[:, None]
-    kernel = np.empty((d2.size, s.size))
-    for start in range(0, d2.size, KERNEL_BLOCK_ROWS):
-        rows = slice(start, start + KERNEL_BLOCK_ROWS)
-        block = kernel[rows]
-        np.divide(minus_d2[rows], four_s, out=block)
-        # "<=" lets a NaN exponent through exp
-        dead = block <= EXP_ZERO
-        np.exp(block, out=block, where=~dead)
-        np.copyto(block, 0.0, where=dead)
-        block *= scale
-        if slope is not None:
-            block *= slope[rows] / (2.0 * s)
-        block *= density[rows, live]
+    kernel = -d2[:, None] / (4.0 * s)
+    # "<=" lets a NaN exponent through exp
+    dead = kernel <= EXP_ZERO
+    np.exp(kernel, out=kernel, where=~dead)
+    kernel[dead] = 0.0
+    kernel *= (4.0 * np.pi * s) ** (-quad.n / 2.0)
+    if eta is not None:
+        kernel *= -(vec @ eta)[:, None] / (2.0 * s)
+    kernel *= density[live]
     columns = np.zeros(sigma.size)
     columns[live] = quad.weights @ kernel
     return float(columns @ omega)
@@ -384,31 +309,32 @@ def single_layer(
 ) -> float:
     """Single-layer heat potential over S_R x [t1, t] evaluated at (x, t).
 
-    phi(points, tau) must accept an (M, n) node block and a scalar time
-    and return a scalar or an (M,) array. Evaluation exactly on a
-    quadrature node makes the kernel singular and returns inf; the
-    nodes never include the poles, so polar-axis evaluation is safe.
-    A scalar return is constant in space and stored as one row; there it
-    is summed over the polar rings (see the module docstring). Where R
-    and the window make the kernel scale overflow float64, or a finite
-    density is large enough to overflow the sum, it raises ConfigError
-    rather than return an inf or a NaN; a panel count that halves the
-    window below float64's normal range raises ValueError.
+    phi(points, tau) is called with the rule's (M, n) nodes and each
+    time node and must return a scalar, else ValueError: the density of
+    a radial problem depends on time alone. A sphere point is evaluated
+    at its rotation onto the polar axis (see the module docstring).
+    Evaluation exactly on a quadrature node makes the kernel singular
+    and returns inf; the nodes never include the poles, so polar-axis
+    evaluation is safe. Where R and the window make the kernel scale
+    overflow float64, or a finite density is large enough to overflow
+    the sum, it raises ConfigError rather than return an inf or a NaN;
+    a panel count that halves the window below float64's normal range
+    raises ValueError.
     """
     sigma, omega = _sigma_panels(t, t1, steps)
     x = np.asarray(x, dtype=float)
     _inside(x, quad)
-    rule, density, finite = _density_block(phi, quad, t, sigma, x)
+    density = _density(phi, quad.nodes, t - sigma)
     # at the scale-free window 0.05 R^2, R below about 6e-100 overflows
     # the kernel scale; a NaN or inf density raises no overflow, so it
     # still reaches the sum
     try:
         with np.errstate(over="raise"):
-            return _layer_sum(x, rule, sigma, omega, density, finite)
+            return _layer_sum(_on_axis(x), quad, sigma, omega, density)
     except FloatingPointError as exc:
         raise ConfigError(
             f"single layer at R = {quad.R:g}, window {t1:g} to {t:g} and "
-            f"density magnitude up to {_magnitude(density, finite):g} leaves "
+            f"density magnitude up to {_magnitude(density):g} leaves "
             f"float64 range: {exc}"
         ) from exc
 
@@ -444,9 +370,9 @@ def jump_check(
     takes a centered difference of the potential at each d (step d/8),
     fits a polynomial in d to extrapolate the interior limit, and
     subtracts that from the direct boundary quadrature; the difference
-    should be -phi(x0, t)/2 whatever R and t are. A density phi returns
-    as a scalar is stored as one row, and from a pole it is summed over
-    the polar rings (see the module docstring). Where R, t and the
+    should be -phi(x0, t)/2 whatever R and t are. phi is called and
+    checked as in single_layer, and a sphere point x0 is rotated onto
+    the polar axis, its normal with it. Where R, t and the
     distances make the kernel scale, the slope factor or the fit's
     powers of d overflow float64, or a finite density is large enough to
     overflow the sums, the check raises ConfigError rather than report
@@ -465,6 +391,7 @@ def jump_check(
         )
     if not (math.isfinite(tol_jump) and tol_jump >= 0):
         raise ValueError(f"tol_jump = {tol_jump} must be finite and nonnegative")
+    x0 = _on_axis(x0)
     near = math.sqrt(float(((quad.nodes - x0) ** 2).sum(axis=1).min()))
     resolution = RESOLUTION_FACTOR * near
     if d.min() < resolution:
@@ -475,14 +402,13 @@ def jump_check(
         )
     eta = x0 / r0
     # every evaluation shares t and the sigma panels, so one density
-    # block; eta and the walk stay on the polar axis with x0
     sigma, omega = _sigma_panels(t, 0.0, steps)
-    rule, density, finite = _density_block(phi, quad, t, sigma, x0)
+    density = _density(phi, quad.nodes, t - sigma)
 
     def u_at(dist: float) -> float:
         x = x0 - dist * eta
         _inside(x, quad)
-        return _layer_sum(x, rule, sigma, omega, density, finite)
+        return _layer_sum(x, quad, sigma, omega, density)
 
     # with the CLI's scale-free defaults, R above about 7e77 overflows the
     # fit's powers of d, and R below about 3e-76 the slope factor or the
@@ -495,19 +421,18 @@ def jump_check(
             for i, di in enumerate(d):
                 h = di / 8.0
                 derivs[i] = (u_at(di - h) - u_at(di + h)) / (2.0 * h)
-            boundary = _layer_sum(x0, rule, sigma, omega, density, finite, eta=eta)
+            boundary = _layer_sum(x0, quad, sigma, omega, density, eta=eta)
             fit = np.polynomial.polynomial.polyfit(d, derivs, min(2, d.size - 1))
     except FloatingPointError as exc:
         raise ConfigError(
             f"jump check at R = {quad.R:g}, window {t:g}, distances "
             f"{d[0]:g} to {d[-1]:g} and density magnitude up to "
-            f"{_magnitude(density, finite):g} leaves float64 range: {exc}"
+            f"{_magnitude(density):g} leaves float64 range: {exc}"
         ) from exc
     interior_limit = float(fit[0])
     jump = boundary - interior_limit
 
-    phi0 = float(np.asarray(phi(x0[None, :], t)).reshape(-1)[0])
-    target = -0.5 * phi0
+    target = -0.5 * float(_density(phi, x0[None, :], [t])[0])
     return JumpReport(
         jump=jump,
         target=target,
@@ -536,9 +461,10 @@ def surface_integral_bound(
 ) -> ConvergenceReport:
     """Evaluate int_{S_R} |x - y|^{-a} ds_y over refining quadratures.
 
-    Bounded uniformly exactly for a < n - 1 even with x on the sphere;
-    at and above that threshold the refinements grow without
-    saturating. converged means the last two refinements agree to
+    A sphere point is rotated onto the polar axis, where the rule is
+    exact in azimuth. Bounded uniformly exactly for a < n - 1 even with
+    x on the sphere; at and above that threshold the refinements grow
+    without saturating. converged means the last two refinements agree to
     CONVERGENCE_RTOL; diverging means the values only ever grew and the
     last pair still disagrees.
     """
@@ -551,6 +477,7 @@ def surface_integral_bound(
         raise ValueError("refinement sequence mixes dimensions or radii")
     x = np.asarray(x, dtype=float)
     _inside(x, quads[0])
+    x = _on_axis(x)
 
     values = np.empty(len(quads))
     for k, quad in enumerate(quads):

@@ -621,11 +621,11 @@ class TestMain:
         ("1", ["jump = -0.5016199303196027", "target = -0.5",
                "boundary_term = -0.1261565986017658",
                "interior_limit = 0.37546333171783697",
-               "resolution = 0.009625560005957379", "verdict: pass"]),
+               "resolution = 0.00962556000595738", "verdict: pass"]),
         ("1e77", ["jump = -0.5016199303196134", "target = -0.5",
                   "boundary_term = -0.12615659860178108",
                   "interior_limit = 0.37546333171783236",
-                  "resolution = 9.625560005957379e+74", "verdict: pass"]),
+                  "resolution = 9.62556000595738e+74", "verdict: pass"]),
     ])
     def test_oracle_jump_at_the_extreme_accepted_radii(self, R, lines, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -654,8 +654,23 @@ class TestMain:
             "jump = -0.5016199303196027\ntarget = -0.5\n"
             "boundary_term = -0.1261565986017658\n"
             "interior_limit = 0.37546333171783697\n"
-            "resolution = 0.009625560005957379\nverdict: pass\n"
+            "resolution = 0.00962556000595738\nverdict: pass\n"
         )
+
+    def test_oracle_jump_out_of_memory_is_operational_error(self, monkeypatch, capsys):
+        # a huge --m used to end in numpy's _ArrayMemoryError traceback;
+        # the real allocation is never tried, since a machine that
+        # overcommits memory may grant it and then fill RAM
+        from blowuplab import potentials
+
+        def exhausted(R, m):
+            raise MemoryError(f"cannot build {m} polar rings")
+
+        monkeypatch.setattr(potentials, "sphere_quadrature", exhausted)
+        code = main(["oracle", "jump", "--m", "100000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: cannot build 100000 polar rings\n"
 
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):

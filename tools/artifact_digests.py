@@ -39,9 +39,10 @@ off the orbit that end uncapped at the requested stop (`--p 3 --q 2
 R = 1e90 and 1e-80, whose sums or fit leave float64 range, so the text
 of the refusal is pinned. Three layer-potential calls that no verb
 makes are digested from the library: `jump_check` off the polar axis at
-m = 64 with a scalar density, `single_layer` at the centre with the
-density tau, and a pole `jump_check` whose density is a scalar until an
-array column. The output has one `name/file sha256` line per artifact,
+m = 64, `single_layer` at the centre with the density tau, and
+`jump_check` on the equator at m = 48, where the rule's polar rings
+reach the point only by its rotation onto the axis. The output has one
+`name/file sha256` line per artifact,
 one `name/stdout sha256` line per verb whose output is digested, a
 `name/stderr sha256` line where that verb wrote to stderr, one `name
 exit code` line per run and one `name/values sha256` line per layer
@@ -185,20 +186,15 @@ def layer_calls() -> dict[str, list[float]]:
         return [r.jump, r.target, r.boundary_term, r.interior_limit,
                 r.resolution, *r.derivatives.tolist()]
 
-    def scalar_then_array(pts, tau):
-        # a scalar over the first half of the window, then an array that
-        # varies around every polar ring
-        return 1.0 if tau < 0.025 else 1.0 + pts[:, 0] * tau
-
     return {
         "jump_off_axis_m64": values(jump_check(
             np.array([1.0, 0.0, 0.0]), lambda pts, tau: 1.0, 0.05,
             sphere_quadrature(1.0, 64), distances)),
         "single_layer_centre_tau": [single_layer(
             np.zeros(3), 0.2, lambda pts, tau: tau, 0.0, sphere_quadrature(1.0, 16))],
-        "jump_scalar_then_array": values(jump_check(
-            np.array([0.0, 0.0, 1.0]), scalar_then_array, 0.05,
-            sphere_quadrature(1.0, 24), distances)),
+        "jump_equator_m48": values(jump_check(
+            np.array([1.0, 0.0, 0.0]), lambda pts, tau: 1.0, 0.05,
+            sphere_quadrature(1.0, 48), distances)),
     }
 
 
