@@ -25,7 +25,6 @@ from .model import (
     FluxFamily,
     ProblemParams,
     QuadraticRadial,
-    Tabulated,
     boundary_flux,
     make_grid,
     rate_exponents,
@@ -65,7 +64,6 @@ __all__ = [
     "QuadraticRadial",
     "SolverConfig",
     "StopReason",
-    "Tabulated",
     "Trajectory",
     "boundary_flux",
     "boundary_set_check",

@@ -274,13 +274,11 @@ def _mirror(config: ExperimentConfig) -> ExperimentConfig | None:
     """The config whose run is this one's mirrored (Trajectory.mirrored),
     or None if there is none other than itself.
 
-    That is the config with p and q swapped, when p != q and u0 and v0
-    have the same coefficients. Equal coefficients evaluate to equal
-    fields bit for bit, except for a signed-zero tie, whose data are
-    identically zero and refused by every run.
+    That is the config with p and q swapped, when p != q and u0 = v0
+    (QuadraticRadial.symmetric).
     """
-    params, init = config.params, config.params.initial
-    if params.p == params.q or (init.a_u, init.b_u) != (init.a_v, init.b_v):
+    params = config.params
+    if params.p == params.q or not params.initial.symmetric:
         return None
     return replace(config, params=replace(params, p=params.q, q=params.p))
 

@@ -2,12 +2,12 @@
 
 `_KEYS` below lists every section and key, in the order the `config.ini`
 echo writes them, with the dataclass field each key sets; those fields
-hold the defaults, but an omitted [solver] cfl is DEFAULT_CFL[n]. Only
-[problem] p, q, R, n and flux are required, and the [sweep] axes
-default to the base point. Values are plain `key = value` lines, lists
-comma-separated. Unknown sections or keys
-are refused, so a typo cannot silently revert a knob to its default,
-and so are non-finite numbers. Runs are seed-free and deterministic, so
+hold the defaults, but an omitted [solver] cfl is DEFAULT_CFL[n] and
+an omitted [analysis] interior_radius is R/2. Only [problem] p, q, R,
+n and flux are required, and the [sweep] axes default to the base
+point. Values are plain `key = value` lines, lists comma-separated.
+Unknown sections or keys are refused, so a typo cannot silently revert
+a knob to its default, and so are non-finite numbers. Runs are seed-free and deterministic, so
 [output] deterministic accepts only true; the echo always writes it.
 """
 
@@ -57,12 +57,6 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        # the config.ini echo writes only the quadratic radial coefficients
-        if not isinstance(self.params.initial, QuadraticRadial):
-            raise ValueError(
-                "only quadratic radial initial data can be echoed to "
-                f"config.ini, got {type(self.params.initial).__name__}"
-            )
         check_fits(self.params, self.solver)
         # a tolerance no run can meet is a mistake in the config, not a
         # failing run
@@ -217,7 +211,8 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         initial = QuadraticRadial(**given["params.initial"])
         params = ProblemParams(initial=initial, **given["params"])
-        solver = SolverConfig(**{"cfl": DEFAULT_CFL[params.n], **given["solver"]})
+        solver = SolverConfig(**{"cfl": DEFAULT_CFL[params.n],
+                                 "interior_radius": params.R / 2, **given["solver"]})
         sweep = SweepAxes(**{"p": (params.p,), "q": (params.q,), "N": (solver.N,),
                              "flux": (params.flux,), **given["sweep"]})
         return ExperimentConfig(params=params, solver=solver, sweep=sweep, **given[""])

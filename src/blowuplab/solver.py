@@ -39,11 +39,10 @@ FieldState through the same two-row kernel, so there is one update rule.
 The two rows are treated alike, so with u0 = v0 the run with p and q
 swapped is the run mirrored (Trajectory.mirrored), bit for bit; a sweep
 solves such a pair once. For the same reason, with p = q and u0 = v0
-bit for bit (compared as bytes, since 0.0 == -0.0) v is u at every
-step: run() then steps the (1, N) state u, whose end values the kernel
-reads in v's place too, and each snapshot's u and v are one array.
-That is the same arithmetic on half the array, so the trajectory has
-the same bits.
+(QuadraticRadial.symmetric) v is u at every step: run() then steps the
+(1, N) state u, whose end values the kernel reads in v's place too,
+and each snapshot's u and v are one array. That is the same arithmetic
+on half the array, so the trajectory has the same bits.
 
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
@@ -283,26 +282,16 @@ class _Kernel:
         return t + dt, hi
 
 
-def _sample_maxima(F: np.ndarray, rows: tuple, k: int) -> list:
-    """[max u, max v, argmax u, argmax v, max u[:k], max v[:k]] of F as
-    Python numbers, rows being (u, v, u[:k], v[:k]) and F either [u; v]
-    or, when u is v, [u].
-
-    These are the reductions max(axis=1), argmax(axis=1) and
-    [:, :k].max(axis=1) of [u; v] = F[[0, -1]], bit for bit:
-    item(argmax()) is the first maximum, and where that is a zero, which
-    the reductions may take with either sign from a tie of 0.0 and -0.0,
-    the pair comes from the reduction itself.
-    """
+def _sample_maxima(rows: tuple) -> list:
+    """[max u, max v, argmax u, argmax v, max u[:k], max v[:k]] as Python
+    numbers, rows being (u, v, u[:k], v[:k]), u and v one array when u
+    is v: the reductions max(axis=1), argmax(axis=1) and
+    [:, :k].max(axis=1) of [u; v], since item(argmax()) is the first
+    maximum."""
     u, v, u_in, v_in = rows
     a_u, a_v = u.argmax(), v.argmax()
-    values = [u.item(a_u), v.item(a_v), int(a_u), int(a_v),
-              u_in.item(u_in.argmax()), v_in.item(v_in.argmax())]
-    if values[0] == 0.0 or values[1] == 0.0:
-        values[0:2] = F[[0, -1]].max(axis=1).tolist()
-    if values[4] == 0.0 or values[5] == 0.0:
-        values[4:6] = F[[0, -1], :k].max(axis=1).tolist()
-    return values
+    return [u.item(a_u), v.item(a_v), int(a_u), int(a_v),
+            u_in.item(u_in.argmax()), v_in.item(v_in.argmax())]
 
 
 def step(
@@ -363,9 +352,8 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         raise InvalidInitialData(f"initial data failed: {', '.join(failed)}")
 
     u0, v0 = params.initial.evaluate(grid)
-    # a run that is its own mirror has u = v at every step, bit for bit:
-    # step u alone. Bytes, not values, since 0.0 == -0.0
-    one = params.p == params.q and u0.tobytes() == v0.tobytes()
+    # a run that is its own mirror has u = v at every step: step u alone
+    one = params.p == params.q and params.initial.symmetric
     kernel = _Kernel(params, grid, config, rows=1 if one else 2)
     i = 0
     F = kernel.states[i]
@@ -417,7 +405,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
                     flux_u, flux_v = flux.from_arg(arg_u), flux.from_arg(arg_v)
             # one value per name in COLUMNS, in that order
             rows.append((
-                t, dt, *_sample_maxima(F, sampled[i], k), flux_u, flux_v,
+                t, dt, *_sample_maxima(sampled[i]), flux_u, flux_v,
             ))
             sample = len(rows) - 1
             if config.state_every and (

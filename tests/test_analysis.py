@@ -21,7 +21,6 @@ from blowuplab.model import (
     FluxFamily,
     ProblemParams,
     QuadraticRadial,
-    Tabulated,
     make_grid,
 )
 from blowuplab.solver import SolverConfig, StopInfo, StopReason, Trajectory, run
@@ -472,17 +471,12 @@ class TestBoundarySetCheck:
     @pytest.mark.parametrize("dip", [0.0, 1e-12])
     def test_initial_ties_pass_only_with_the_maximum_at_r_equal_R(self, dip):
         # flat data tie at every node, so np.argmax puts row 0's maximum
-        # at node 0; lowering u0 at r = R by a hair, which validation
+        # at node 0; bending u0 down by a hair, which validation
         # tolerates, puts the initial maximum inside the ball
         grid = make_grid(1.0, 101)
-        u0 = np.full(grid.N, 0.5)
-        u0[-1] -= dip
-        initial = (
-            Tabulated(u0, np.full(grid.N, 0.5)) if dip
-            else QuadraticRadial(0.5, 0.0, 0.5, 0.0)
-        )
         params = ProblemParams(
-            p=2.0, q=2.0, R=1.0, n=2, flux=FluxFamily.POWER, initial=initial
+            p=2.0, q=2.0, R=1.0, n=2, flux=FluxFamily.POWER,
+            initial=QuadraticRadial(0.5, -dip, 0.5, 0.0),
         )
         traj = run(params, SolverConfig(N=grid.N))
         fit = estimate_blowup_time(traj, params)

@@ -422,6 +422,18 @@ class TestMain:
         assert "stop: time_limit" in out
         assert "overall: inconclusive" in out
 
+    def test_run_verb_prints_the_fit(self, tmp_path, capsys):
+        path = self.write(tmp_path, REFERENCE)
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        report = read_report(tmp_path / "out" / "report.txt")
+        assert code == 0
+        assert lines[1:4] == [
+            f"T_hat = {report['blowup.T_hat']}",
+            f"alpha_hat = {report['rate.alpha_hat']}",
+            f"beta_hat = {report['rate.beta_hat']}",
+        ]
+
     def test_run_verb_quiet(self, tmp_path, capsys):
         path = self.write(tmp_path, TINY)
         code = main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])
@@ -440,6 +452,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0  # inconclusive rows are not failures
         assert out.splitlines()[0] == ",".join(SWEEP_COLUMNS)
+
+    def test_sweep_verb_exits_2_on_a_failing_row(self, tmp_path, capsys):
+        path = self.write(tmp_path, TINY + "\n[sweep]\nN = 8, 201\n")
+        code = main(["sweep", path, "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: GridTooCoarse" in capsys.readouterr().out
 
     @pytest.mark.parametrize("max_parallel", ["0", "-3"])
     def test_sweep_verb_rejects_max_parallel_below_one(

@@ -1,12 +1,10 @@
 import dataclasses
 import re
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blowuplab.cli import run_experiment
 from blowuplab.config import (
     ExperimentConfig,
     SweepAxes,
@@ -16,7 +14,7 @@ from blowuplab.config import (
     with_axes_point,
 )
 from blowuplab.errors import ConfigError
-from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial, Tabulated
+from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial
 from blowuplab.solver import EXP_GUARD, STABLE_CFL, SolverConfig
 
 MINIMAL = """\
@@ -54,6 +52,14 @@ class TestParseDefaults:
         config = parse_config(MINIMAL.replace("n = 2", f"n = {n}"))
         assert config.solver.cfl == cfl
         assert f"cfl = {cfl}" in render_config(config).splitlines()
+
+    @pytest.mark.parametrize("R", [1.0, 0.5, 0.4, 0.25, 0.1, 3.0])
+    def test_default_interior_radius_is_half_of_R(self, R):
+        config = parse_config(MINIMAL.replace("R = 1.0", f"R = {R}"))
+        assert config.interior_radius == R / 2
+        echo = render_config(config)
+        assert f"interior_radius = {R / 2!r}" in echo.splitlines()
+        assert parse_config(echo) == config
 
     def test_explicit_cfl_is_kept_at_n3(self):
         text = MINIMAL.replace("n = 2", "n = 3") + "[solver]\ncfl = 0.2\n"
@@ -153,6 +159,10 @@ class TestParseRejections:
     def test_determinism_cannot_be_disabled(self):
         with pytest.raises(ConfigError, match="always deterministic"):
             parse_config(MINIMAL + "[output]\ndeterministic = false\n")
+
+    def test_determinism_must_be_a_boolean(self):
+        with pytest.raises(ConfigError, match="cannot parse \\[output\\] deterministic"):
+            parse_config(MINIMAL + "[output]\ndeterministic = maybe\n")
 
     def test_solver_validation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="cfl"):
@@ -356,15 +366,3 @@ p = 2, 3
     def test_render_is_deterministic_text(self):
         config = parse_config(MINIMAL)
         assert render_config(config) == render_config(config)
-
-    def test_rejects_non_quadratic_initial_data(self, tmp_path):
-        # the echo writes only quadratic radial data, so the config refuses
-        # any other before a run can write a file
-        config = parse_config(MINIMAL)
-        params = dataclasses.replace(
-            config.params,
-            initial=Tabulated(u0=np.full(201, 0.5), v0=np.full(201, 0.5)),
-        )
-        with pytest.raises(ValueError, match="quadratic radial"):
-            run_experiment(dataclasses.replace(config, params=params), tmp_path)
-        assert list(tmp_path.iterdir()) == []

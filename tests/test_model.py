@@ -16,7 +16,6 @@ from blowuplab.model import (
     FluxFamily,
     ProblemParams,
     QuadraticRadial,
-    Tabulated,
     boundary_flux,
     make_grid,
     rate_exponents,
@@ -171,6 +170,15 @@ class TestProblemParams:
                 initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
             )
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(ValueError, match="R must be positive"):
+            ProblemParams(
+                p=2.0, q=2.0, R=R, n=2,
+                flux=FluxFamily.POWER,
+                initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
+            )
+
 
 class TestInitialDataSpecs:
     def test_quadratic_evaluate(self):
@@ -180,17 +188,16 @@ class TestInitialDataSpecs:
         assert u0[-1] == pytest.approx(1.0)
         assert v0[-1] == pytest.approx(1.25)
 
-    def test_tabulated_shape_check(self):
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_symmetric_treats_signed_zeros_alike(self, zero):
+        # 0.0 == -0.0, and equal coefficients give bit-equal fields
         grid = make_grid(1.0, 101)
-        with pytest.raises(ValueError, match="shape"):
-            Tabulated(np.ones(100), np.ones(101)).evaluate(grid)
-
-    def test_tabulated_copies(self):
-        grid = make_grid(1.0, 101)
-        src = np.ones(101)
-        u0, _ = Tabulated(src, np.ones(101)).evaluate(grid)
-        u0[0] = 99.0
-        assert src[0] == 1.0
+        for spec in (QuadraticRadial(zero, 0.5, 0.0, 0.5),
+                     QuadraticRadial(0.5, zero, 0.5, 0.0)):
+            assert spec.symmetric
+            u0, v0 = spec.evaluate(grid)
+            assert u0.tobytes() == v0.tobytes()
+        assert not QuadraticRadial(0.5, 0.5, 0.5, 0.25).symmetric
 
 
 class TestValidateInitialData:
@@ -216,53 +223,38 @@ class TestValidateInitialData:
         assert "monotone_u0" in failed
 
     def test_concave_data_fails_subharmonic(self):
-        # f = 2r - r^2 increases on [0, 1] but has negative Laplacian
-        grid = self.grid()
-        f = 2.0 * grid.r - grid.r**2
+        # f = 1 - r^2 / 2 decreases and has the negative Laplacian -2n b
         report = validate_initial_data(
-            Tabulated(f, np.full(grid.N, 0.5)), grid, 2
+            QuadraticRadial(1.0, -0.5, 0.5, 0.5), self.grid(), 2
         )
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
-        assert "subharmonic_u0" in failed
-        assert "monotone_u0" not in failed
+        assert failed == {"monotone_u0", "subharmonic_u0"}
 
     def test_negative_data_raises(self):
-        grid = self.grid()
-        with pytest.raises(InvalidInitialData, match="negative"):
+        with pytest.raises(InvalidInitialData, match="u0 is negative at node 0"):
             validate_initial_data(
-                Tabulated(grid.r - 0.5, np.ones(grid.N)), grid, 2
+                QuadraticRadial(-0.5, 1.0, 0.5, 0.5), self.grid(), 2
             )
 
     def test_zero_data_raises(self):
-        grid = self.grid()
-        with pytest.raises(InvalidInitialData, match="zero"):
+        with pytest.raises(InvalidInitialData, match="v0 is identically zero"):
             validate_initial_data(
-                Tabulated(np.ones(grid.N), np.zeros(grid.N)), grid, 2
+                QuadraticRadial(1.0, 0.0, 0.0, 0.0), self.grid(), 2
             )
 
     def test_non_finite_data_raises(self):
-        grid = self.grid()
-        bad = np.ones(grid.N)
-        bad[3] = np.nan
-        with pytest.raises(InvalidInitialData, match="finite"):
-            validate_initial_data(Tabulated(bad, np.ones(grid.N)), grid, 2)
+        with pytest.raises(InvalidInitialData, match="u0 contains non-finite"):
+            validate_initial_data(
+                QuadraticRadial(math.nan, 0.5, 0.5, 0.5), self.grid(), 2
+            )
 
-    def test_flux_mismatch_recorded(self):
-        grid = self.grid()
+    def test_overflowing_flux_raises_on_v0_first(self):
+        # v0(R)^p = 729 and u0(R)^q = 900 both pass the guard
         params = ProblemParams(
             p=2.0, q=2.0, R=1.0, n=2,
             flux=FluxFamily.EXP_POWER,
-            initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
+            initial=QuadraticRadial(30.0, 0.0, 27.0, 0.0),
         )
-        report = validate_initial_data(params.initial, grid, 2, params)
-        # one-sided derivative 2bR - b dr against flux e^{v(R)^p} = e
-        expected = math.e - (1.0 - 0.5 * grid.dr)
-        assert report.flux_mismatch_u == pytest.approx(expected, rel=1e-12)
-        assert report.flux_mismatch_v == pytest.approx(expected, rel=1e-12)
-
-    def test_mismatch_not_computed_without_params(self):
-        report = validate_initial_data(
-            QuadraticRadial(0.5, 0.5, 0.5, 0.5), self.grid(), 2
-        )
-        assert report.flux_mismatch_u is None
+        with pytest.raises(FluxOverflow, match="argument 729 >= 700"):
+            validate_initial_data(params.initial, self.grid(), 2, params)

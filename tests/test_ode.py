@@ -201,6 +201,13 @@ class TestIntegrateSystem:
         with pytest.raises(ParamsTooStiff, match="already"):
             integrate_system(params, 0.99)
 
+    def test_step_underflow_below_the_cap_is_stiff(self):
+        # exp(p y - x) overflows at A0 = 5e-324 for every trial step, so
+        # the step halves to 0 at s = 0, far below the cap
+        params = OdeParams(p=2.0, q=2.0, c=1.0, T=1.0, A0=5e-324, B0=1.0)
+        with pytest.raises(ParamsTooStiff, match="Required step size"):
+            integrate_system(params, 0.99)
+
     def test_stop_frac_domain(self):
         params = OdeParams(p=2.0, q=2.0, c=0.5, T=1.0, A0=1.0, B0=1.0)
         for frac in (0.0, 1.0, -0.2, 1.5):

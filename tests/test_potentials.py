@@ -279,6 +279,8 @@ class TestSphereQuadrature:
             )
         with pytest.raises(ConfigError):
             SphereQuadrature(n=4, R=1.0, nodes=good.nodes, weights=good.weights)
+        with pytest.raises(ConfigError, match="nodes shape"):
+            SphereQuadrature(n=3, R=1.0, nodes=good.nodes[:, :2], weights=good.weights)
 
 
 class TestSingleLayer:
@@ -609,6 +611,8 @@ class TestJumpCheck:
             jump_check(
                 np.array([0.0, 0.0, 0.9]), unit_density, 0.05, q, self.DISTANCES
             )
+        with pytest.raises(BadRadius, match="point shape"):
+            jump_check(np.array([0.0, 1.0]), unit_density, 0.05, q, self.DISTANCES)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):

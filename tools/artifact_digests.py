@@ -18,16 +18,10 @@ and `sweep_repeated` (power, p = 2, 2, 3, so two points share each run
 of p = 2). One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
-`flat_data` starts from constant initial data. Two runs start from
-nodal data, which no config file can give, so they go through
-`solver.run` and digest its trajectory, snapshots and stop:
-`tabulated_mirror` (p = q and u0 = v0, the run the solver steps as one
-field) and `tabulated_signed_zero` (p = q and data that differ only in
-the signs of their zeros, which the solver steps as two fields). Most
-runs are at N = 101,
-`t_end_0.01` and the sweep at N = 201 and `pw_N401` (power, p = q = 2,
-t_end = 0.01, about 4,000 steps) at N = 401, so the stepper is digested
-on three array lengths. The stdout of
+`flat_data` starts from constant initial data. Most runs are at
+N = 101, `t_end_0.01` and the sweep at N = 201 and `pw_N401` (power,
+p = q = 2, t_end = 0.01, about 4,000 steps) at N = 401, so the stepper
+is digested on three array lengths. The stdout of
 `validate` on every config of the matrix and on the sweep config, `oracle
 jump` at the default m = 24, at m = 48 and 64 (the benchmark's
 quadratures) and at m = 80 and 96 (where the BLAS reduction of a layer
@@ -62,9 +56,7 @@ import numpy as np
 
 from blowuplab import cli
 from blowuplab.config import parse_config
-from blowuplab.model import FluxFamily, ProblemParams, Tabulated, make_grid
 from blowuplab.potentials import jump_check, single_layer, sphere_quadrature
-from blowuplab.solver import SolverConfig, run
 
 REPO = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO / "perfbench" / "configs" / "sweep_power_pq.ini"
@@ -116,37 +108,6 @@ def sweeps() -> dict[str, str]:
         # a repeated axis value: six points that read three runs
         "sweep_repeated": _ini("power", 2, 2, N=41) + "[sweep]\np = 2, 2, 3\nq = 2, 3\n",
     }
-
-
-def tabulated() -> dict[str, ProblemParams]:
-    """Run name -> power problem (p = q = 2, n = 2) on nodal data at N = 101."""
-    r = make_grid(1.0, 101).r
-    w = 0.5 + 0.25 * r**2 + 0.25 * r**4
-    # zero for r <= 0.6, then rising; u has 0.0 at r = 0 and -0.0 at the
-    # other zeros, v the opposite
-    rise = 10.0 * np.maximum(r - 0.6, 0.0) ** 2
-    zeros = np.where(np.arange(r.size) == 0, 0.0, -0.0)
-    u0, v0 = np.where(rise > 0, rise, zeros), np.where(rise > 0, rise, -zeros)
-    return {
-        name: ProblemParams(2.0, 2.0, 1.0, 2, FluxFamily.POWER, Tabulated(a, b))
-        for name, a, b in (("tabulated_mirror", w, w),
-                           ("tabulated_signed_zero", u0, v0))
-    }
-
-
-def _write_run(params: ProblemParams, out: Path) -> None:
-    """The trajectory CSV, the snapshots' raw bytes and the stop of a run."""
-    traj = run(params, SolverConfig(N=101, state_every=5))
-    out.mkdir()
-    cli.write_trajectory(traj, out / "trajectory.csv")
-    (out / "states.bin").write_bytes(b"".join(
-        np.float64(s.t).tobytes() + s.u.tobytes() + s.v.tobytes()
-        for s in traj.states
-    ))
-    stop = traj.stop
-    (out / "stop.txt").write_text(
-        f"{stop.reason.value} {stop.t_stop!r} {traj.steps} {stop.detail}\n"
-    )
 
 
 def _digests(root: Path, name: str) -> list[str]:
@@ -236,9 +197,6 @@ def main() -> int:
             ini = root / f"{name}.ini"
             ini.write_text(text)
             lines += _verb(f"validate_{name}", ["validate", str(ini)])
-        for name, params in tabulated().items():
-            _write_run(params, root / name)
-            lines += _digests(root / name, name)
         # the sweep verb runs cli.sweep and sets the exit status
         runs = [("sweep", SWEEP_CONFIG, "1"), ("sweep_parallel2", SWEEP_CONFIG, "2")]
         for name, text in sweeps().items():
