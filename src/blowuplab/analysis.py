@@ -336,7 +336,8 @@ def boundary_set_check(
     """Check that growth concentrates at the boundary.
 
     The interior suprema over r <= a are the sup_*_interior columns the
-    run recorded, so a must be the run's SolverConfig.interior_radius.
+    run recorded, so a must be the run's SolverConfig.interior_radius
+    (R/2 where a hand-built trajectory's config leaves it unset).
     Passes when they rise by less than 5% across the final decade of
     (t_hat - t) while the run ended at the blow-up threshold, and the
     maxima of both fields sit at the boundary node in every recorded
@@ -351,7 +352,7 @@ def boundary_set_check(
     exp_linear, see FluxFamily.rate_targets) are evaluated for whichever
     prefactors are supplied. They are reported, not gated on.
     """
-    recorded = traj.config.interior_radius
+    recorded = traj.config.in_ball(params.R).interior_radius
     if abs(a - recorded) > 1e-12 * params.R:
         raise BadRadius(
             f"the run recorded the interior suprema at a = {recorded}, got {a}"

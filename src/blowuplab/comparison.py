@@ -44,6 +44,10 @@ from .model import FieldState
 # of headroom is far below any meaningful margin and ends the touch.
 C1_HEADROOM = 1.0 + 1e-9
 
+# states per stacked block of dominance_check: 64 rows of 401 nodes are
+# 205 kB, and the whole (k, N) stack of a long run is never formed
+DOMINANCE_CHUNK = 64
+
 
 def c2_min(n: int, R: float, m: float) -> float:
     """Drift constant that certifies the supersolution property."""
@@ -164,11 +168,12 @@ def dominance_check(
     M(t) (T - t)^{m} from the rate check; T here should be the fitted
     horizon of the same run.
 
-    The states are scanned in place, one at a time, so the work arrays
-    hold O(N) floats whatever the number of states; only their k times
-    are gathered. The reported minimum is the one a single argmin over
-    the stacked (k, N) gaps would pick: the first in (state, node)
-    order, with a NaN gap beating every number.
+    The states are scanned in chunks of DOMINANCE_CHUNK, each stacked
+    once, so the work arrays hold O(DOMINANCE_CHUNK N) floats whatever
+    the number of states; only their k times are gathered. The
+    reported minimum is the one a single argmin over the stacked (k, N)
+    gaps would pick: the first in (state, node) order, with a NaN gap
+    beating every number.
 
     Raises DominanceViolated when the margin min(z - field) is
     negative. With the automatic selection that points at an
@@ -209,16 +214,21 @@ def dominance_check(
     # state leaves it at (inf, 0, 0), which is also argmin's answer
     margin, k, i = math.inf, 0, 0
     C2, T, neg_m = params.C2, params.T, -params.m
-    for j, s in enumerate(states):
-        # c1 * depth^-m - values; in place is bit-equal, products commute
-        gap = (h + C2 * (T - s.t)) ** neg_m
+    for start in range(0, len(states), DOMINANCE_CHUNK):
+        chunk = states[start:start + DOMINANCE_CHUNK]
+        # c1 * depth^-m - values, a row per state; in place is bit-equal,
+        # products commute
+        gap = h + C2 * (T - times[start:start + len(chunk)])[:, None]
+        gap **= neg_m
         gap *= c1
-        gap -= getattr(s, field)
-        node = int(gap.argmin())
-        g = float(gap[node])
-        # strictly smaller, so ties keep the earlier state
+        gap -= np.stack([getattr(s, field) for s in chunk])
+        # argmin is the first minimum in (state, node) order, or the
+        # first NaN
+        j = int(gap.argmin())
+        g = gap.item(j)
+        # strictly smaller, so ties keep the earlier chunk
         if g < margin or (math.isnan(g) and not math.isnan(margin)):
-            margin, k, i = g, j, node
+            margin, (k, i) = g, divmod(start * r.size + j, r.size)
     if margin < 0:
         raise DominanceViolated(
             f"z - {field} reaches {margin:.6e} at r = {r[i]:.6g}, "

@@ -57,6 +57,8 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        # decide an unset interior radius, so the echo writes the one used
+        object.__setattr__(self, "solver", self.solver.in_ball(self.params.R))
         check_fits(self.params, self.solver)
         # a tolerance no run can meet is a mistake in the config, not a
         # failing run
@@ -211,8 +213,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         initial = QuadraticRadial(**given["params.initial"])
         params = ProblemParams(initial=initial, **given["params"])
-        solver = SolverConfig(**{"cfl": DEFAULT_CFL[params.n],
-                                 "interior_radius": params.R / 2, **given["solver"]})
+        solver = SolverConfig(**{"cfl": DEFAULT_CFL[params.n], **given["solver"]})
         sweep = SweepAxes(**{"p": (params.p,), "q": (params.q,), "N": (solver.N,),
                              "flux": (params.flux,), **given["sweep"]})
         return ExperimentConfig(params=params, solver=solver, sweep=sweep, **given[""])

@@ -227,14 +227,19 @@ class RadialLaplacian:
     own ghost value at r = R + dr, which the caller fixes from the
     boundary condition (see solver._Kernel.advance). Centered differences
     with the ghost make the boundary node second order; at r = 0 symmetry
-    gives Delta f = n * f'' with the mirror node f[-1] = f[1]. The drift
-    coefficients (n - 1) / r, the work buffers and the stencil's scalar
-    operands 2, 2 dr and dr^2 are set up once, so apply() allocates no
-    array; the operands are 0-d arrays, which numpy uses as they are
-    where it converts a Python float on every call. bind() ties a field
-    and its output buffer to the stencil once, so a caller that applies
-    the operator to the same buffers many times makes no view per call.
-    The end nodes are done on Python floats.
+    gives Delta f = n * f'' with the mirror node f[-1] = f[1]. An
+    interior node is written on the two differences around it,
+
+        Delta f_i = upper_i (f[i+1] - f[i]) - lower_i (f[i] - f[i-1]),
+        upper_i, lower_i = 1 / dr^2 +- (n - 1) / (2 r_i dr),
+
+    the centered stencil in four numpy calls: one difference sweep, two
+    products and their difference. upper and lower are the tridiagonal
+    operator's off-diagonals, set up once with the difference buffer, so
+    apply() allocates no array. bind() ties a field and its output
+    buffer to the stencil once, so a caller that applies the operator to
+    the same buffers many times makes no view per call. The end nodes
+    are done on Python floats.
     """
 
     def __init__(self, grid: RadialGrid, n: int, rows: int):
@@ -243,9 +248,6 @@ class RadialLaplacian:
         self.two_dr = 2.0 * grid.dr
         self.origin = 2.0 * n
         self.drift_R = (n - 1) / grid.R
-        self._two, self._two_dr, self._dr2 = (
-            np.array(x) for x in (2.0, self.two_dr, self.dr2)
-        )
         # the flat indices end_values() reads: f[0], f[1], f[-2], f[-1] of
         # each row, row after row
         self.end_nodes = np.array(
@@ -256,9 +258,13 @@ class RadialLaplacian:
         self._end_rows = [(row * N, row * N + N - 1, 4 * row) for row in range(rows)]
         # apply() sweeps the rows as one flat array: between two rows lie
         # the end nodes, which get coefficient 0 and are overwritten
-        drift = (n - 1) / grid.r[1:-1]
-        self.drift = np.concatenate([drift, np.zeros(2)] * rows)[:-2]
-        self._work = np.empty((2, rows * N - 2))
+        drift = (n - 1) / (self.two_dr * grid.r[1:-1])
+        inv_dr2, pad = 1.0 / self.dr2, np.zeros(2)
+        self.upper = np.concatenate([inv_dr2 + drift, pad] * rows)[:-2]
+        self.lower = np.concatenate([inv_dr2 - drift, pad] * rows)[:-2]
+        # f[i+1] - f[i] over the flat array, as both of its windows
+        d = np.empty(rows * N - 1)
+        self._diff = d, d[1:], d[:-1]
 
     def end_values(self, F: np.ndarray) -> list[float]:
         """The values at the nodes 0, 1, N-2, N-1 of each row of F, row
@@ -266,32 +272,23 @@ class RadialLaplacian:
         return F.take(self.end_nodes).tolist()
 
     def bind(self, F: np.ndarray, out: np.ndarray) -> tuple:
-        """The stencil on F into out, every operand bound: what apply()
-        runs. F and out have shape (rows, N) and out is C-contiguous."""
-        second, drift = self._work
+        """The views of F and out that apply() reads and writes. F and
+        out have shape (rows, N) and out is C-contiguous."""
         f, o = F.reshape(-1), out.reshape(-1)
-        f0, f1, f2 = f[:-2], f[1:-1], f[2:]
-        # (f2 - 2 f1 + f0) / dr^2 + (n - 1) / r * (f2 - f0) / (2 dr),
-        # evaluated left to right
-        return o, (
-            (np.subtract, f2, f0, drift),
-            (np.multiply, self.drift, drift, drift),
-            (np.divide, drift, self._two_dr, drift),
-            (np.multiply, f1, self._two, second),
-            (np.subtract, f2, second, second),
-            (np.add, second, f0, second),
-            (np.divide, second, self._dr2, second),
-            (np.add, second, drift, o[1:-1]),
-        )
+        return o, f[1:], f[:-1], o[1:-1]
 
     def apply(self, ends: list[float], ghosts, bound: tuple) -> None:
         """Write the Laplacian of F into out, with bound = bind(F, out).
 
         ends is end_values(F) and ghosts holds one ghost value per row.
         """
-        o, stencil = bound
-        for op, a, b, c in stencil:
-            op(a, b, c)
+        o, f_next, f_prev, inner = bound
+        d, d_next, d_prev = self._diff
+        np.subtract(f_next, f_prev, d)
+        np.multiply(self.upper, d_next, inner)
+        # in place: each difference is read once, by its own product
+        np.multiply(self.lower, d_prev, d_prev)
+        np.subtract(inner, d_prev, inner)
         # the end nodes of each row, on Python floats
         dr2, two_dr, drift_R = self.dr2, self.two_dr, self.drift_R
         for (first, last, j), ghost in zip(self._end_rows, ghosts):

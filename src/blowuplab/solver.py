@@ -19,21 +19,29 @@ sample after the first has dt > 0 and t strictly increases.
 The state is one (rows, N) float64 array F: u in row 0 and v in row 1,
 or u alone for a run that is its own mirror (below). One kernel
 (_Kernel.advance) updates it. The kernel owns the two state buffers,
-the rate buffer and, built once, each buffer's flat view and its
-stencil bound by model.RadialLaplacian.bind, so a step makes no array,
-view or reshape: run() flips the index of the current buffer. At
-N = 201 a step costs numpy's call overhead more than arithmetic, so a
-step makes no Python call it can do without: one flat take reads the
-eight end values (u's four twice with one row), the flux, ghost and
-end-node arithmetic is inline on
-Python floats (boundary_flux runs only to raise or pass a NaN on), the
-whole-array reductions are argmax/argmin plus item() in place, which
-beat numpy's reduce on small arrays and return the first NaN, and dt
-reaches the update as a 0-d array, which numpy does not convert. A
-sample reads its maxima the same way, row by row (_sample_maxima). run() builds a
-FieldState only for snapshots, from one copy of each row of F, made
-read-only; the stop state is the last recorded row and, with snapshots
-on, the last snapshot. step() is a thin wrapper that takes one
+the rate buffer and, built once, each buffer's flat view and its views
+bound by model.RadialLaplacian.bind, so a step makes no array, view or
+reshape: run() flips the index of the current buffer. At N = 201 a
+step costs numpy's call overhead more than arithmetic, so a step makes
+no numpy or Python call it can do without:
+- the Laplacian is four ufunc calls on the differences f[i+1] - f[i]
+  (model.RadialLaplacian);
+- one flat take reads the eight end values (u's four twice with one
+  row), and the flux, ghost and end-node arithmetic is inline on Python
+  floats (boundary_flux runs only to raise or pass a NaN on);
+- max |G| is argmax plus item() in place, which beats numpy's reduce on
+  small arrays and returns the first NaN, and dt reaches the update as
+  a 0-d array, which numpy does not convert;
+- the max and min of the state are read only when they decide
+  something: the max when max(ends), a lower bound on it, cannot rule
+  out the growth cap, and both, as the finiteness check, when the
+  running bound max|F| <= bound + dt max|G| reaches CHECKED_ABOVE or
+  max |G| is not finite. So every dt, stop reason and stop detail is
+  what the full reductions give.
+A sample reads its maxima with argmax too, row by row (_sample_maxima).
+run() builds a FieldState only for snapshots, from one copy of each row
+of F, made read-only; the stop state is the last recorded row and, with
+snapshots on, the last snapshot. step() is a thin wrapper that takes one
 FieldState through the same two-row kernel, so there is one update rule.
 
 The two rows are treated alike, so with u0 = v0 the run with p and q
@@ -75,6 +83,10 @@ from .model import (
 # dt below this multiple of dr^2 means the run cannot advance
 UNDERFLOW_FACTOR = 1e-16
 
+# a state whose max |F| may have reached this is checked node by node for
+# non-finite values; below it, far from the float64 maximum, none can be
+CHECKED_ABOVE = 1e300
+
 # measured stability limits for the explicit step, by dimension, and the
 # cfl a config file gets when it leaves the key out
 STABLE_CFL = {1: 0.50, 2: 0.41, 3: 1.0 / 3.0}
@@ -95,7 +107,9 @@ class SolverConfig:
     u_stop: float = 600.0
     t_end: float | None = None
     record_every: int = 10
-    interior_radius: float = 0.5
+    # the radius a at which a run records its interior suprema; None is
+    # R/2, decided by in_ball
+    interior_radius: float | None = None
     # full field snapshots every k-th recorded sample; 0 disables snapshots
     state_every: int = 1
 
@@ -118,10 +132,17 @@ class SolverConfig:
             raise ValueError("record_every must be at least 1")
         if self.state_every < 0:
             raise ValueError("state_every must be nonnegative")
-        if not self.interior_radius > 0:
+        if self.interior_radius is not None and not self.interior_radius > 0:
             raise ValueError(
                 f"interior_radius must be positive, got {self.interior_radius}"
             )
+
+    def in_ball(self, R: float) -> SolverConfig:
+        """This config on a ball of radius R: an unset interior_radius
+        becomes R/2, its one default."""
+        if self.interior_radius is not None:
+            return self
+        return replace(self, interior_radius=R / 2)
 
 
 @dataclass(frozen=True)
@@ -199,7 +220,7 @@ class _Kernel:
 
     It is built once per run and owns the two state buffers (states),
     the rate buffer and, for each state buffer, its flat view and its
-    stencil bound by RadialLaplacian.bind, so a step allocates no array
+    views bound by RadialLaplacian.bind, so a step allocates no array
     and makes no view: advance() steps states[i] into states[1 - i].
     end_nodes are the flat indices of u's and v's end values, u's four
     read twice with one row, so a step runs the same code on either.
@@ -223,14 +244,15 @@ class _Kernel:
 
     def advance(
         self, t: float, i: int, ends: list[float], arg_u: float, arg_v: float,
-        peak: float,
+        bound: float,
     ) -> tuple[float, float]:
         """Write the state one step after (t, states[i]) into states[1 - i].
 
         ends is states[i]'s values at end_nodes, arg_u and arg_v the flux
-        exponent arguments of its boundary values and peak its max.
-        Returns the new time and the new state's max, which is the next
-        step's peak.
+        exponent arguments of its boundary values and bound an upper
+        bound on its max |F|. Returns the new time and such a bound for
+        the new state, the next step's bound. The state's max and min
+        are read only when they decide dt or a stop (module docstring).
         """
         params, config, lap = self.params, self.config, self.lap
         uN, vN = ends[3], ends[7]
@@ -253,12 +275,22 @@ class _Kernel:
         work = self._abs
         np.abs(self._rates_flat, work)
         max_rate = work.item(work.argmax())
+        if not max_rate < math.inf:
+            # a non-finite node makes an inf or NaN rate next to it; only
+            # step() can be handed such a state, since run() steps only
+            # states this method proved or found finite
+            _finite_bound(self.flat[i], t)
         dt = self._dt_max
         if max_rate > 0.0:
-            # min() keeps its first argument unless the second is smaller
-            capped = config.growth_cap * (1.0 + peak) / max_rate
+            # min() keeps its first argument unless the second is smaller.
+            # The cap grows with the peak, in floats too, so where the
+            # end values' max already rules it out the peak would as well
+            capped = config.growth_cap * (1.0 + max(ends)) / max_rate
             if capped < dt:
-                dt = capped
+                f = self.flat[i]
+                capped = config.growth_cap * (1.0 + f.item(f.argmax())) / max_rate
+                if capped < dt:
+                    dt = capped
         if dt < self._dt_min:
             raise StepUnderflow(
                 f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
@@ -273,13 +305,21 @@ class _Kernel:
         G = self.rates
         self._dt[()] = dt
         np.add(self.states[i], np.multiply(G, self._dt, G), self.states[1 - i])
-        # every value is finite exactly when the max and the min are (a
-        # NaN, which argmax and argmin return first, fails both comparisons)
-        o = self.flat[1 - i]
-        hi, lo = o.item(o.argmax()), o.item(o.argmin())
-        if not (-math.inf < lo and hi < math.inf):
-            raise NumericalBlowupGuard(f"non-finite field values at t = {t:.6g}")
-        return t + dt, hi
+        # |f + dt g| <= |f| + dt |g| survives rounding; NaN fails the test
+        bound += dt * max_rate
+        if not bound < CHECKED_ABOVE:
+            bound = _finite_bound(self.flat[1 - i], t)
+        return t + dt, bound
+
+
+def _finite_bound(f: np.ndarray, t: float) -> float:
+    """max |f| of the flat state f, or NumericalBlowupGuard if a value
+    is not finite: exactly when the max or the min is not (a NaN, which
+    argmax and argmin return first, fails both comparisons)."""
+    hi, lo = f.item(f.argmax()), f.item(f.argmin())
+    if not (-math.inf < lo and hi < math.inf):
+        raise NumericalBlowupGuard(f"non-finite field values at t = {t:.6g}")
+    return max(hi, -lo)
 
 
 def _sample_maxima(rows: tuple) -> list:
@@ -308,7 +348,7 @@ def step(
     arg = params.flux.arg
     t, _ = kernel.advance(
         state.t, 0, ends, arg(ends[3], params.q), arg(ends[7], params.p),
-        float(F.max()),
+        float(np.abs(F).max()),
     )
     u, v = kernel.states[1]
     return FieldState(t=t, u=u, v=v)
@@ -317,7 +357,7 @@ def step(
 def check_fits(params: ProblemParams, config: SolverConfig) -> None:
     """Raise ValueError unless cfl is within STABLE_CFL[params.n] and
     the interior radius below R."""
-    n, a = params.n, config.interior_radius
+    n, a = params.n, config.in_ball(params.R).interior_radius
     if config.cfl > STABLE_CFL[n] + 1e-12:
         raise ValueError(
             f"cfl = {config.cfl:g} exceeds the measured stability limit "
@@ -331,7 +371,8 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     """Integrate from the configured initial data until a stop condition.
 
     The trajectory records every record_every-th step plus the initial and
-    final states. Identical inputs produce bitwise identical trajectories.
+    final states, and config.in_ball(params.R) as its config. Identical
+    inputs produce bitwise identical trajectories.
 
     Raises
     ------
@@ -345,6 +386,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         guard and each state's threshold test runs before its flux.
     """
     grid = make_grid(params.R, config.N)
+    config = config.in_ball(params.R)
     check_fits(params, config)
     report = validate_initial_data(params.initial, grid, params.n, params)
     if not report.passed:
@@ -370,7 +412,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
 
     # each pass visits one state (t, F): decide whether it is the stop
     # state, sample it, then advance; so no state is ever sampled twice
-    t, peak = 0.0, float(F.max())
+    t, bound = 0.0, float(np.abs(F).max())
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
         # the end values (lap.end_values) and the flux exponent arguments
@@ -385,7 +427,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
             reason = StopReason.TIME_LIMIT
         else:
             try:
-                t_new, peak = advance(t, i, ends, arg_u, arg_v, peak)
+                t_new, bound = advance(t, i, ends, arg_u, arg_v, bound)
             except StepUnderflow as exc:
                 reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
             except NumericalBlowupGuard as exc:

@@ -92,7 +92,7 @@ class TestRunExperiment:
     def test_reference_run_rates(self, ref_run):
         _, _, report = ref_run
         assert float(report["blowup.T_hat"]) == pytest.approx(
-            0.010899422414665978, rel=1e-9
+            0.010899422450143716, rel=1e-9
         )
         assert float(report["rate.alpha_hat"]) <= 1.1
         assert float(report["rate.beta_hat"]) <= 1.1

@@ -23,6 +23,7 @@ from blowuplab.model import (
     make_grid,
     radial_laplacian,
 )
+from blowuplab import solver
 from blowuplab.solver import (
     COLUMNS,
     STABLE_CFL,
@@ -482,6 +483,16 @@ class TestRun:
         with pytest.raises(ValueError, match="interior_radius"):
             run(params, config)
 
+    def test_default_interior_radius_is_half_of_R(self):
+        # SolverConfig() leaves the radius unset; run() records at R/2
+        params = exp_power_params(R=0.4, flux=FluxFamily.POWER)
+        traj = run(params, SolverConfig(N=41))
+        assert traj.config == SolverConfig(N=41, interior_radius=0.2)
+        k = int(np.searchsorted(make_grid(0.4, 41).r, 0.2 * (1.0 + 1e-12),
+                                side="right"))
+        assert k == 21
+        assert [s.u[:k].max() for s in traj.states] == traj.sup_u_interior.tolist()
+
     def test_invalid_initial_data_rejected(self):
         params = exp_power_params(initial=QuadraticRadial(1.0, -0.5, 0.5, 0.5))
         with pytest.raises(InvalidInitialData):
@@ -554,9 +565,11 @@ def _reference_laplacian(f, grid, n, ghost):
     dr = grid.dr
     out = np.empty(grid.N)
     out[0] = 2.0 * n * (f[1] - f[0]) / dr**2
-    second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dr**2
-    drift = (n - 1) / grid.r[1:-1] * (f[2:] - f[:-2]) / (2.0 * dr)
-    out[1:-1] = second + drift
+    # the centered stencil on the differences f[i+1] - f[i] around node i
+    drift = (n - 1) / (2.0 * dr * grid.r[1:-1])
+    upper, lower = 1.0 / dr**2 + drift, 1.0 / dr**2 - drift
+    diff = f[1:] - f[:-1]
+    out[1:-1] = upper * diff[1:] - lower * diff[:-1]
     out[-1] = (ghost - 2.0 * f[-1] + f[-2]) / dr**2 + (n - 1) / grid.R * (
         ghost - f[-2]
     ) / (2.0 * dr)
@@ -596,8 +609,9 @@ def _reference_step(t, u, v, params, grid, config):
 def _reference_run(params, config):
     """Columns, snapshots (t, u, v), their sample indices, steps and stop."""
     grid = make_grid(params.R, config.N)
-    k = int(np.searchsorted(grid.r, config.interior_radius * (1.0 + 1e-12),
-                            side="right"))
+    # an unset interior radius is R/2
+    a = params.R / 2 if config.interior_radius is None else config.interior_radius
+    k = int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
     t, (u, v) = 0.0, params.initial.evaluate(grid)
     rows, snapshots, samples = [], [], []
     steps, dt, detail, reason = 0, 0.0, "", None
@@ -706,6 +720,83 @@ class TestReferenceLoop:
             for name in ("power_t_end", "exp_power_underflow", "power_n2")
         }
         assert reasons == set(StopReason)
+
+
+# -- on-demand reductions ------------------------------------------------------
+#
+# A step reads the whole-array max only when max(ends) cannot rule out the
+# growth cap, and checks the new state for non-finite values only when its
+# bound on max |F| reaches CHECKED_ABOVE or max |G| is not finite. The
+# reference step reads both reductions on every step.
+
+
+def _matches_the_reference_step(state, params, grid, config):
+    """step(state, ...), checked against _reference_step bit for bit."""
+    new = step(state, params, grid, config)
+    t, u, v = _reference_step(state.t, state.u, state.v, params, grid, config)
+    assert new.t == t
+    np.testing.assert_array_equal(new.u, u, strict=True)
+    np.testing.assert_array_equal(new.v, v, strict=True)
+    return new
+
+
+class TestOnDemandReductions:
+    def test_interior_peak_under_a_binding_cap(self):
+        # the peak 50 sits at node 20, far above every end value, and the
+        # spike's rate makes the growth cap bind: max(ends) = 1 would give
+        # a dt 25 times smaller than the peak's
+        grid = make_grid(1.0, 41)
+        params = exp_power_params(flux=FluxFamily.POWER)
+        config = SolverConfig(N=41)
+        u0, v0 = params.initial.evaluate(grid)
+        u0[20] = 50.0
+        state = FieldState(t=0.0, u=u0, v=v0)
+        new = _matches_the_reference_step(state, params, grid, config)
+        max_rate = (u0[20] - new.u[20]) / new.t
+        assert new.t < config.cfl * grid.dr**2
+        assert new.t == pytest.approx(0.1 * 51.0 / max_rate, rel=1e-12)
+
+    @pytest.mark.parametrize("level, checks", [(9.0e299, 0), (9.9e299, 1)])
+    def test_state_near_1e299_takes_the_exact_finiteness_path(
+        self, monkeypatch, level, checks,
+    ):
+        # u = level drives v's flux level^1.001 = 2 level; v's boundary
+        # rate 81 times that for dt = cfl dr^2 adds 4e298 to the bound
+        # level, which reaches 1e300 only from 9.9e299
+        calls = []
+
+        def spy(f, t):
+            calls.append(t)
+            return finite_bound(f, t)
+
+        finite_bound = solver._finite_bound
+        monkeypatch.setattr(solver, "_finite_bound", spy)
+        grid = make_grid(1.0, 41)
+        params = exp_power_params(p=1.001, q=1.001, flux=FluxFamily.POWER)
+        state = FieldState(t=0.0, u=np.full(grid.N, level), v=np.ones(grid.N))
+        new = _matches_the_reference_step(state, params, grid, SolverConfig(N=41))
+        assert len(calls) == checks
+        assert new.t == 0.4 * grid.dr**2
+        assert np.isfinite(new.v).all()
+
+    @pytest.mark.parametrize("n, error, message", [
+        # 0 * inf is NaN in the boundary node's drift: the update is NaN
+        (1, NumericalBlowupGuard, "non-finite field values at t = 0"),
+        # inf rates: the cap makes dt = 0
+        (2, StepUnderflow, "dt = 0.000e+00 below 1e-16 * dr^2 at t = 0"),
+    ])
+    def test_overflowing_ghost_stops_as_the_reference_does(self, n, error, message):
+        # at R = 1e7 the ghost f[N-2] + 2 dr e^699 overflows to inf
+        grid = make_grid(1e7, 41)
+        params = exp_power_params(p=1.0, q=1.0, R=1e7, n=n, flux=FluxFamily.EXP_LINEAR)
+        state = FieldState(t=0.0, u=np.full(grid.N, 699.0), v=np.full(grid.N, 699.0))
+        config = SolverConfig(N=41)
+        for stepper in (step, _reference_step):
+            args = (state,) if stepper is step else (state.t, state.u, state.v)
+            # the reference's NumPy scalars warn on 0 * inf
+            with np.errstate(invalid="ignore"), pytest.raises(error) as exc:
+                stepper(*args, params, grid, config)
+            assert str(exc.value) == message
 
 
 # -- the one-field path --------------------------------------------------------
