@@ -406,7 +406,7 @@ def _cmd_validate(args) -> int:
         print(render_config(config), end="")
         for check in report.checks:
             print(f"check {check.name}: {'pass' if check.passed else 'fail'} "
-                  f"(worst node {check.worst_node}, value {check.worst_value!r})")
+                  f"(value {check.value!r})")
         print(f"initial data: {'pass' if report.passed else 'fail'}")
     return 0 if report.passed else 2
 

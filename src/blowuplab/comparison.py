@@ -85,6 +85,9 @@ class ComparisonParams:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("C1", "C2", "m", "T", "R"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} must be finite")
         if self.C1 <= 0 or self.C2 <= 0 or self.m <= 0:
             raise ValueError(
                 f"C1 = {self.C1}, C2 = {self.C2}, m = {self.m} must all be positive"

@@ -22,7 +22,7 @@ class FluxOverflow(BlowupLabError):
 
 
 class InvalidInitialData(BlowupLabError):
-    """Initial data negative or identically zero."""
+    """Initial data non-finite, negative, all zero or failing a structural check."""
 
 
 class GridTooCoarse(BlowupLabError):

@@ -16,7 +16,7 @@ from blowuplab.analysis import (
     rate_bound_check,
     tail_window,
 )
-from blowuplab.errors import BadRadius, FitFailed
+from blowuplab.errors import BadRadius, FitFailed, InvalidInitialData
 from blowuplab.model import (
     FluxFamily,
     ProblemParams,
@@ -471,13 +471,19 @@ class TestBoundarySetCheck:
     @pytest.mark.parametrize("dip", [0.0, 1e-12])
     def test_initial_ties_pass_only_with_the_maximum_at_r_equal_R(self, dip):
         # flat data tie at every node, so np.argmax puts row 0's maximum
-        # at node 0; bending u0 down by a hair, which validation
-        # tolerates, puts the initial maximum inside the ball
+        # at node 0, and the check passes; bending u0 down by a hair puts
+        # the initial maximum inside the ball, and validation refuses it
         grid = make_grid(1.0, 101)
         params = ProblemParams(
             p=2.0, q=2.0, R=1.0, n=2, flux=FluxFamily.POWER,
             initial=QuadraticRadial(0.5, -dip, 0.5, 0.0),
         )
+        if dip:
+            with pytest.raises(InvalidInitialData, match=(
+                "initial data failed: monotone_u0, subharmonic_u0"
+            )):
+                run(params, SolverConfig(N=grid.N))
+            return
         traj = run(params, SolverConfig(N=grid.N))
         fit = estimate_blowup_time(traj, params)
         report = boundary_set_check(traj, params, 0.5, t_hat=fit.t_hat)
@@ -485,8 +491,8 @@ class TestBoundarySetCheck:
         assert np.all(traj.argmax_u[1:] == grid.N - 1)
         assert np.all(traj.argmax_v[1:] == grid.N - 1)
         assert report.growth_u < 0.05 and report.growth_v < 0.05
-        assert report.argmax_at_boundary is (not dip)
-        assert report.status == ("fail" if dip else "pass")
+        assert report.argmax_at_boundary
+        assert report.status == "pass"
 
     def test_time_limited_run_inconclusive(self):
         params = exp_power_params()

@@ -45,6 +45,9 @@ n = 3
 flux = power
 """
 
+# power, p = q = 2, n = 2 from u0 = 1 - 1e-9 r^2
+POWER_DIP = POWER_N3.replace("n = 3", "n = 2") + "u0_base = 1\nu0_quad = -1e-9\n"
+
 TINY = """\
 [problem]
 p = 2
@@ -480,6 +483,29 @@ class TestMain:
         assert code == 0
         assert "[problem]" in out
         assert "initial data: pass" in out
+
+    def test_validate_verb_refuses_slightly_decreasing_data(self, tmp_path, capsys):
+        # u0 = 1 - 1e-9 r^2 peaks at r = 0 by a hair, which a relative
+        # tolerance on the node values would let through to the run
+        path = self.write(tmp_path, POWER_DIP)
+        code = main(["validate", path])
+        checks = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(("check ", "initial data"))]
+        assert code == 2
+        assert checks == [
+            "check monotone_u0: fail (value -2e-09)",
+            "check subharmonic_u0: fail (value -4e-09)",
+            "check monotone_v0: pass (value 1.0)",
+            "check subharmonic_v0: pass (value 2.0)",
+            "initial data: fail",
+        ]
+
+    def test_run_verb_refuses_slightly_decreasing_data(self, tmp_path, capsys):
+        path = self.write(tmp_path, POWER_DIP)
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: initial data failed: monotone_u0, subharmonic_u0\n"
 
     def test_missing_key_is_operational_error(self, tmp_path, capsys):
         path = self.write(tmp_path, "[problem]\np = 2\n")

@@ -88,6 +88,13 @@ class TestComparisonParams:
             with pytest.raises(ValueError):
                 ComparisonParams(**{**good, **bad})
 
+    @pytest.mark.parametrize("field", ["C1", "C2", "m", "T", "R"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_are_refused(self, field, value):
+        good = dict(C1=1.0, C2=41.0, m=1.0, T=1.0, R=1.0, n=2)
+        with pytest.raises(ValueError, match=f"^{field} = {value} must be finite$"):
+            ComparisonParams(**{**good, field: value})
+
     def test_supersolution_flag(self):
         assert params_for(2, 1.0, 1.0).is_supersolution
         assert params_for(2, 1.0, 1.0, C2=50.0).is_supersolution

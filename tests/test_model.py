@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowuplab.errors import (
@@ -16,6 +16,7 @@ from blowuplab.model import (
     FluxFamily,
     ProblemParams,
     QuadraticRadial,
+    RadialLaplacian,
     boundary_flux,
     make_grid,
     rate_exponents,
@@ -85,6 +86,13 @@ class TestBoundaryFlux:
 
     def test_power_family_has_no_guard(self):
         assert boundary_flux(FluxFamily.POWER, 1e100, 2.0) == 1e200
+
+    @pytest.mark.parametrize("family", [FluxFamily.POWER, FluxFamily.EXP_POWER])
+    def test_power_past_float64_is_refused(self, family):
+        # 1e200^2 leaves float64: the argument is inf, not an OverflowError
+        assert family.arg(1e200, 2.0) == math.inf
+        with pytest.raises(FluxOverflow, match="exponent argument inf >= "):
+            boundary_flux(family, 1e200, 2.0)
 
     def test_negative_boundary_value(self):
         with pytest.raises(ValueError):
@@ -169,6 +177,14 @@ class TestProblemParams:
                 flux=FluxFamily.EXP_POWER,
                 initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5),
             )
+
+    @pytest.mark.parametrize("field", ["p", "q", "R"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_are_refused(self, field, value):
+        good = dict(p=2.0, q=2.0, R=1.0, n=2, flux=FluxFamily.POWER,
+                    initial=QuadraticRadial(0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match=f"^{field} = {value} must be finite$"):
+            ProblemParams(**{**good, field: value})
 
     @pytest.mark.parametrize("R", [0.0, -1.0])
     def test_radius_must_be_positive(self, R):
@@ -258,3 +274,53 @@ class TestValidateInitialData:
         )
         with pytest.raises(FluxOverflow, match="argument 729 >= 700"):
             validate_initial_data(params.initial, self.grid(), 2, params)
+
+    def test_checks_carry_the_exact_values(self):
+        # u0' (R) = 2 b R and Delta u0 = 2 n b, here at R = 2, n = 3
+        report = validate_initial_data(
+            QuadraticRadial(1.0, -0.25, 0.5, 0.5), make_grid(2.0, 101), 3
+        )
+        assert [(c.name, c.passed, c.value) for c in report.checks] == [
+            ("monotone_u0", False, -1.0), ("subharmonic_u0", False, -1.5),
+            ("monotone_v0", True, 2.0), ("subharmonic_v0", True, 3.0),
+        ]
+
+    @pytest.mark.parametrize("a, b", [(1.0, -1e-9), (1e6, -1e-5)])
+    def test_a_slight_decrease_is_refused(self, a, b):
+        # a relative tolerance on the node values would let both through
+        report = validate_initial_data(QuadraticRadial(a, b, 0.5, 0.5), self.grid(), 2)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"monotone_u0", "subharmonic_u0"}
+
+    @settings(deadline=None)
+    @given(
+        a_u=st.floats(0.0, 1e7),
+        a_v=st.floats(0.0, 1e7),
+        b_u=st.floats(-1e3, 1e3),
+        b_v=st.floats(-1e3, 1e3),
+        R=st.floats(1e-3, 1e3),
+        N=st.integers(16, 801),
+        n=st.sampled_from([1, 2, 3]),
+    )
+    def test_passes_exactly_when_both_b_are_nonnegative(
+        self, a_u, a_v, b_u, b_v, R, N, n
+    ):
+        # data the nodes refuse raise; the rest pass exactly when both b
+        # are nonnegative, and every accepted draw also passes the
+        # discrete rule on the nodes: differences and the kernel's
+        # Laplacian down to -1e-10 of the field's scale
+        spec, grid = QuadraticRadial(a_u, b_u, a_v, b_v), make_grid(R, N)
+        F = np.array(spec.evaluate(grid))
+        if F.min() < 0 or F.max(axis=1).min() == 0.0:
+            with pytest.raises(InvalidInitialData):
+                validate_initial_data(spec, grid, n)
+            return
+        report = validate_initial_data(spec, grid, n)
+        assert report.passed is (b_u >= 0 and b_v >= 0)
+        if report.passed:
+            lap = RadialLaplacian(grid, n, 2)
+            out = np.empty(F.shape)
+            lap.apply(lap.end_values(F), F[:, -2].tolist(), lap.bind(F, out))
+            scale = 1.0 + F.max(axis=1, keepdims=True)
+            assert np.all(np.diff(F) >= -1e-10 * scale)
+            assert np.all(out[:, :-1] >= -1e-10 * scale / grid.dr**2)

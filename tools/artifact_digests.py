@@ -18,7 +18,10 @@ and `sweep_repeated` (power, p = 2, 2, 3, so two points share each run
 of p = 2). One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
 records the interior suprema away from the default radius, and
-`flat_data` starts from constant initial data. Most runs are at
+`flat_data` starts from constant initial data. The verbs `validate`
+and `run` also go over `dip_u0` (power, u0 = 1 - 1e-9 r^2), data
+that validation refuses, so the stdout, stderr and exit code of the
+refusal are pinned. Most runs are at
 N = 101, `t_end_0.01` and the sweep at N = 201 and `pw_N401` (power,
 p = q = 2, t_end = 0.01, about 4,000 steps) at N = 401, so the stepper
 is digested on three array lengths. The stdout of
@@ -93,6 +96,11 @@ def matrix() -> dict[str, str]:
     # a third array length for the stepper
     runs["pw_N401"] = _ini("power", 2, 2, N=401, t_end=0.01)
     return runs
+
+
+# data that validation refuses: u0 = 1 - 1e-9 r^2 decreases, so both of
+# u0's structural checks fail
+DIP_U0 = _ini("power", 2, 2, problem=("u0_base = 1", "u0_quad = -1e-9"))
 
 
 def sweeps() -> dict[str, str]:
@@ -197,6 +205,11 @@ def main() -> int:
             ini = root / f"{name}.ini"
             ini.write_text(text)
             lines += _verb(f"validate_{name}", ["validate", str(ini)])
+        ini = root / "dip_u0.ini"
+        ini.write_text(DIP_U0)
+        lines += _verb("validate_dip_u0", ["validate", str(ini)])
+        lines += _verb("run_dip_u0", ["run", str(ini), "--output-dir",
+                                      str(root / "dip_u0")])
         # the sweep verb runs cli.sweep and sets the exit status
         runs = [("sweep", SWEEP_CONFIG, "1"), ("sweep_parallel2", SWEEP_CONFIG, "2")]
         for name, text in sweeps().items():
