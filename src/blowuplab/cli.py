@@ -451,7 +451,7 @@ def _cmd_oracle_jump(args) -> int:
     window = 0.05 * args.R * args.R if args.window is None else args.window
     # the library rejects out-of-range arguments with ValueError
     try:
-        if args.distances:
+        if args.distances is not None:
             distances = [float(v) for v in args.distances.split(",")]
         else:
             distances = [f * args.R for f in (0.16, 0.12, 0.09, 0.06, 0.04)]

@@ -192,8 +192,10 @@ def dominance_check(
             f"C2 = {params.C2} is below c2_min = {c2_min(params.n, params.R, params.m)}; "
             f"without the supersolution property dominance proves nothing"
         )
-    if rate_sup < 0 or c1_scale < 0:
-        raise ValueError("rate_sup and c1_scale must be nonnegative")
+    if not rate_sup >= 0:
+        raise ValueError(f"rate_sup must be nonnegative, got {rate_sup}")
+    if not 0 <= c1_scale < math.inf:
+        raise ValueError(f"c1_scale must be nonnegative and finite, got {c1_scale}")
 
     r = np.asarray(r, dtype=float)
     for s in states:

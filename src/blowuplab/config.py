@@ -60,8 +60,11 @@ class ExperimentConfig:
         # decide an unset interior radius, so the echo writes the one used
         object.__setattr__(self, "solver", self.solver.in_ball(self.params.R))
         check_fits(self.params, self.solver)
-        # a tolerance no run can meet is a mistake in the config, not a
-        # failing run
+        # a tolerance no run can meet, or a non-finite one that no run can
+        # fail, is a mistake in the config, not a run's verdict
+        for key in ("rate_tol", "residual_max", "dominance_scale"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} = {getattr(self, key)} must be finite")
         if self.rate_tol < 0:
             raise ValueError(f"rate_tol must be nonnegative, got {self.rate_tol}")
         for key in ("residual_max", "dominance_scale"):

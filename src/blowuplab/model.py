@@ -185,18 +185,13 @@ class ValidationReport:
 
 
 def make_grid(R: float, N: int) -> RadialGrid:
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     if N < MIN_NODES:
         raise GridTooCoarse(f"need at least {MIN_NODES} nodes, got {N}")
     dr = R / (N - 1)
     r = np.linspace(0.0, R, N)
     return RadialGrid(N=N, R=R, dr=dr, r=r)
-
-
-def interior_nodes(grid: RadialGrid, a: float) -> int:
-    """Number of nodes with r <= a (a tiny slack counts exact node hits)."""
-    return int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
 
 
 def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
@@ -227,83 +222,6 @@ def boundary_flux(flux: FluxFamily, w: float, e: float) -> float:
     if arg >= flux.arg_limit:
         raise FluxOverflow(f"exponent argument {arg:.3g} >= {flux.arg_limit}")
     return flux.from_arg(arg)
-
-
-class RadialLaplacian:
-    """Discrete radial Laplacian of one grid and dimension.
-
-    It acts on a field of shape (rows, N), each row closed at r = R by its
-    own ghost value at r = R + dr, which the caller fixes from the
-    boundary condition (see solver._Kernel.advance). Centered differences
-    with the ghost make the boundary node second order; at r = 0 symmetry
-    gives Delta f = n * f'' with the mirror node f[-1] = f[1]. An
-    interior node is written on the two differences around it,
-
-        Delta f_i = upper_i (f[i+1] - f[i]) - lower_i (f[i] - f[i-1]),
-        upper_i, lower_i = 1 / dr^2 +- (n - 1) / (2 r_i dr),
-
-    the centered stencil in four numpy calls: one difference sweep, two
-    products and their difference. upper and lower are the tridiagonal
-    operator's off-diagonals, set up once with the difference buffer, so
-    apply() allocates no array. bind() ties a field and its output
-    buffer to the stencil once, so a caller that applies the operator to
-    the same buffers many times makes no view per call. The end nodes
-    are done on Python floats.
-    """
-
-    def __init__(self, grid: RadialGrid, n: int, rows: int):
-        N = grid.N
-        self.dr2 = grid.dr**2
-        self.two_dr = 2.0 * grid.dr
-        self.origin = 2.0 * n
-        self.drift_R = (n - 1) / grid.R
-        # the flat indices end_values() reads: f[0], f[1], f[-2], f[-1] of
-        # each row, row after row
-        self.end_nodes = np.array(
-            [row * N + j for row in range(rows) for j in (0, 1, N - 2, N - 1)]
-        )
-        # the flat indices of each row's first and last node, with the
-        # offset of its four end values in end_values()
-        self._end_rows = [(row * N, row * N + N - 1, 4 * row) for row in range(rows)]
-        # apply() sweeps the rows as one flat array: between two rows lie
-        # the end nodes, which get coefficient 0 and are overwritten
-        drift = (n - 1) / (self.two_dr * grid.r[1:-1])
-        inv_dr2, pad = 1.0 / self.dr2, np.zeros(2)
-        self.upper = np.concatenate([inv_dr2 + drift, pad] * rows)[:-2]
-        self.lower = np.concatenate([inv_dr2 - drift, pad] * rows)[:-2]
-        # f[i+1] - f[i] over the flat array, as both of its windows
-        d = np.empty(rows * N - 1)
-        self._diff = d, d[1:], d[:-1]
-
-    def end_values(self, F: np.ndarray) -> list[float]:
-        """The values at the nodes 0, 1, N-2, N-1 of each row of F, row
-        after row, as Python floats."""
-        return F.take(self.end_nodes).tolist()
-
-    def bind(self, F: np.ndarray, out: np.ndarray) -> tuple:
-        """The views of F and out that apply() reads and writes. F and
-        out have shape (rows, N) and out is C-contiguous."""
-        f, o = F.reshape(-1), out.reshape(-1)
-        return o, f[1:], f[:-1], o[1:-1]
-
-    def apply(self, ends: list[float], ghosts, bound: tuple) -> None:
-        """Write the Laplacian of F into out, with bound = bind(F, out).
-
-        ends is end_values(F) and ghosts holds one ghost value per row.
-        """
-        o, f_next, f_prev, inner = bound
-        d, d_next, d_prev = self._diff
-        np.subtract(f_next, f_prev, d)
-        np.multiply(self.upper, d_next, inner)
-        # in place: each difference is read once, by its own product
-        np.multiply(self.lower, d_prev, d_prev)
-        np.subtract(inner, d_prev, inner)
-        # the end nodes of each row, on Python floats
-        dr2, two_dr, drift_R = self.dr2, self.two_dr, self.drift_R
-        for (first, last, j), ghost in zip(self._end_rows, ghosts):
-            x0, x1, xm, xN = ends[j:j + 4]
-            o[first] = self.origin * (x1 - x0) / dr2
-            o[last] = (ghost - 2.0 * xN + xm) / dr2 + drift_R * (ghost - xm) / two_dr
 
 
 def validate_initial_data(

@@ -17,15 +17,14 @@ advance t is refused before it touches the fields, so every recorded
 sample after the first has dt > 0 and t strictly increases.
 
 The state is one (rows, N) float64 array F: u in row 0 and v in row 1,
-or u alone for a run that is its own mirror (below). One kernel
-(_Kernel.advance) updates it. The kernel owns the two state buffers,
-the rate buffer and, built once, each buffer's flat view and its views
-bound by model.RadialLaplacian.bind, so a step makes no array, view or
-reshape: run() flips the index of the current buffer. At N = 201 a
-step costs numpy's call overhead more than arithmetic, so a step makes
-no numpy or Python call it can do without:
-- the Laplacian is four ufunc calls on the differences f[i+1] - f[i]
-  (model.RadialLaplacian);
+or u alone for a run that is its own mirror (below). One kernel,
+_Kernel, owns the discretisation and updates F. It owns the two state
+buffers, the rate and difference buffers and, built once, every view of
+them a step reads, so a step makes no array, view or reshape: run()
+flips the index of the current buffer. At N = 201 a step costs numpy's
+call overhead more than arithmetic, so a step makes no numpy or Python
+call it can do without:
+- the Laplacian is four ufunc calls on the differences f[i+1] - f[i];
 - one flat take reads the eight end values (u's four twice with one
   row), and the flux, ghost and end-node arithmetic is inline on Python
   floats (boundary_flux runs only to raise or pass a NaN on);
@@ -73,9 +72,7 @@ from .model import (
     InvalidInitialData,
     ProblemParams,
     RadialGrid,
-    RadialLaplacian,
     boundary_flux,
-    interior_nodes,
     make_grid,
     validate_initial_data,
 )
@@ -218,12 +215,22 @@ class _Kernel:
     """The forward-Euler update of the state F of shape (rows, N): F =
     [u; v] with two rows, or F = [u] with one when u is v.
 
-    It is built once per run and owns the two state buffers (states),
-    the rate buffer and, for each state buffer, its flat view and its
-    views bound by RadialLaplacian.bind, so a step allocates no array
-    and makes no view: advance() steps states[i] into states[1 - i].
-    end_nodes are the flat indices of u's and v's end values, u's four
-    read twice with one row, so a step runs the same code on either.
+    It is built once per run and owns the two state buffers (states)
+    and the rate and difference buffers, with every view of them a step
+    reads, so a step allocates no array and makes no view: advance()
+    steps states[i] into states[1 - i]. end_nodes are the flat indices
+    of the nodes 0, 1, N-2, N-1 of u and of v, u's four twice with one
+    row, so a step runs the same code on either.
+
+    laplacian() writes an interior node on the two differences around it,
+
+        Delta f_i = upper_i (f[i+1] - f[i]) - lower_i (f[i] - f[i-1]),
+        upper_i, lower_i = 1 / dr^2 +- (n - 1) / (2 r_i dr),
+
+    in four numpy calls over the rows as one flat array; upper and lower
+    are the tridiagonal operator's off-diagonals, 0 on the end nodes
+    between two rows, which it overwrites. The end nodes (module
+    docstring) are done on Python floats.
     """
 
     def __init__(
@@ -231,16 +238,51 @@ class _Kernel:
         rows: int = 2,
     ):
         self.params, self.config = params, config
-        self.lap = lap = RadialLaplacian(grid, params.n, rows)
-        self.end_nodes = np.concatenate([lap.end_nodes] * (2 // rows))
-        self.states = (np.empty((rows, grid.N)), np.empty((rows, grid.N)))
-        self.rates = np.empty((rows, grid.N))
+        N, n = grid.N, params.n
+        self.dr2, self.two_dr = grid.dr**2, 2.0 * grid.dr
+        self.origin, self.drift_R = 2.0 * n, (n - 1) / grid.R
+        drift = (n - 1) / (self.two_dr * grid.r[1:-1])
+        inv_dr2, pad = 1.0 / self.dr2, np.zeros(2)
+        self.upper = np.concatenate([inv_dr2 + drift, pad] * rows)[:-2]
+        self.lower = np.concatenate([inv_dr2 - drift, pad] * rows)[:-2]
+        self.end_nodes = np.array(
+            [row * N + j for row in (0, rows - 1) for j in (0, 1, N - 2, N - 1)]
+        )
+        # each row's first and last flat index, with the offset of its
+        # four values in ends
+        self._end_rows = [(row * N, row * N + N - 1, 4 * row) for row in range(rows)]
+        self.states = (np.empty((rows, N)), np.empty((rows, N)))
+        self.rates = np.empty((rows, N))
         self.flat = [F.reshape(-1) for F in self.states]
-        self._bound = [lap.bind(F, self.rates) for F in self.states]
-        self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(rows * grid.N)
+        # f[i+1] and f[i] of each flat state, and f[i+1] - f[i] as both
+        # of its windows
+        self._shifted = [(f[1:], f[:-1]) for f in self.flat]
+        d = np.empty(rows * N - 1)
+        self._diff = d, d[1:], d[:-1]
+        self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(rows * N)
+        self._inner = self._rates_flat[1:-1]
         self._dt = np.empty(())
-        self._dt_max = config.cfl * lap.dr2
-        self._dt_min = UNDERFLOW_FACTOR * lap.dr2
+        self._dt_max = config.cfl * self.dr2
+        self._dt_min = UNDERFLOW_FACTOR * self.dr2
+
+    def laplacian(self, i: int, ends: list[float], ghosts) -> None:
+        """Write the Laplacian of states[i] into rates; ends is states[i]'s
+        values at end_nodes and ghosts holds one ghost value per row."""
+        f_next, f_prev = self._shifted[i]
+        d, d_next, d_prev = self._diff
+        inner = self._inner
+        np.subtract(f_next, f_prev, d)
+        np.multiply(self.upper, d_next, inner)
+        # in place: each difference is read once, by its own product
+        np.multiply(self.lower, d_prev, d_prev)
+        np.subtract(inner, d_prev, inner)
+        # the end nodes of each row, on Python floats
+        o = self._rates_flat
+        dr2, two_dr, drift_R = self.dr2, self.two_dr, self.drift_R
+        for (first, last, j), ghost in zip(self._end_rows, ghosts):
+            x0, x1, xm, xN = ends[j:j + 4]
+            o[first] = self.origin * (x1 - x0) / dr2
+            o[last] = (ghost - 2.0 * xN + xm) / dr2 + drift_R * (ghost - xm) / two_dr
 
     def advance(
         self, t: float, i: int, ends: list[float], arg_u: float, arg_v: float,
@@ -254,7 +296,7 @@ class _Kernel:
         the new state, the next step's bound. The state's max and min
         are read only when they decide dt or a stop (module docstring).
         """
-        params, config, lap = self.params, self.config, self.lap
+        params, config = self.params, self.config
         uN, vN = ends[3], ends[7]
         flux = params.flux
         limit = flux.arg_limit
@@ -267,10 +309,10 @@ class _Kernel:
             flux_u = boundary_flux(flux, uN, params.q)
         # Neumann closure: u's outward derivative is the flux induced by
         # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) =
-        # flux; with one row apply() uses u's ghost alone
-        two_dr = lap.two_dr
-        lap.apply(ends, (ends[2] + two_dr * flux_v, ends[6] + two_dr * flux_u),
-                  self._bound[i])
+        # flux; with one row laplacian() uses u's ghost alone
+        two_dr = self.two_dr
+        self.laplacian(i, ends, (ends[2] + two_dr * flux_v,
+                                 ends[6] + two_dr * flux_u))
         # max |G|; argmax returns the first NaN
         work = self._abs
         np.abs(self._rates_flat, work)
@@ -344,7 +386,7 @@ def step(
     kernel = _Kernel(params, grid, config)
     F = kernel.states[0]
     F[:] = state.u, state.v
-    ends = kernel.lap.end_values(F)
+    ends = F.take(kernel.end_nodes).tolist()
     arg = params.flux.arg
     t, _ = kernel.advance(
         state.t, 0, ends, arg(ends[3], params.q), arg(ends[7], params.p),
@@ -400,7 +442,9 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     i = 0
     F = kernel.states[i]
     F[:] = u0 if one else (u0, v0)
-    k = interior_nodes(grid, config.interior_radius)
+    # the nodes with r <= a (a tiny slack counts exact node hits)
+    a = config.interior_radius * (1.0 + 1e-12)
+    k = int(np.searchsorted(grid.r, a, side="right"))
     # u, v, u[:k] and v[:k] of each state buffer, for _sample_maxima
     sampled = [(G[0], G[-1], G[0, :k], G[-1, :k]) for G in kernel.states]
     rows: list[tuple] = []
@@ -415,7 +459,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     t, bound = 0.0, float(np.abs(F).max())
     steps, dt, detail, reason = 0, 0.0, "", None
     while True:
-        # the end values (lap.end_values) and the flux exponent arguments
+        # the end values and the flux exponent arguments
         # that the stop criterion watches
         ends = flat[i].take(end_nodes).tolist()
         arg_u, arg_v = arg(ends[3], q), arg(ends[7], p)

@@ -610,6 +610,8 @@ class TestMain:
         ["jump", "--tol", "-1"],
         ["jump", "--density", "nan"],
         ["jump", "--density", "inf"],
+        # an empty list, not the defaults
+        ["jump", "--distances", ""],
     ])
     def test_oracle_out_of_range_argument_is_operational_error(self, argv, capsys):
         code = main(["oracle", *argv])

@@ -335,8 +335,13 @@ class TestDominanceCheck:
             dominance_check((), r, comp, rate_sup=1.0)
         with pytest.raises(ValueError, match="nodes"):
             dominance_check(traj.states, r[:-1], comp, rate_sup=1.0)
-        with pytest.raises(ValueError):
-            dominance_check(traj.states, r, comp, rate_sup=-1.0)
+        # NaN fails every comparison, so a sign test alone lets it through
+        for rate_sup, c1_scale, name in (
+            (-1.0, 1.0, "rate_sup"), (math.nan, 1.0, "rate_sup"),
+            (1.0, math.nan, "c1_scale"), (1.0, math.inf, "c1_scale"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+                dominance_check(traj.states, r, comp, rate_sup, c1_scale)
 
     def test_initial_data_term_touches(self):
         # With rate_sup = 0 the selection covers the initial state with

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import pytest
@@ -221,6 +222,15 @@ class TestParseRejections:
     def test_nonpositive_dominance_scale(self, scale):
         with pytest.raises(ConfigError, match="dominance_scale must be positive"):
             parse_config(MINIMAL + f"[analysis]\ndominance_scale = {scale}\n")
+
+    @pytest.mark.parametrize("key", ["rate_tol", "residual_max", "dominance_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gate_settings_are_refused(self, key, value):
+        # the INI text cannot carry them; the dataclass refuses them from
+        # the Python API, where NaN or inf would turn a gate off
+        config = parse_config(MINIMAL)
+        with pytest.raises(ValueError, match=f"^{key} = {value} must be finite$"):
+            dataclasses.replace(config, **{key: value})
 
 
 class TestLoadConfig:

@@ -16,12 +16,12 @@ from blowuplab.model import (
     FluxFamily,
     ProblemParams,
     QuadraticRadial,
-    RadialLaplacian,
     boundary_flux,
     make_grid,
     rate_exponents,
     validate_initial_data,
 )
+from blowuplab.solver import SolverConfig, _Kernel
 
 
 class TestRateExponents:
@@ -144,8 +144,10 @@ class TestMakeGrid:
         make_grid(1.0, 16)
 
     def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            make_grid(0.0, 101)
+        # a sign test alone lets NaN through; inf gives dr = inf, r[0] = nan
+        for R in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {R}$"):
+                make_grid(R, 101)
 
 
 class TestProblemParams:
@@ -230,22 +232,16 @@ class TestValidateInitialData:
             "monotone_u0", "subharmonic_u0", "monotone_v0", "subharmonic_v0",
         }
 
-    def test_decreasing_data_fails_monotone(self):
-        report = validate_initial_data(
-            QuadraticRadial(1.0, -0.5, 0.5, 0.5), self.grid(), 2
-        )
-        assert not report.passed
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "monotone_u0" in failed
-
-    def test_concave_data_fails_subharmonic(self):
+    @pytest.mark.parametrize("field, spec", [
+        ("u0", QuadraticRadial(1.0, -0.5, 0.5, 0.5)),
+        ("v0", QuadraticRadial(0.5, 0.5, 1.0, -0.5)),
+    ], ids=["u0", "v0"])
+    def test_concave_data_fails_subharmonic(self, field, spec):
         # f = 1 - r^2 / 2 decreases and has the negative Laplacian -2n b
-        report = validate_initial_data(
-            QuadraticRadial(1.0, -0.5, 0.5, 0.5), self.grid(), 2
-        )
+        report = validate_initial_data(spec, self.grid(), 2)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
-        assert failed == {"monotone_u0", "subharmonic_u0"}
+        assert failed == {f"monotone_{field}", f"subharmonic_{field}"}
 
     def test_negative_data_raises(self):
         with pytest.raises(InvalidInitialData, match="u0 is negative at node 0"):
@@ -318,9 +314,11 @@ class TestValidateInitialData:
         report = validate_initial_data(spec, grid, n)
         assert report.passed is (b_u >= 0 and b_v >= 0)
         if report.passed:
-            lap = RadialLaplacian(grid, n, 2)
-            out = np.empty(F.shape)
-            lap.apply(lap.end_values(F), F[:, -2].tolist(), lap.bind(F, out))
+            params = ProblemParams(2.0, 2.0, R, n, FluxFamily.POWER, spec)
+            kernel = _Kernel(params, grid, SolverConfig(N=N))
+            kernel.states[0][:] = F
+            kernel.laplacian(0, F.take(kernel.end_nodes).tolist(), F[:, -2].tolist())
+            out = kernel.rates
             scale = 1.0 + F.max(axis=1, keepdims=True)
             assert np.all(np.diff(F) >= -1e-10 * scale)
             assert np.all(out[:, :-1] >= -1e-10 * scale / grid.dr**2)

@@ -3,11 +3,15 @@ writes what the program writes.
 
 perfbench/replay.py calls validate_initial_data, boundary_set_check,
 rate_bound_check and step positionally, so a signature change in the
-package breaks the benchmark; this runs its entry point in a fresh
-process as the benchmark does.
+package breaks the benchmark. The sweep and validate replays run its
+entry point in a fresh process as the benchmark does; the isolated
+step timing and the oracle replays are called in this process, with
+replay.py imported after blowuplab as the benchmark imports it.
 """
 
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +19,7 @@ from pathlib import Path
 
 import blowuplab
 from blowuplab.cli import main
+from blowuplab.config import load_config
 
 REPO = Path(__file__).resolve().parent.parent
 ENTRY = REPO / "perfbench" / "entry.py"
@@ -48,3 +53,16 @@ def test_replayed_sweep_writes_the_sweep_verb_tree(tmp_path):
 
 def test_replayed_validate_passes(tmp_path):
     assert entry(tmp_path / "validate.json", "validate", str(SWEEP_CONFIG))["passed"]
+
+
+def test_replayed_step_and_oracles_run(monkeypatch):
+    # replay.py and spans.py are top-level modules of perfbench/
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    replay = importlib.import_module("replay")
+    null = importlib.import_module("spans").NullTracer()
+    us = replay.step_us(load_config(SWEEP_CONFIG), calls=2, batches=1)
+    assert 0.0 < us < math.inf
+    verdicts = replay.oracles(null, replay.quadratures(null), ["jump_m48", "ode"])
+    assert {name: passed for name, (passed, _) in verdicts.items()} == {
+        "jump_m48": True, "ode": True,
+    }

@@ -19,7 +19,6 @@ from blowuplab.model import (
     FluxFamily,
     ProblemParams,
     QuadraticRadial,
-    RadialLaplacian,
     boundary_flux,
     make_grid,
 )
@@ -50,10 +49,11 @@ def radial_laplacian(f, grid, n, ghost):
     """The kernel's Laplacian of f, shape (N,) or (rows, N), with ghost
     one value or one per row."""
     F = np.array(f, dtype=float).reshape(-1, grid.N)
-    lap = RadialLaplacian(grid, n, len(F))
-    out = np.empty(F.shape)
-    lap.apply(lap.end_values(F), np.ravel(ghost).tolist(), lap.bind(F, out))
-    return out.reshape(np.shape(f))
+    params = exp_power_params(n=n, R=grid.R)
+    kernel = solver._Kernel(params, grid, SolverConfig(N=grid.N), rows=len(F))
+    kernel.states[0][:] = F
+    kernel.laplacian(0, F.take(kernel.end_nodes).tolist(), np.ravel(ghost).tolist())
+    return kernel.rates.reshape(np.shape(f))
 
 
 class TestRadialLaplacian:
