@@ -192,8 +192,9 @@ def dominance_check(
             f"C2 = {params.C2} is below c2_min = {c2_min(params.n, params.R, params.m)}; "
             f"without the supersolution property dominance proves nothing"
         )
-    if not rate_sup >= 0:
-        raise ValueError(f"rate_sup must be nonnegative, got {rate_sup}")
+    # inf would select C1 = inf and pass with margin inf
+    if not 0 <= rate_sup < math.inf:
+        raise ValueError(f"rate_sup must be nonnegative and finite, got {rate_sup}")
     if not 0 <= c1_scale < math.inf:
         raise ValueError(f"c1_scale must be nonnegative and finite, got {c1_scale}")
 

@@ -19,11 +19,16 @@ sample after the first has dt > 0 and t strictly increases.
 The state is one (rows, N) float64 array F: u in row 0 and v in row 1,
 or u alone for a run that is its own mirror (below). One kernel,
 _Kernel, owns the discretisation and updates F. It owns the two state
-buffers, the rate and difference buffers and, built once, every view of
-them a step reads, so a step makes no array, view or reshape: run()
-flips the index of the current buffer. At N = 201 a step costs numpy's
-call overhead more than arithmetic, so a step makes no numpy or Python
-call it can do without:
+buffers, the rate, difference and work buffers and, built once, every
+view of them a step reads, so a step makes no array, view or reshape:
+it flips the index of the current buffer. One loop, _Kernel.march,
+steps F for run() and, limited to one step that re-raises what run()
+turns into a stop, for step(); so there is one update rule. At N = 201
+a step costs numpy's call overhead more than arithmetic, so a step makes
+no numpy or Python call it can do without:
+- the whole step runs in march's frame on locals bound once per run:
+  the flux, the ghosts, the Laplacian, max |G|, dt, the update and the
+  bound, with no method call;
 - the Laplacian is four ufunc calls on the differences f[i+1] - f[i];
 - one flat take reads the eight end values (u's four twice with one
   row), and the flux, ghost and end-node arithmetic is inline on Python
@@ -37,11 +42,14 @@ call it can do without:
   running bound max|F| <= bound + dt max|G| reaches CHECKED_ABOVE or
   max |G| is not finite. So every dt, stop reason and stop detail is
   what the full reductions give.
-A sample reads its maxima with argmax too, row by row (_sample_maxima).
-run() builds a FieldState only for snapshots, from one copy of each row
-of F, made read-only; the stop state is the last recorded row and, with
-snapshots on, the last snapshot. step() is a thin wrapper that takes one
-FieldState through the same two-row kernel, so there is one update rule.
+A sample copies F into the next slot of a block of SAMPLE_BLOCK states
+(_Samples); the maxima of a whole block are read at once, as argmax
+along the nodes and the values there, so each has the bits of its row's
+item(argmax()). With a snapshot at every sample the full blocks are
+kept, read-only, as the snapshots; otherwise only the snapshot slots
+are copied out. The FieldStates, views of those rows, are built once
+at the end; the stop state is the last sample and, with snapshots on,
+the last snapshot.
 
 The two rows are treated alike, so with u0 = v0 the run with p and q
 swapped is the run mirrored (Trajectory.mirrored), bit for bit; a sweep
@@ -62,6 +70,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -88,6 +97,11 @@ CHECKED_ABOVE = 1e300
 # cfl a config file gets when it leaves the key out
 STABLE_CFL = {1: 0.50, 2: 0.41, 3: 1.0 / 3.0}
 DEFAULT_CFL = {1: 0.4, 2: 0.4, 3: 0.3}
+
+# samples per block of the recorder: a sample copies the state into the
+# next slot of a (SAMPLE_BLOCK, rows, N) block, whose maxima are read by
+# axis reductions once it is full or the run stops
+SAMPLE_BLOCK = 64
 
 
 class StopReason(enum.Enum):
@@ -158,8 +172,9 @@ class Trajectory:
     u's boundary value (it drives v) and flux_v the one induced by v.
     Each snapshot in states is a recorded sample and carries that
     sample's t; t strictly increases, so the times place them. Its
-    arrays are read-only copies, and where the run stepped u alone (p =
-    q and u0 = v0) its u and v are the same array.
+    arrays are read-only views of the run's own sample blocks, and where
+    the run stepped u alone (p = q and u0 = v0) its u and v are the
+    same array.
     """
 
     t: np.ndarray
@@ -216,21 +231,23 @@ class _Kernel:
     [u; v] with two rows, or F = [u] with one when u is v.
 
     It is built once per run and owns the two state buffers (states)
-    and the rate and difference buffers, with every view of them a step
-    reads, so a step allocates no array and makes no view: advance()
-    steps states[i] into states[1 - i]. end_nodes are the flat indices
-    of the nodes 0, 1, N-2, N-1 of u and of v, u's four twice with one
-    row, so a step runs the same code on either.
+    and the rate, difference and work buffers, with every view of them
+    a step reads, so a step allocates no array and makes no view: a
+    step from states[i] writes states[1 - i]. end_nodes are the flat
+    indices of the nodes 0, 1, N-2, N-1 of u and of v, u's four twice
+    with one row, so a step runs the same code on either.
 
-    laplacian() writes an interior node on the two differences around it,
+    march() is the one loop of the stepper, for run() and step(). It
+    writes an interior node's Laplacian on the two differences around it,
 
         Delta f_i = upper_i (f[i+1] - f[i]) - lower_i (f[i] - f[i-1]),
         upper_i, lower_i = 1 / dr^2 +- (n - 1) / (2 r_i dr),
 
     in four numpy calls over the rows as one flat array; upper and lower
     are the tridiagonal operator's off-diagonals, 0 on the end nodes
-    between two rows, which it overwrites. The end nodes (module
-    docstring) are done on Python floats.
+    between two rows, which the end-node arithmetic on Python floats
+    overwrites. After a step, rates holds the Laplacian of the state it
+    stepped from.
     """
 
     def __init__(
@@ -248,9 +265,6 @@ class _Kernel:
         self.end_nodes = np.array(
             [row * N + j for row in (0, rows - 1) for j in (0, 1, N - 2, N - 1)]
         )
-        # each row's first and last flat index, with the offset of its
-        # four values in ends
-        self._end_rows = [(row * N, row * N + N - 1, 4 * row) for row in range(rows)]
         self.states = (np.empty((rows, N)), np.empty((rows, N)))
         self.rates = np.empty((rows, N))
         self.flat = [F.reshape(-1) for F in self.states]
@@ -259,99 +273,155 @@ class _Kernel:
         self._shifted = [(f[1:], f[:-1]) for f in self.flat]
         d = np.empty(rows * N - 1)
         self._diff = d, d[1:], d[:-1]
-        self._rates_flat, self._abs = self.rates.reshape(-1), np.empty(rows * N)
+        self._rates_flat, self._work = self.rates.reshape(-1), np.empty(rows * N)
         self._inner = self._rates_flat[1:-1]
         self._dt = np.empty(())
-        self._dt_max = config.cfl * self.dr2
-        self._dt_min = UNDERFLOW_FACTOR * self.dr2
 
-    def laplacian(self, i: int, ends: list[float], ghosts) -> None:
-        """Write the Laplacian of states[i] into rates; ends is states[i]'s
-        values at end_nodes and ghosts holds one ghost value per row."""
-        f_next, f_prev = self._shifted[i]
-        d, d_next, d_prev = self._diff
-        inner = self._inner
-        np.subtract(f_next, f_prev, d)
-        np.multiply(self.upper, d_next, inner)
-        # in place: each difference is read once, by its own product
-        np.multiply(self.lower, d_prev, d_prev)
-        np.subtract(inner, d_prev, inner)
-        # the end nodes of each row, on Python floats
-        o = self._rates_flat
-        dr2, two_dr, drift_R = self.dr2, self.two_dr, self.drift_R
-        for (first, last, j), ghost in zip(self._end_rows, ghosts):
-            x0, x1, xm, xN = ends[j:j + 4]
-            o[first] = self.origin * (x1 - x0) / dr2
-            o[last] = (ghost - 2.0 * xN + xm) / dr2 + drift_R * (ghost - xm) / two_dr
+    def march(self, t: float, bound: float, record=None, one_step: bool = False):
+        """Step states[0], the state at t with max |F| <= bound, until a
+        stop condition, or once with one_step.
 
-    def advance(
-        self, t: float, i: int, ends: list[float], arg_u: float, arg_v: float,
-        bound: float,
-    ) -> tuple[float, float]:
-        """Write the state one step after (t, states[i]) into states[1 - i].
+        record(t, dt, F, flux_u, flux_v) takes every record_every-th
+        state and the stop state, dt being the step that reached it.
+        With one_step nothing is recorded, no stop condition is checked
+        (they apply to stepped states) and StepUnderflow and
+        NumericalBlowupGuard propagate: that is step(). Returns (t, i,
+        steps, reason, detail), the last state being states[i] at t.
 
-        ends is states[i]'s values at end_nodes, arg_u and arg_v the flux
-        exponent arguments of its boundary values and bound an upper
-        bound on its max |F|. Returns the new time and such a bound for
-        the new state, the next step's bound. The state's max and min
-        are read only when they decide dt or a stop (module docstring).
+        A step runs in this frame on locals bound once; the state's max
+        and min are read only when they decide dt or a stop (module
+        docstring). boundary_flux and _finite_bound are looked up when
+        they are called.
         """
         params, config = self.params, self.config
-        uN, vN = ends[3], ends[7]
-        flux = params.flux
-        limit = flux.arg_limit
-        # boundary_flux on both boundary values, v's first; it runs
-        # itself only to raise its error or to pass a NaN through
-        if uN >= 0.0 and vN >= 0.0 and arg_v < limit and arg_u < limit:
-            flux_v, flux_u = flux.from_arg(arg_v), flux.from_arg(arg_u)
-        else:
-            flux_v = boundary_flux(flux, vN, params.p)
-            flux_u = boundary_flux(flux, uN, params.q)
-        # Neumann closure: u's outward derivative is the flux induced by
-        # v at the boundary and vice versa, (ghost - f[N-2]) / (2 dr) =
-        # flux; with one row laplacian() uses u's ghost alone
-        two_dr = self.two_dr
-        self.laplacian(i, ends, (ends[2] + two_dr * flux_v,
-                                 ends[6] + two_dr * flux_u))
-        # max |G|; argmax returns the first NaN
-        work = self._abs
-        np.abs(self._rates_flat, work)
-        max_rate = work.item(work.argmax())
-        if not max_rate < math.inf:
-            # a non-finite node makes an inf or NaN rate next to it; only
-            # step() can be handed such a state, since run() steps only
-            # states this method proved or found finite
-            _finite_bound(self.flat[i], t)
-        dt = self._dt_max
-        if max_rate > 0.0:
-            # min() keeps its first argument unless the second is smaller.
-            # The cap grows with the peak, in floats too, so where the
-            # end values' max already rules it out the peak would as well
-            capped = config.growth_cap * (1.0 + max(ends)) / max_rate
-            if capped < dt:
-                f = self.flat[i]
-                capped = config.growth_cap * (1.0 + f.item(f.argmax())) / max_rate
-                if capped < dt:
-                    dt = capped
-        if dt < self._dt_min:
-            raise StepUnderflow(
-                f"dt = {dt:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
-            )
-        if config.t_end is not None and config.t_end - t < dt:
-            dt = config.t_end - t
-        if t + dt == t:
-            raise StepUnderflow(
-                f"t + dt == t: dt = {dt:.3e} is below the resolution "
-                f"of t = {t:.6g}"
-            )
-        G = self.rates
-        self._dt[()] = dt
-        np.add(self.states[i], np.multiply(G, self._dt, G), self.states[1 - i])
-        # |f + dt g| <= |f| + dt |g| survives rounding; NaN fails the test
-        bound += dt * max_rate
-        if not bound < CHECKED_ABOVE:
-            bound = _finite_bound(self.flat[1 - i], t)
-        return t + dt, bound
+        flux, p, q = params.flux, params.p, params.q
+        arg, from_arg, arg_limit = flux.arg, flux.from_arg, flux.arg_limit
+        u_stop, t_end, record_every = config.u_stop, config.t_end, config.record_every
+        growth_cap = config.growth_cap
+        dt_max, dt_min = config.cfl * self.dr2, UNDERFLOW_FACTOR * self.dr2
+        states, flat, end_nodes, shifted = self.states, self.flat, self.end_nodes, self._shifted
+        upper, lower, inner = self.upper, self.lower, self._inner
+        d, d_next, d_prev = self._diff
+        G, work, dt_0d = self._rates_flat, self._work, self._dt
+        origin, dr2, two_dr, drift_R = self.origin, self.dr2, self.two_dr, self.drift_R
+        rows, N = states[0].shape
+        # the flat indices of u's last node and of v's first and last
+        u_last, v_first, v_last = N - 1, (rows - 1) * N, rows * N - 1
+        subtract, multiply, add, absolute = np.subtract, np.multiply, np.add, np.abs
+
+        # each pass visits one state (t, F): decide whether it is the stop
+        # state, step it, then sample it; so no state is sampled twice
+        i, steps, dt, reason, detail = 0, 0, 0.0, None, ""
+        while True:
+            f = flat[i]
+            # the end values, and the flux exponent arguments the stop
+            # criterion watches
+            ends = f.take(end_nodes).tolist()
+            x0, x1, xm, xN, y0, y1, ym, yN = ends
+            arg_u, arg_v = arg(xN, q), arg(yN, p)
+            # the stop criteria apply to stepped states: the initial data
+            # always take one step (at t = 0 < t_end the limit cannot hold)
+            if steps:
+                if max(arg_u, arg_v) > u_stop:
+                    reason = StopReason.BLOWUP_THRESHOLD
+                elif t_end is not None and t >= t_end:
+                    reason = StopReason.TIME_LIMIT
+            if reason is None:
+                try:
+                    # boundary_flux on both boundary values, v's first; it
+                    # runs itself only to raise its error or to pass a NaN
+                    # through
+                    if xN >= 0.0 and yN >= 0.0 and arg_v < arg_limit and arg_u < arg_limit:
+                        flux_v, flux_u = from_arg(arg_v), from_arg(arg_u)
+                    else:
+                        flux_v = boundary_flux(flux, yN, p)
+                        flux_u = boundary_flux(flux, xN, q)
+                    # Neumann closure: u's outward derivative is the flux
+                    # induced by v at the boundary and vice versa,
+                    # (ghost - f[N-2]) / (2 dr) = flux
+                    ghost_u, ghost_v = xm + two_dr * flux_v, ym + two_dr * flux_u
+                    # the Laplacian: four calls on the interior nodes ...
+                    f_next, f_prev = shifted[i]
+                    subtract(f_next, f_prev, d)
+                    multiply(upper, d_next, inner)
+                    # in place: each difference is read once, by its own product
+                    multiply(lower, d_prev, d_prev)
+                    subtract(inner, d_prev, inner)
+                    # ... and the end nodes on Python floats; with one row
+                    # v's are u's
+                    G[0] = origin * (x1 - x0) / dr2
+                    G[u_last] = (ghost_u - 2.0 * xN + xm) / dr2 + drift_R * (ghost_u - xm) / two_dr
+                    if v_first:
+                        G[v_first] = origin * (y1 - y0) / dr2
+                        G[v_last] = (ghost_v - 2.0 * yN + ym) / dr2 + drift_R * (ghost_v - ym) / two_dr
+                    # max |G|; argmax returns the first NaN
+                    absolute(G, work)
+                    max_rate = work.item(work.argmax())
+                    if not max_rate < math.inf:
+                        # a non-finite node makes an inf or NaN rate next
+                        # to it; only step() can be handed such a state,
+                        # since run() steps only states proved or found
+                        # finite
+                        _finite_bound(f, t)
+                    h = dt_max
+                    if max_rate > 0.0:
+                        # min() keeps its first argument unless the second
+                        # is smaller. The cap grows with the peak, in floats
+                        # too, so where the end values' max already rules
+                        # it out the peak would as well
+                        capped = growth_cap * (1.0 + max(ends)) / max_rate
+                        if capped < h:
+                            capped = growth_cap * (1.0 + f.item(f.argmax())) / max_rate
+                            if capped < h:
+                                h = capped
+                    if h < dt_min:
+                        raise StepUnderflow(
+                            f"dt = {h:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
+                        )
+                    if t_end is not None and t_end - t < h:
+                        h = t_end - t
+                    t_new = t + h
+                    if t_new == t:
+                        raise StepUnderflow(
+                            f"t + dt == t: dt = {h:.3e} is below the resolution "
+                            f"of t = {t:.6g}"
+                        )
+                    # h reaches the update as a 0-d array, which numpy
+                    # does not convert
+                    dt_0d[()] = h
+                    add(f, multiply(G, dt_0d, work), flat[1 - i])
+                    # |f + h g| <= |f| + h |g| survives rounding; NaN fails
+                    # the test
+                    bound += h * max_rate
+                    if not bound < CHECKED_ABOVE:
+                        bound = _finite_bound(flat[1 - i], t)
+                except StepUnderflow as exc:
+                    if one_step:
+                        raise
+                    reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
+                except NumericalBlowupGuard as exc:
+                    if one_step:
+                        raise
+                    # non-finite values mean the discrete solution left
+                    # float range; report it as the blow-up ending it is
+                    reason, detail = StopReason.BLOWUP_THRESHOLD, str(exc)
+                else:
+                    if one_step:
+                        return t_new, 1 - i, 1, None, ""
+
+            # the stop state is always the last sample
+            if reason is not None:
+                # past the stop, inf is the honest flux to write
+                with np.errstate(over="ignore"):
+                    record(t, dt, states[i], from_arg(arg_u), from_arg(arg_v))
+                return t, i, steps, reason, detail
+            if steps % record_every == 0:
+                # the step's fluxes are from_arg of this state's arguments
+                record(t, dt, states[i], flux_u, flux_v)
+            steps += 1
+            dt = t_new - t
+            t = t_new
+            i = 1 - i
 
 
 def _finite_bound(f: np.ndarray, t: float) -> float:
@@ -364,16 +434,88 @@ def _finite_bound(f: np.ndarray, t: float) -> float:
     return max(hi, -lo)
 
 
-def _sample_maxima(rows: tuple) -> list:
-    """[max u, max v, argmax u, argmax v, max u[:k], max v[:k]] as Python
-    numbers, rows being (u, v, u[:k], v[:k]), u and v one array when u
-    is v: the reductions max(axis=1), argmax(axis=1) and
-    [:, :k].max(axis=1) of [u; v], since item(argmax()) is the first
-    maximum."""
-    u, v, u_in, v_in = rows
-    a_u, a_v = u.argmax(), v.argmax()
-    return [u.item(a_u), v.item(a_v), int(a_u), int(a_v),
-            u_in.item(u_in.argmax()), v_in.item(v_in.argmax())]
+def _block_maxima(block: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The max, argmax and max over the first k nodes of every row of
+    block, shape (m, rows, N), as three (m, rows) arrays. Each max is
+    the value at argmax, the first maximum (or the first NaN), so it has
+    the bits of a row's item(argmax())."""
+    at = block.argmax(axis=2)
+    inner = block[:, :, :k]
+    return (
+        np.take_along_axis(block, at[:, :, None], axis=2)[:, :, 0],
+        at,
+        np.take_along_axis(inner, inner.argmax(axis=2)[:, :, None], axis=2)[:, :, 0],
+    )
+
+
+class _Samples:
+    """The recorded samples of one run, in blocks.
+
+    add() copies the state F into the next slot of a (SAMPLE_BLOCK,
+    rows, N) block and keeps t, dt and the fluxes. A full block, and the
+    last one at close(), has its maxima read at once (_block_maxima).
+    With state_every = 1 every sample is a snapshot: a full block is
+    kept, read-only, and a new one started. Otherwise only its snapshot
+    slots are copied out, read-only, and the block is reused. So the
+    samples hold the snapshots' bytes plus at most one block.
+    """
+
+    def __init__(self, shape: tuple[int, int], k: int, state_every: int):
+        self.block = np.empty((SAMPLE_BLOCK, *shape))
+        self.used = self.count = 0
+        self.k, self.state_every = k, state_every
+        self.scalars: list[tuple] = []       # (t, dt, flux_u, flux_v) per sample
+        self.maxima: list[tuple] = []        # _block_maxima of each block
+        self.snapshots: list[np.ndarray] = []  # (s, rows, N), read-only
+        self.snapshot_samples: list[int] = []  # their sample indices
+
+    def add(self, t: float, dt: float, F: np.ndarray, flux_u: float, flux_v: float):
+        if self.used == SAMPLE_BLOCK:
+            self._flush(last=False)
+        self.block[self.used] = F
+        self.used += 1
+        self.scalars.append((t, dt, flux_u, flux_v))
+
+    def _flush(self, last: bool) -> None:
+        m, first, every = self.used, self.count, self.state_every
+        b = self.block[:m]
+        self.maxima.append(_block_maxima(b, self.k))
+        self.used, self.count = 0, first + m
+        if not every:
+            return
+        if every == 1:
+            slots = range(m)
+            snapshots = b
+            if not last:
+                self.block = np.empty_like(self.block)
+        else:
+            # every state_every-th sample and, in the last block, the
+            # stop state
+            slots = list(range(-first % every, m, every))
+            if last and slots[-1:] != [m - 1]:
+                slots.append(m - 1)
+            snapshots = b[slots]
+        snapshots.flags.writeable = False
+        self.snapshots.append(snapshots)
+        self.snapshot_samples.extend(first + j for j in slots)
+
+    def close(self) -> tuple[dict[str, np.ndarray], tuple[FieldState, ...]]:
+        """The columns, by COLUMNS name, and the snapshots, once the
+        stop state has been added. A snapshot's u and v are views of
+        its sample's rows, one view when u is v."""
+        self._flush(last=True)
+        t, dt, flux_u, flux_v = zip(*self.scalars)
+        top, at, inner = (np.concatenate(c) for c in zip(*self.maxima))
+        # in COLUMNS order, each column its own array
+        columns = dict(zip(COLUMNS, map(np.array, (
+            t, dt, top[:, 0], top[:, -1], at[:, 0], at[:, -1],
+            inner[:, 0], inner[:, -1], flux_u, flux_v,
+        ))))
+        states = tuple(
+            FieldState(self.scalars[j][0], F[0], F[-1])
+            for j, F in zip(self.snapshot_samples, chain.from_iterable(self.snapshots))
+        )
+        return columns, states
 
 
 def step(
@@ -382,17 +524,13 @@ def step(
     grid: RadialGrid,
     config: SolverConfig,
 ) -> FieldState:
-    """One forward-Euler update with the ghost-node Neumann closure."""
+    """One forward-Euler update with the ghost-node Neumann closure: the
+    kernel's loop, run for one step."""
     kernel = _Kernel(params, grid, config)
     F = kernel.states[0]
     F[:] = state.u, state.v
-    ends = F.take(kernel.end_nodes).tolist()
-    arg = params.flux.arg
-    t, _ = kernel.advance(
-        state.t, 0, ends, arg(ends[3], params.q), arg(ends[7], params.p),
-        float(np.abs(F).max()),
-    )
-    u, v = kernel.states[1]
+    t, i, *_ = kernel.march(state.t, float(np.abs(F).max()), one_step=True)
+    u, v = kernel.states[i]
     return FieldState(t=t, u=u, v=v)
 
 
@@ -439,85 +577,17 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     # a run that is its own mirror has u = v at every step: step u alone
     one = params.p == params.q and params.initial.symmetric
     kernel = _Kernel(params, grid, config, rows=1 if one else 2)
-    i = 0
-    F = kernel.states[i]
+    F = kernel.states[0]
     F[:] = u0 if one else (u0, v0)
     # the nodes with r <= a (a tiny slack counts exact node hits)
     a = config.interior_radius * (1.0 + 1e-12)
     k = int(np.searchsorted(grid.r, a, side="right"))
-    # u, v, u[:k] and v[:k] of each state buffer, for _sample_maxima
-    sampled = [(G[0], G[-1], G[0, :k], G[-1, :k]) for G in kernel.states]
-    rows: list[tuple] = []
-    states: list[FieldState] = []
-    flux, p, q = params.flux, params.p, params.q
-    arg, advance = flux.arg, kernel.advance
-    flat, end_nodes = kernel.flat, kernel.end_nodes
-    u_stop, t_end, record_every = config.u_stop, config.t_end, config.record_every
-
-    # each pass visits one state (t, F): decide whether it is the stop
-    # state, sample it, then advance; so no state is ever sampled twice
-    t, bound = 0.0, float(np.abs(F).max())
-    steps, dt, detail, reason = 0, 0.0, "", None
-    while True:
-        # the end values and the flux exponent arguments
-        # that the stop criterion watches
-        ends = flat[i].take(end_nodes).tolist()
-        arg_u, arg_v = arg(ends[3], q), arg(ends[7], p)
-        # the threshold applies to stepped states: the initial data always
-        # take one step
-        if steps and max(arg_u, arg_v) > u_stop:
-            reason = StopReason.BLOWUP_THRESHOLD
-        elif t_end is not None and t >= t_end:
-            reason = StopReason.TIME_LIMIT
-        else:
-            try:
-                t_new, bound = advance(t, i, ends, arg_u, arg_v, bound)
-            except StepUnderflow as exc:
-                reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
-            except NumericalBlowupGuard as exc:
-                # non-finite values mean the discrete solution left float
-                # range; report it as the blow-up ending it is
-                reason, detail = StopReason.BLOWUP_THRESHOLD, str(exc)
-
-        # the stop state is always the last sample and, with snapshots
-        # on, the last snapshot
-        if reason is not None or steps % record_every == 0:
-            # a state that stepped on has its arguments below the overflow
-            # guard; past the stop, inf is the honest value to write
-            if reason is None:
-                flux_u, flux_v = flux.from_arg(arg_u), flux.from_arg(arg_v)
-            else:
-                with np.errstate(over="ignore"):
-                    flux_u, flux_v = flux.from_arg(arg_u), flux.from_arg(arg_v)
-            # one value per name in COLUMNS, in that order
-            rows.append((
-                t, dt, *_sample_maxima(sampled[i]), flux_u, flux_v,
-            ))
-            sample = len(rows) - 1
-            if config.state_every and (
-                reason is not None or sample % config.state_every == 0
-            ):
-                # the buffers are reused, so a snapshot owns a copy of each
-                # row, read-only since with one row u and v are one array
-                c = [row.copy() for row in F]
-                for row in c:
-                    row.flags.writeable = False
-                states.append(FieldState(t, c[0], c[-1]))
-        if reason is not None:
-            break
-        steps += 1
-        dt = t_new - t
-        t = t_new
-        i = 1 - i
-        F = kernel.states[i]
-
-    columns = {
-        name: np.array(values, dtype=int if name.startswith("argmax") else float)
-        for name, values in zip(COLUMNS, zip(*rows))
-    }
+    samples = _Samples(F.shape, k, config.state_every)
+    t, _, steps, reason, detail = kernel.march(0.0, float(np.abs(F).max()), samples.add)
+    columns, states = samples.close()
     return Trajectory(
         **columns,
-        states=tuple(states),
+        states=states,
         stop=StopInfo(reason, t, detail),
         steps=steps,
         config=config,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,8 @@ from blowuplab.cli import (
     write_report,
 )
 from blowuplab import solver
+from blowuplab.analysis import rate_bound_check
+from blowuplab.comparison import dominance_check
 from blowuplab.config import parse_config, with_axes_point
 from blowuplab.errors import ConfigError
 from blowuplab.model import FluxFamily
@@ -162,6 +165,37 @@ class TestRunExperiment:
             "fail: z - u reaches -8.997656e+00 at r = 1, t = 0.211561 "
             "with C1 = 1.66697; z - v reaches -8.997656e+00 at r = 1, "
             "t = 0.211561 with C1 = 1.66697"
+        )
+
+    def test_non_finite_rate_supremum_leaves_that_field_unchecked(
+        self, tmp_path, monkeypatch,
+    ):
+        # a supremum of inf would select C1 = inf and pass with margin
+        # inf: u's dominance check is not run, and its entries are nan
+        def unbounded_u(*args, **kwargs):
+            bound = rate_bound_check(*args, **kwargs)
+            return dataclasses.replace(bound, rate_sup_u=math.inf)
+
+        fields = []
+
+        def spy(*args, field, **kwargs):
+            fields.append(field)
+            return dominance_check(*args, field=field, **kwargs)
+
+        monkeypatch.setattr("blowuplab.cli.rate_bound_check", unbounded_u)
+        monkeypatch.setattr("blowuplab.cli.dominance_check", spy)
+        config = parse_config(
+            "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n"
+            "[solver]\nN = 41\n"
+        )
+        artifacts = run_experiment(config, tmp_path)
+        report = read_report(artifacts.report)
+        assert fields == ["v"]
+        assert math.isnan(float(report["dominance.margin_u"]))
+        assert math.isnan(float(report["dominance.c1_u"]))
+        assert float(report["dominance.margin_v"]) > 0
+        assert report["dominance.status"] == (
+            "inconclusive: rate.sup_u = inf leaves C1 unbounded"
         )
 
 
@@ -612,6 +646,7 @@ class TestMain:
         ["jump", "--density", "inf"],
         # an empty list, not the defaults
         ["jump", "--distances", ""],
+        ["jump", "--distances", "0.16,x,0.04"],
     ])
     def test_oracle_out_of_range_argument_is_operational_error(self, argv, capsys):
         code = main(["oracle", *argv])
@@ -619,6 +654,14 @@ class TestMain:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+        # a list item that is not a number is refused by its option's name
+        items = argv[-1].split(",") if argv[-2] == "--distances" else []
+        for item in items:
+            try:
+                float(item)
+            except ValueError:
+                assert err == f"error: --distances item {item!r} is not a number\n"
+                break
 
     def test_oracle_jump_verb(self, capsys):
         code = main(["oracle", "jump", "--R", "1.0", "--m", "24"])

@@ -338,6 +338,7 @@ class TestDominanceCheck:
         # NaN fails every comparison, so a sign test alone lets it through
         for rate_sup, c1_scale, name in (
             (-1.0, 1.0, "rate_sup"), (math.nan, 1.0, "rate_sup"),
+            (math.inf, 1.0, "rate_sup"),
             (1.0, math.nan, "c1_scale"), (1.0, math.inf, "c1_scale"),
         ):
             with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):

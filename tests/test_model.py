@@ -317,7 +317,8 @@ class TestValidateInitialData:
             params = ProblemParams(2.0, 2.0, R, n, FluxFamily.POWER, spec)
             kernel = _Kernel(params, grid, SolverConfig(N=N))
             kernel.states[0][:] = F
-            kernel.laplacian(0, F.take(kernel.end_nodes).tolist(), F[:, -2].tolist())
+            # the kernel's Laplacian: its rates after one step
+            kernel.march(0.0, float(np.abs(F).max()), one_step=True)
             out = kernel.rates
             scale = 1.0 + F.max(axis=1, keepdims=True)
             assert np.all(np.diff(F) >= -1e-10 * scale)

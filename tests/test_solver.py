@@ -2,6 +2,8 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +27,12 @@ from blowuplab.model import (
 from blowuplab import solver
 from blowuplab.solver import (
     COLUMNS,
+    SAMPLE_BLOCK,
     STABLE_CFL,
     UNDERFLOW_FACTOR,
     SolverConfig,
     StopReason,
-    _sample_maxima,
+    _block_maxima,
     run,
     step,
 )
@@ -45,27 +48,51 @@ def exp_power_params(n=2, N=None, **kw):
     return ProblemParams(**defaults)
 
 
-def radial_laplacian(f, grid, n, ghost):
-    """The kernel's Laplacian of f, shape (N,) or (rows, N), with ghost
-    one value or one per row."""
+class _GivenFlux:
+    """A flux family stand-in: with arg_limit = -inf every step calls
+    boundary_flux, which radial_laplacian makes return its exponent, so
+    the flux into u is p and the flux into v is q."""
+
+    arg_limit = -math.inf
+
+    @staticmethod
+    def arg(w, e):
+        return e
+
+    @staticmethod
+    def from_arg(arg):
+        return arg
+
+
+def radial_laplacian(f, grid, n, flux):
+    """The kernel's Laplacian of f, shape (N,) or (rows, N), with flux,
+    one value or one per row, into the boundary: the rates of one step
+    of the kernel's loop. Each row's ghost is ghost(row, grid, flux)."""
     F = np.array(f, dtype=float).reshape(-1, grid.N)
-    params = exp_power_params(n=n, R=grid.R)
+    fluxes = np.ravel(flux).tolist()
+    params = SimpleNamespace(p=fluxes[0], q=fluxes[-1], n=n, flux=_GivenFlux)
     kernel = solver._Kernel(params, grid, SolverConfig(N=grid.N), rows=len(F))
     kernel.states[0][:] = F
-    kernel.laplacian(0, F.take(kernel.end_nodes).tolist(), np.ravel(ghost).tolist())
+    with mock.patch.object(solver, "boundary_flux", lambda family, w, e: e):
+        kernel.march(0.0, float(np.abs(F).max()), one_step=True)
     return kernel.rates.reshape(np.shape(f))
+
+
+def ghost(row, grid, flux):
+    """The ghost node the kernel's Neumann closure puts beyond row."""
+    return float(row[-2]) + 2.0 * grid.dr * flux
 
 
 class TestRadialLaplacian:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_on_quadratics(self, n):
-        # centered stencils and the origin closure reproduce the constant
-        # Laplacian 2nb of a + b r^2 to roundoff at every node
+        # centered stencils, the origin closure and the exact flux 2bR
+        # reproduce the constant Laplacian 2nb of a + b r^2 to roundoff at
+        # every node
         grid = make_grid(1.5, 61)
         a, b = 0.7, 0.3
         f = a + b * grid.r**2
-        ghost = a + b * (grid.R + grid.dr) ** 2
-        lap = radial_laplacian(f, grid, n, ghost)
+        lap = radial_laplacian(f, grid, n, 2.0 * b * grid.R)
         assert np.allclose(lap, 2.0 * n * b, atol=1e-10)
 
     @settings(deadline=None)
@@ -81,8 +108,7 @@ class TestRadialLaplacian:
         # roundoff of second differences of values of size a + |b| R^2
         grid = make_grid(R, N)
         f = a + b * grid.r**2
-        ghost = a + b * (grid.R + grid.dr) ** 2
-        lap = radial_laplacian(f, grid, n, ghost)
+        lap = radial_laplacian(f, grid, n, 2.0 * b * grid.R)
         # (the floor covers subnormal a and b, where eps is not relative)
         roundoff = 64 * np.finfo(float).eps * (a + abs(b) * R * R) / grid.dr**2
         roundoff += 1e-300
@@ -90,17 +116,17 @@ class TestRadialLaplacian:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_match_the_reference_formula_bit_for_bit(self, n):
-        # a (2, N) field with a ghost per row gives, row by row, what the
+        # a (2, N) field with a flux per row gives, row by row, what the
         # per-field formula gives, and so does each row on its own
         grid = make_grid(1.0, 41)
         F = np.random.default_rng(n).random((2, grid.N)) * 10.0
-        ghosts = (1.5, 7.25)
-        both = radial_laplacian(F, grid, n, ghosts)
-        for row, ghost, lap in zip(F, ghosts, both):
-            want = _reference_laplacian(row, grid, n, ghost)
+        fluxes = (1.5, 7.25)
+        both = radial_laplacian(F, grid, n, fluxes)
+        for row, flux, lap in zip(F, fluxes, both):
+            want = _reference_laplacian(row, grid, n, ghost(row, grid, flux))
             np.testing.assert_array_equal(lap, want, strict=True)
             np.testing.assert_array_equal(
-                radial_laplacian(row, grid, n, ghost), want, strict=True
+                radial_laplacian(row, grid, n, flux), want, strict=True
             )
 
     def test_second_order_on_quartic(self):
@@ -110,8 +136,7 @@ class TestRadialLaplacian:
         for N in (41, 81):
             grid = make_grid(1.0, N)
             f = grid.r**4
-            ghost = (grid.R + grid.dr) ** 4
-            lap = radial_laplacian(f, grid, n, ghost)
+            lap = radial_laplacian(f, grid, n, 4.0 * grid.R**3)
             exact = (4.0 * n + 8.0) * grid.r**2
             errs.append(np.abs(lap - exact)[1:-1].max())
         assert errs[0] / errs[1] > 3.5
@@ -279,23 +304,24 @@ class TestStep:
         st.floats(0.0, 1.0),
     )
     def test_sample_maxima_match_the_axis_reductions(self, values, a):
-        # a sample records what F.max(axis=1), F.argmax(axis=1) and
-        # F[:, :k].max(axis=1) give, bit for bit, on any state without
-        # -0.0, which no accepted data reach
+        # the block reduction records, for each sample's state F, what
+        # F.max(axis=1), F.argmax(axis=1) and F[:, :k].max(axis=1) give,
+        # bit for bit, on any state without -0.0, which no accepted data
+        # reach; the block holds F, F with its nodes reversed and F with
+        # its rows swapped
         F = np.array(values).reshape(2, -1)
         k = max(1, int(a * F.shape[1]))
-        got = _sample_maxima((*F, *F[:, :k]))
-        want = [*F.max(axis=1).tolist(), *F.argmax(axis=1).tolist(),
-                *F[:, :k].max(axis=1).tolist()]
-        assert [type(x) for x in got] == [type(x) for x in want]
-        assert [repr(x) for x in got] == [repr(x) for x in want]
-        # one row, u is v: the reductions of [u; u]
-        u = F[0]
-        got = _sample_maxima((u, u, u[:k], u[:k]))
-        both = F[[0, 0]]
-        want = [*both.max(axis=1).tolist(), *both.argmax(axis=1).tolist(),
-                *both[:, :k].max(axis=1).tolist()]
-        assert [repr(x) for x in got] == [repr(x) for x in want]
+        block = np.stack([F, F[:, ::-1], F[::-1]])
+        # two rows, and one: u is v, so the reductions of [u; u]
+        for rows in (block, block[:, :1]):
+            top, at, inner = (x[:, [0, -1]] for x in _block_maxima(rows, k))
+            for j, sample in enumerate(rows):
+                both = sample[[0, -1]]
+                got = [*top[j].tolist(), *at[j].tolist(), *inner[j].tolist()]
+                want = [*both.max(axis=1).tolist(), *both.argmax(axis=1).tolist(),
+                        *both[:, :k].max(axis=1).tolist()]
+                assert [type(x) for x in got] == [type(x) for x in want]
+                assert [repr(x) for x in got] == [repr(x) for x in want]
 
     def test_iterated_steps_reproduce_the_run(self):
         # one update rule: step() from the initial data walks through the
@@ -729,6 +755,22 @@ class TestReferenceLoop:
         assert stop_arguments(params, traj) == (arg_u, arg_v)
         np.testing.assert_array_equal(last.u, snapshots[-1][1])
         np.testing.assert_array_equal(last.v, snapshots[-1][2])
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["full", "one_more"])
+    @pytest.mark.parametrize("state_every", [0, 1, 3])
+    @pytest.mark.parametrize("q", [2.0, 3.0], ids=["one_row", "two_rows"])
+    def test_block_edges_match_the_per_field_loop(self, q, state_every, extra):
+        # a time limit at the t of a sample stops the run on that sample:
+        # its samples fill two blocks exactly, or the stop sample opens a
+        # third
+        params, config = _family(FluxFamily.POWER, 2.0, 2, q=q, record_every=1,
+                                 state_every=state_every)
+        count = 2 * SAMPLE_BLOCK + extra
+        t_end = float(run(params, config).t[count - 1])
+        config = dataclasses.replace(config, t_end=t_end)
+        traj = _matches_the_reference_loop(params, config)
+        assert traj.stop.reason is StopReason.TIME_LIMIT
+        assert len(traj) == count
 
     def test_reference_cases_cover_every_stop_reason(self):
         reasons = {

@@ -17,8 +17,11 @@ whose run it can reuse), `sweep_ep_pq_N` (exp_power over p, q and N)
 and `sweep_repeated` (power, p = 2, 2, 3, so two points share each run
 of p = 2). One run, `dominance_fail`, fails its dominance
 check, so its report carries the r and t of the minimum; `interior_0.3`
-records the interior suprema away from the default radius, and
-`flat_data` starts from constant initial data. The verbs `validate`
+records the interior suprema away from the default radius,
+`flat_data` starts from constant initial data, and `pw_record1` (power,
+p = q = 2) and `pw_p2q3_record1` (p = 2, q = 3, state_every = 2) record
+every step at N = 41, so full and partial sample blocks are digested
+with one row and with two. The verbs `validate`
 and `run` also go over `dip_u0` (power, u0 = 1 - 1e-9 r^2), data
 that validation refuses, so the stdout, stderr and exit code of the
 refusal are pinned. Most runs are at
@@ -95,6 +98,10 @@ def matrix() -> dict[str, str]:
     runs["flat_data"] = _ini("power", 2, 2, problem=("u0_quad = 0", "v0_quad = 0"))
     # a third array length for the stepper
     runs["pw_N401"] = _ini("power", 2, 2, N=401, t_end=0.01)
+    # every step a sample: full sample blocks and a partial last one, on
+    # one row (u is v) and on two
+    runs["pw_record1"] = _ini("power", 2, 2, N=41, record_every=1)
+    runs["pw_p2q3_record1"] = _ini("power", 2, 3, N=41, record_every=1, state_every=2)
     return runs
 
 
