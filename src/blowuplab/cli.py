@@ -29,7 +29,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,13 +101,31 @@ def read_report(path: Path) -> dict[str, str]:
     return entries
 
 
-# report keys of the fit and rate stages, nan until those stages run
-_FIT_KEYS = (
-    "blowup.T_hat", "blowup.c1_hat", "blowup.c2_hat", "blowup.residual",
-    "blowup.window_lo", "blowup.window_hi",
-    "rate.alpha_hat", "rate.beta_hat", "rate.sup_u", "rate.sup_v",
-    "rate.trend_u", "rate.trend_v",
-)
+# the report keys of the fit, rate and boundary stages, in report order,
+# and the result fields they read: the fit's, fit_rate's exponents, the
+# rate bound check's and the boundary-set check's. The blowup and rate
+# keys are nan until the fit passes; the boundary keys appear only then.
+_STAGE_KEYS = {
+    "blowup.T_hat": "fit.t_hat",
+    "blowup.c1_hat": "fit.c1_hat",
+    "blowup.c2_hat": "fit.c2_hat",
+    "blowup.residual": "fit.residual",
+    "blowup.window_lo": "fit.t_lo",
+    "blowup.window_hi": "fit.t_hi",
+    "rate.alpha_hat": "alpha_hat",
+    "rate.beta_hat": "beta_hat",
+    "rate.sup_u": "bound.rate_sup_u",
+    "rate.sup_v": "bound.rate_sup_v",
+    "rate.trend_u": "bound.trend_u",
+    "rate.trend_v": "bound.trend_v",
+    "boundary.interior_sup_u": "interior.interior_sup_u",
+    "boundary.interior_sup_v": "interior.interior_sup_v",
+    "boundary.growth_u": "interior.growth_u",
+    "boundary.growth_v": "interior.growth_v",
+    "boundary.argmax_at_boundary": "interior.argmax_at_boundary",
+    "boundary.envelope_u": "interior.envelope_u",
+    "boundary.envelope_v": "interior.envelope_v",
+}
 
 
 def run_experiment(
@@ -134,7 +154,7 @@ def run_experiment(
         "run.t_stop": float(traj.stop.t_stop),
         "run.steps": traj.steps,
         "run.samples": len(traj),
-        **dict.fromkeys(_FIT_KEYS, float("nan")),
+        **{key: float("nan") for key in _STAGE_KEYS if not key.startswith("boundary.")},
     }
     # each check's status until its stage runs
     pending = "inconclusive" if blew_up else "inconclusive: run stopped before blow-up"
@@ -157,20 +177,6 @@ def run_experiment(
             traj, fit.t_hat, target_u, target_v,
             params=params, tol=config.rate_tol,
         )
-        report.update({
-            "blowup.T_hat": fit.t_hat,
-            "blowup.c1_hat": fit.c1_hat,
-            "blowup.c2_hat": fit.c2_hat,
-            "blowup.residual": fit.residual,
-            "blowup.window_lo": fit.t_lo,
-            "blowup.window_hi": fit.t_hi,
-            "rate.alpha_hat": alpha_hat,
-            "rate.beta_hat": beta_hat,
-            "rate.sup_u": bound.rate_sup_u,
-            "rate.sup_v": bound.rate_sup_v,
-            "rate.trend_u": bound.trend_u,
-            "rate.trend_v": bound.trend_v,
-        })
         statuses["rate"] = "pass" if bound.passed else "fail"
 
         interior = boundary_set_check(
@@ -178,16 +184,14 @@ def run_experiment(
             t_hat=fit.t_hat,
             c1_hat=bound.rate_sup_u, c2_hat=bound.rate_sup_v,
         )
-        report.update({
-            "boundary.interior_sup_u": interior.interior_sup_u,
-            "boundary.interior_sup_v": interior.interior_sup_v,
-            "boundary.growth_u": interior.growth_u,
-            "boundary.growth_v": interior.growth_v,
-            "boundary.argmax_at_boundary": interior.argmax_at_boundary,
-            "boundary.envelope_u": interior.envelope_u,
-            "boundary.envelope_v": interior.envelope_v,
-        })
         statuses["boundary"] = interior.status
+        stages = SimpleNamespace(
+            fit=fit, alpha_hat=alpha_hat, beta_hat=beta_hat,
+            bound=bound, interior=interior,
+        )
+        report.update(
+            (key, attrgetter(field)(stages)) for key, field in _STAGE_KEYS.items()
+        )
 
         if traj.states:
             grid = make_grid(params.R, solver.N)
@@ -197,10 +201,11 @@ def run_experiment(
                 ("u", m_u, bound.rate_sup_u),
                 ("v", m_v, bound.rate_sup_v),
             ):
+                margin, c1 = f"dominance.margin_{field}", f"dominance.c1_{field}"
+                # nan unless the check passes
+                report[margin] = report[c1] = float("nan")
                 if not math.isfinite(sup):
                     # no finite C1 covers the boundary bound: nothing to check
-                    report[f"dominance.margin_{field}"] = float("nan")
-                    report[f"dominance.c1_{field}"] = float("nan")
                     unbounded.append(f"rate.sup_{field} = {sup}")
                     continue
                 comp = ComparisonParams(
@@ -212,12 +217,10 @@ def run_experiment(
                         traj.states, grid.r, comp, sup,
                         c1_scale=config.dominance_scale, field=field,
                     )
-                    report[f"dominance.margin_{field}"] = rep.margin
-                    report[f"dominance.c1_{field}"] = rep.c1
                 except DominanceViolated as exc:
-                    report[f"dominance.margin_{field}"] = float("nan")
-                    report[f"dominance.c1_{field}"] = float("nan")
                     failures.append(str(exc))
+                else:
+                    report[margin], report[c1] = rep.margin, rep.c1
             if failures:
                 statuses["dominance"] = f"fail: {'; '.join(failures)}"
             elif unbounded:
@@ -453,8 +456,6 @@ def _cmd_oracle_jump(args) -> int:
     # the oracle modules load only for their verbs, not for run or sweep
     from .potentials import jump_check, sphere_quadrature
 
-    quad = sphere_quadrature(args.R, args.m)
-    x0 = np.array([0.0, 0.0, args.R])
     density = args.density
     if not math.isfinite(density):
         raise ConfigError(f"--density {density} must be finite")
@@ -469,6 +470,10 @@ def _cmd_oracle_jump(args) -> int:
                 distances.append(float(item))
             except ValueError:
                 raise ConfigError(f"--distances item {item!r} is not a number") from None
+    # built only once the arguments above are accepted: at a large --m it
+    # is the verb's slow part
+    quad = sphere_quadrature(args.R, args.m)
+    x0 = np.array([0.0, 0.0, args.R])
     # the library rejects out-of-range arguments with ValueError
     try:
         report = jump_check(

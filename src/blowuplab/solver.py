@@ -17,18 +17,13 @@ advance t is refused before it touches the fields, so every recorded
 sample after the first has dt > 0 and t strictly increases.
 
 The state is one (rows, N) float64 array F: u in row 0 and v in row 1,
-or u alone for a run that is its own mirror (below). One kernel,
-_Kernel, owns the discretisation and updates F. It owns the two state
-buffers, the rate, difference and work buffers and, built once, every
-view of them a step reads, so a step makes no array, view or reshape:
-it flips the index of the current buffer. One loop, _Kernel.march,
-steps F for run() and, limited to one step that re-raises what run()
-turns into a stop, for step(); so there is one update rule. At N = 201
-a step costs numpy's call overhead more than arithmetic, so a step makes
-no numpy or Python call it can do without:
-- the whole step runs in march's frame on locals bound once per run:
-  the flux, the ghosts, the Laplacian, max |G|, dt, the update and the
-  bound, with no method call;
+or u alone for a run that is its own mirror (below). One function,
+_march, steps F for run() and, for one step, for step(); so there is
+one update rule. It builds every buffer and view a step reads once, and
+at N = 201 a step costs numpy's call overhead more than arithmetic, so
+a step makes no array, view or numpy or Python call it can do without:
+- the whole step runs in _march's frame on locals: the flux, the
+  ghosts, the Laplacian, max |G|, dt, the update and the bound;
 - the Laplacian is four ufunc calls on the differences f[i+1] - f[i];
 - one flat take reads the eight end values (u's four twice with one
   row), and the flux, ghost and end-node arithmetic is inline on Python
@@ -45,17 +40,15 @@ no numpy or Python call it can do without:
 A sample copies F into the next slot of a block of SAMPLE_BLOCK states
 (_Samples); the maxima of a whole block are read at once, as argmax
 along the nodes and the values there, so each has the bits of its row's
-item(argmax()). With a snapshot at every sample the full blocks are
-kept, read-only, as the snapshots; otherwise only the snapshot slots
-are copied out. The FieldStates, views of those rows, are built once
-at the end; the stop state is the last sample and, with snapshots on,
-the last snapshot.
+item(argmax()), and its snapshot slots are copied out. The FieldStates,
+views of those rows, are built once at the end; the stop state is the
+last sample and, with snapshots on, the last snapshot.
 
 The two rows are treated alike, so with u0 = v0 the run with p and q
 swapped is the run mirrored (Trajectory.mirrored), bit for bit; a sweep
 solves such a pair once. For the same reason, with p = q and u0 = v0
 (QuadraticRadial.symmetric) v is u at every step: run() then steps the
-(1, N) state u, whose end values the kernel reads in v's place too,
+(1, N) state u, whose end values _march reads in v's place too,
 and each snapshot's u and v are one array. That is the same arithmetic
 on half the array, so the trajectory has the same bits.
 
@@ -172,7 +165,7 @@ class Trajectory:
     u's boundary value (it drives v) and flux_v the one induced by v.
     Each snapshot in states is a recorded sample and carries that
     sample's t; t strictly increases, so the times place them. Its
-    arrays are read-only views of the run's own sample blocks, and where
+    arrays are read-only views of arrays that hold only snapshots, and where
     the run stepped u alone (p = q and u0 = v0) its u and v are the
     same array.
     """
@@ -199,7 +192,7 @@ class Trajectory:
         """This trajectory with u and v swapped in every column and state.
 
         With u0 = v0 bit for bit, the run with p and q swapped is this
-        one mirrored, bit for bit: the kernel treats the two rows alike,
+        one mirrored, bit for bit: _march treats the two rows alike,
         and u's flux exponent meets v's boundary value where v's met u's.
         """
         return replace(
@@ -226,19 +219,24 @@ COLUMNS = (
 )
 
 
-class _Kernel:
-    """The forward-Euler update of the state F of shape (rows, N): F =
-    [u; v] with two rows, or F = [u] with one when u is v.
+def _march(params: ProblemParams, grid: RadialGrid, config: SolverConfig,
+           F0: np.ndarray, t: float, record=None):
+    """Step the state F0 at time t until a stop condition, or once
+    without record. Returns (t, F, G, steps, reason, detail): the last
+    state F at t and G, the rates last computed; after one step, the
+    Laplacian of F0.
 
-    It is built once per run and owns the two state buffers (states)
-    and the rate, difference and work buffers, with every view of them
-    a step reads, so a step allocates no array and makes no view: a
-    step from states[i] writes states[1 - i]. end_nodes are the flat
-    indices of the nodes 0, 1, N-2, N-1 of u and of v, u's four twice
-    with one row, so a step runs the same code on either.
+    F0, a C-contiguous float64 array of shape (rows, N), is F = [u; v]
+    with two rows, or [u] with one when u is v; it becomes the first of
+    the two state buffers, and a step from one writes the other.
+    record(t, dt, F, flux_u, flux_v) takes every record_every-th state
+    and the stop state, dt being the step that reached it. Without
+    record nothing is recorded, no stop condition is checked (they
+    apply to stepped states) and StepUnderflow and NumericalBlowupGuard
+    propagate: that is step().
 
-    march() is the one loop of the stepper, for run() and step(). It
-    writes an interior node's Laplacian on the two differences around it,
+    An interior node's Laplacian is written on the two differences
+    around it,
 
         Delta f_i = upper_i (f[i+1] - f[i]) - lower_i (f[i] - f[i-1]),
         upper_i, lower_i = 1 / dr^2 +- (n - 1) / (2 r_i dr),
@@ -246,182 +244,156 @@ class _Kernel:
     in four numpy calls over the rows as one flat array; upper and lower
     are the tridiagonal operator's off-diagonals, 0 on the end nodes
     between two rows, which the end-node arithmetic on Python floats
-    overwrites. After a step, rates holds the Laplacian of the state it
-    stepped from.
+    overwrites. end_nodes are the flat indices of the nodes 0, 1, N-2,
+    N-1 of u and of v, u's four twice with one row, so a step runs the
+    same code on either. Every buffer and view a step reads is built
+    here, and a step runs in this frame (module docstring).
+    boundary_flux and _finite_bound are looked up when they are called.
     """
+    rows, N = F0.shape
+    flux, p, q, n = params.flux, params.p, params.q, params.n
+    arg, from_arg, arg_limit = flux.arg, flux.from_arg, flux.arg_limit
+    u_stop, t_end, record_every = config.u_stop, config.t_end, config.record_every
+    growth_cap = config.growth_cap
+    dr2, two_dr = grid.dr**2, 2.0 * grid.dr
+    dt_max, dt_min = config.cfl * dr2, UNDERFLOW_FACTOR * dr2
+    origin, drift_R = 2.0 * n, (n - 1) / grid.R
+    drift = (n - 1) / (two_dr * grid.r[1:-1])
+    inv_dr2, pad = 1.0 / dr2, np.zeros(2)
+    upper = np.concatenate([inv_dr2 + drift, pad] * rows)[:-2]
+    lower = np.concatenate([inv_dr2 - drift, pad] * rows)[:-2]
+    end_nodes = np.array(
+        [row * N + j for row in (0, rows - 1) for j in (0, 1, N - 2, N - 1)]
+    )
+    states = (F0, np.empty((rows, N)))
+    flat = [F.reshape(-1) for F in states]
+    # f[i+1] and f[i] of each flat state, and f[i+1] - f[i] as both of
+    # its windows
+    shifted = [(f[1:], f[:-1]) for f in flat]
+    d = np.empty(rows * N - 1)
+    d_next, d_prev = d[1:], d[:-1]
+    rates = np.empty((rows, N))
+    G, work, dt_0d = rates.reshape(-1), np.empty(rows * N), np.empty(())
+    inner = G[1:-1]
+    # the flat indices of u's last node and of v's first and last
+    u_last, v_first, v_last = N - 1, (rows - 1) * N, rows * N - 1
+    subtract, multiply, add, absolute = np.subtract, np.multiply, np.add, np.abs
+    # max |F| of the state at t
+    bound = float(np.abs(F0).max())
 
-    def __init__(
-        self, params: ProblemParams, grid: RadialGrid, config: SolverConfig,
-        rows: int = 2,
-    ):
-        self.params, self.config = params, config
-        N, n = grid.N, params.n
-        self.dr2, self.two_dr = grid.dr**2, 2.0 * grid.dr
-        self.origin, self.drift_R = 2.0 * n, (n - 1) / grid.R
-        drift = (n - 1) / (self.two_dr * grid.r[1:-1])
-        inv_dr2, pad = 1.0 / self.dr2, np.zeros(2)
-        self.upper = np.concatenate([inv_dr2 + drift, pad] * rows)[:-2]
-        self.lower = np.concatenate([inv_dr2 - drift, pad] * rows)[:-2]
-        self.end_nodes = np.array(
-            [row * N + j for row in (0, rows - 1) for j in (0, 1, N - 2, N - 1)]
-        )
-        self.states = (np.empty((rows, N)), np.empty((rows, N)))
-        self.rates = np.empty((rows, N))
-        self.flat = [F.reshape(-1) for F in self.states]
-        # f[i+1] and f[i] of each flat state, and f[i+1] - f[i] as both
-        # of its windows
-        self._shifted = [(f[1:], f[:-1]) for f in self.flat]
-        d = np.empty(rows * N - 1)
-        self._diff = d, d[1:], d[:-1]
-        self._rates_flat, self._work = self.rates.reshape(-1), np.empty(rows * N)
-        self._inner = self._rates_flat[1:-1]
-        self._dt = np.empty(())
-
-    def march(self, t: float, bound: float, record=None, one_step: bool = False):
-        """Step states[0], the state at t with max |F| <= bound, until a
-        stop condition, or once with one_step.
-
-        record(t, dt, F, flux_u, flux_v) takes every record_every-th
-        state and the stop state, dt being the step that reached it.
-        With one_step nothing is recorded, no stop condition is checked
-        (they apply to stepped states) and StepUnderflow and
-        NumericalBlowupGuard propagate: that is step(). Returns (t, i,
-        steps, reason, detail), the last state being states[i] at t.
-
-        A step runs in this frame on locals bound once; the state's max
-        and min are read only when they decide dt or a stop (module
-        docstring). boundary_flux and _finite_bound are looked up when
-        they are called.
-        """
-        params, config = self.params, self.config
-        flux, p, q = params.flux, params.p, params.q
-        arg, from_arg, arg_limit = flux.arg, flux.from_arg, flux.arg_limit
-        u_stop, t_end, record_every = config.u_stop, config.t_end, config.record_every
-        growth_cap = config.growth_cap
-        dt_max, dt_min = config.cfl * self.dr2, UNDERFLOW_FACTOR * self.dr2
-        states, flat, end_nodes, shifted = self.states, self.flat, self.end_nodes, self._shifted
-        upper, lower, inner = self.upper, self.lower, self._inner
-        d, d_next, d_prev = self._diff
-        G, work, dt_0d = self._rates_flat, self._work, self._dt
-        origin, dr2, two_dr, drift_R = self.origin, self.dr2, self.two_dr, self.drift_R
-        rows, N = states[0].shape
-        # the flat indices of u's last node and of v's first and last
-        u_last, v_first, v_last = N - 1, (rows - 1) * N, rows * N - 1
-        subtract, multiply, add, absolute = np.subtract, np.multiply, np.add, np.abs
-
-        # each pass visits one state (t, F): decide whether it is the stop
-        # state, step it, then sample it; so no state is sampled twice
-        i, steps, dt, reason, detail = 0, 0, 0.0, None, ""
-        while True:
-            f = flat[i]
-            # the end values, and the flux exponent arguments the stop
-            # criterion watches
-            ends = f.take(end_nodes).tolist()
-            x0, x1, xm, xN, y0, y1, ym, yN = ends
-            arg_u, arg_v = arg(xN, q), arg(yN, p)
-            # the stop criteria apply to stepped states: the initial data
-            # always take one step (at t = 0 < t_end the limit cannot hold)
-            if steps:
-                if max(arg_u, arg_v) > u_stop:
-                    reason = StopReason.BLOWUP_THRESHOLD
-                elif t_end is not None and t >= t_end:
-                    reason = StopReason.TIME_LIMIT
-            if reason is None:
-                try:
-                    # boundary_flux on both boundary values, v's first; it
-                    # runs itself only to raise its error or to pass a NaN
-                    # through
-                    if xN >= 0.0 and yN >= 0.0 and arg_v < arg_limit and arg_u < arg_limit:
-                        flux_v, flux_u = from_arg(arg_v), from_arg(arg_u)
-                    else:
-                        flux_v = boundary_flux(flux, yN, p)
-                        flux_u = boundary_flux(flux, xN, q)
-                    # Neumann closure: u's outward derivative is the flux
-                    # induced by v at the boundary and vice versa,
-                    # (ghost - f[N-2]) / (2 dr) = flux
-                    ghost_u, ghost_v = xm + two_dr * flux_v, ym + two_dr * flux_u
-                    # the Laplacian: four calls on the interior nodes ...
-                    f_next, f_prev = shifted[i]
-                    subtract(f_next, f_prev, d)
-                    multiply(upper, d_next, inner)
-                    # in place: each difference is read once, by its own product
-                    multiply(lower, d_prev, d_prev)
-                    subtract(inner, d_prev, inner)
-                    # ... and the end nodes on Python floats; with one row
-                    # v's are u's
-                    G[0] = origin * (x1 - x0) / dr2
-                    G[u_last] = (ghost_u - 2.0 * xN + xm) / dr2 + drift_R * (ghost_u - xm) / two_dr
-                    if v_first:
-                        G[v_first] = origin * (y1 - y0) / dr2
-                        G[v_last] = (ghost_v - 2.0 * yN + ym) / dr2 + drift_R * (ghost_v - ym) / two_dr
-                    # max |G|; argmax returns the first NaN
-                    absolute(G, work)
-                    max_rate = work.item(work.argmax())
-                    if not max_rate < math.inf:
-                        # a non-finite node makes an inf or NaN rate next
-                        # to it; only step() can be handed such a state,
-                        # since run() steps only states proved or found
-                        # finite
-                        _finite_bound(f, t)
-                    h = dt_max
-                    if max_rate > 0.0:
-                        # min() keeps its first argument unless the second
-                        # is smaller. The cap grows with the peak, in floats
-                        # too, so where the end values' max already rules
-                        # it out the peak would as well
-                        capped = growth_cap * (1.0 + max(ends)) / max_rate
-                        if capped < h:
-                            capped = growth_cap * (1.0 + f.item(f.argmax())) / max_rate
-                            if capped < h:
-                                h = capped
-                    if h < dt_min:
-                        raise StepUnderflow(
-                            f"dt = {h:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
-                        )
-                    if t_end is not None and t_end - t < h:
-                        h = t_end - t
-                    t_new = t + h
-                    if t_new == t:
-                        raise StepUnderflow(
-                            f"t + dt == t: dt = {h:.3e} is below the resolution "
-                            f"of t = {t:.6g}"
-                        )
-                    # h reaches the update as a 0-d array, which numpy
-                    # does not convert
-                    dt_0d[()] = h
-                    add(f, multiply(G, dt_0d, work), flat[1 - i])
-                    # |f + h g| <= |f| + h |g| survives rounding; NaN fails
-                    # the test
-                    bound += h * max_rate
-                    if not bound < CHECKED_ABOVE:
-                        bound = _finite_bound(flat[1 - i], t)
-                except StepUnderflow as exc:
-                    if one_step:
-                        raise
-                    reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
-                except NumericalBlowupGuard as exc:
-                    if one_step:
-                        raise
-                    # non-finite values mean the discrete solution left
-                    # float range; report it as the blow-up ending it is
-                    reason, detail = StopReason.BLOWUP_THRESHOLD, str(exc)
+    # each pass visits one state (t, F): decide whether it is the stop
+    # state, step it, then sample it; so no state is sampled twice
+    i, steps, dt, reason, detail = 0, 0, 0.0, None, ""
+    while True:
+        f = flat[i]
+        # the end values, and the flux exponent arguments the stop
+        # criterion watches
+        ends = f.take(end_nodes).tolist()
+        x0, x1, xm, xN, y0, y1, ym, yN = ends
+        arg_u, arg_v = arg(xN, q), arg(yN, p)
+        # the stop criteria apply to stepped states: the initial data
+        # always take one step (at t = 0 < t_end the limit cannot hold)
+        if steps:
+            if max(arg_u, arg_v) > u_stop:
+                reason = StopReason.BLOWUP_THRESHOLD
+            elif t_end is not None and t >= t_end:
+                reason = StopReason.TIME_LIMIT
+        if reason is None:
+            try:
+                # boundary_flux on both boundary values, v's first; it
+                # runs itself only to raise its error or to pass a NaN
+                # through
+                if xN >= 0.0 and yN >= 0.0 and arg_v < arg_limit and arg_u < arg_limit:
+                    flux_v, flux_u = from_arg(arg_v), from_arg(arg_u)
                 else:
-                    if one_step:
-                        return t_new, 1 - i, 1, None, ""
+                    flux_v = boundary_flux(flux, yN, p)
+                    flux_u = boundary_flux(flux, xN, q)
+                # Neumann closure: u's outward derivative is the flux
+                # induced by v at the boundary and vice versa,
+                # (ghost - f[N-2]) / (2 dr) = flux
+                ghost_u, ghost_v = xm + two_dr * flux_v, ym + two_dr * flux_u
+                # the Laplacian: four calls on the interior nodes ...
+                f_next, f_prev = shifted[i]
+                subtract(f_next, f_prev, d)
+                multiply(upper, d_next, inner)
+                # in place: each difference is read once, by its own product
+                multiply(lower, d_prev, d_prev)
+                subtract(inner, d_prev, inner)
+                # ... and the end nodes on Python floats; with one row
+                # v's are u's
+                G[0] = origin * (x1 - x0) / dr2
+                G[u_last] = (ghost_u - 2.0 * xN + xm) / dr2 + drift_R * (ghost_u - xm) / two_dr
+                if v_first:
+                    G[v_first] = origin * (y1 - y0) / dr2
+                    G[v_last] = (ghost_v - 2.0 * yN + ym) / dr2 + drift_R * (ghost_v - ym) / two_dr
+                # max |G|; argmax returns the first NaN
+                absolute(G, work)
+                max_rate = work.item(work.argmax())
+                if not max_rate < math.inf:
+                    # a non-finite node makes an inf or NaN rate next
+                    # to it; only step() can be handed such a state,
+                    # since run() steps only states proved or found
+                    # finite
+                    _finite_bound(f, t)
+                h = dt_max
+                if max_rate > 0.0:
+                    # min() keeps its first argument unless the second
+                    # is smaller. The cap grows with the peak, in floats
+                    # too, so where the end values' max already rules
+                    # it out the peak would as well
+                    capped = growth_cap * (1.0 + max(ends)) / max_rate
+                    if capped < h:
+                        capped = growth_cap * (1.0 + f.item(f.argmax())) / max_rate
+                        if capped < h:
+                            h = capped
+                if h < dt_min:
+                    raise StepUnderflow(
+                        f"dt = {h:.3e} below {UNDERFLOW_FACTOR:g} * dr^2 at t = {t:.6g}"
+                    )
+                if t_end is not None and t_end - t < h:
+                    h = t_end - t
+                t_new = t + h
+                if t_new == t:
+                    raise StepUnderflow(
+                        f"t + dt == t: dt = {h:.3e} is below the resolution "
+                        f"of t = {t:.6g}"
+                    )
+                # h reaches the update as a 0-d array, which numpy
+                # does not convert
+                dt_0d[()] = h
+                add(f, multiply(G, dt_0d, work), flat[1 - i])
+                # |f + h g| <= |f| + h |g| survives rounding; NaN fails
+                # the test
+                bound += h * max_rate
+                if not bound < CHECKED_ABOVE:
+                    bound = _finite_bound(flat[1 - i], t)
+            except StepUnderflow as exc:
+                if record is None:
+                    raise
+                reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
+            except NumericalBlowupGuard as exc:
+                if record is None:
+                    raise
+                # non-finite values mean the discrete solution left
+                # float range; report it as the blow-up ending it is
+                reason, detail = StopReason.BLOWUP_THRESHOLD, str(exc)
+            else:
+                if record is None:
+                    return t_new, states[1 - i], rates, 1, None, ""
 
-            # the stop state is always the last sample
-            if reason is not None:
-                # past the stop, inf is the honest flux to write
-                with np.errstate(over="ignore"):
-                    record(t, dt, states[i], from_arg(arg_u), from_arg(arg_v))
-                return t, i, steps, reason, detail
-            if steps % record_every == 0:
-                # the step's fluxes are from_arg of this state's arguments
-                record(t, dt, states[i], flux_u, flux_v)
-            steps += 1
-            dt = t_new - t
-            t = t_new
-            i = 1 - i
+        # the stop state is always the last sample
+        if reason is not None:
+            # past the stop, inf is the honest flux to write
+            with np.errstate(over="ignore"):
+                record(t, dt, states[i], from_arg(arg_u), from_arg(arg_v))
+            return t, states[i], rates, steps, reason, detail
+        if steps % record_every == 0:
+            # the step's fluxes are from_arg of this state's arguments
+            record(t, dt, states[i], flux_u, flux_v)
+        steps += 1
+        dt = t_new - t
+        t = t_new
+        i = 1 - i
 
 
 def _finite_bound(f: np.ndarray, t: float) -> float:
@@ -453,11 +425,9 @@ class _Samples:
 
     add() copies the state F into the next slot of a (SAMPLE_BLOCK,
     rows, N) block and keeps t, dt and the fluxes. A full block, and the
-    last one at close(), has its maxima read at once (_block_maxima).
-    With state_every = 1 every sample is a snapshot: a full block is
-    kept, read-only, and a new one started. Otherwise only its snapshot
-    slots are copied out, read-only, and the block is reused. So the
-    samples hold the snapshots' bytes plus at most one block.
+    last one at close(), has its maxima read at once (_block_maxima)
+    and its snapshot slots copied out, read-only, before it is reused.
+    So the samples hold the snapshots' bytes plus one block.
     """
 
     def __init__(self, shape: tuple[int, int], k: int, state_every: int):
@@ -483,18 +453,11 @@ class _Samples:
         self.used, self.count = 0, first + m
         if not every:
             return
-        if every == 1:
-            slots = range(m)
-            snapshots = b
-            if not last:
-                self.block = np.empty_like(self.block)
-        else:
-            # every state_every-th sample and, in the last block, the
-            # stop state
-            slots = list(range(-first % every, m, every))
-            if last and slots[-1:] != [m - 1]:
-                slots.append(m - 1)
-            snapshots = b[slots]
+        # every state_every-th sample and, in the last block, the stop state
+        slots = list(range(-first % every, m, every))
+        if last and slots[-1:] != [m - 1]:
+            slots.append(m - 1)
+        snapshots = b[slots]
         snapshots.flags.writeable = False
         self.snapshots.append(snapshots)
         self.snapshot_samples.extend(first + j for j in slots)
@@ -525,12 +488,9 @@ def step(
     config: SolverConfig,
 ) -> FieldState:
     """One forward-Euler update with the ghost-node Neumann closure: the
-    kernel's loop, run for one step."""
-    kernel = _Kernel(params, grid, config)
-    F = kernel.states[0]
-    F[:] = state.u, state.v
-    t, i, *_ = kernel.march(state.t, float(np.abs(F).max()), one_step=True)
-    u, v = kernel.states[i]
+    stepper's loop, run for one step."""
+    F = np.array((state.u, state.v), dtype=float)
+    t, (u, v), *_ = _march(params, grid, config, F, state.t)
     return FieldState(t=t, u=u, v=v)
 
 
@@ -576,14 +536,12 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     u0, v0 = params.initial.evaluate(grid)
     # a run that is its own mirror has u = v at every step: step u alone
     one = params.p == params.q and params.initial.symmetric
-    kernel = _Kernel(params, grid, config, rows=1 if one else 2)
-    F = kernel.states[0]
-    F[:] = u0 if one else (u0, v0)
+    F = np.array((u0,) if one else (u0, v0))
     # the nodes with r <= a (a tiny slack counts exact node hits)
     a = config.interior_radius * (1.0 + 1e-12)
     k = int(np.searchsorted(grid.r, a, side="right"))
     samples = _Samples(F.shape, k, config.state_every)
-    t, _, steps, reason, detail = kernel.march(0.0, float(np.abs(F).max()), samples.add)
+    t, _, _, steps, reason, detail = _march(params, grid, config, F, 0.0, samples.add)
     columns, states = samples.close()
     return Trajectory(
         **columns,

@@ -761,6 +761,25 @@ class TestMain:
         assert (code, out) == (1, "")
         assert err == "error: cannot build 100000 polar rings\n"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--density", "nan", "error: --density nan must be finite\n"),
+        ("--distances", "x", "error: --distances item 'x' is not a number\n"),
+    ])
+    def test_oracle_jump_refuses_arguments_before_the_quadrature(
+        self, option, value, message, monkeypatch, capsys,
+    ):
+        # at m = 1000 the quadrature takes most of a second: a malformed
+        # argument is refused without building it
+        from blowuplab import potentials
+
+        def unbuilt(R, m):
+            raise AssertionError("the quadrature was built")
+
+        monkeypatch.setattr(potentials, "sphere_quadrature", unbuilt)
+        code = main(["oracle", "jump", "--m", "1000", option, value])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", message)
+
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     # no verb imports scipy: a fresh process that validates, runs through

@@ -21,7 +21,7 @@ from blowuplab.model import (
     rate_exponents,
     validate_initial_data,
 )
-from blowuplab.solver import SolverConfig, _Kernel
+from blowuplab.solver import SolverConfig, _march
 
 
 class TestRateExponents:
@@ -303,7 +303,7 @@ class TestValidateInitialData:
     ):
         # data the nodes refuse raise; the rest pass exactly when both b
         # are nonnegative, and every accepted draw also passes the
-        # discrete rule on the nodes: differences and the kernel's
+        # discrete rule on the nodes: differences and the stepper's
         # Laplacian down to -1e-10 of the field's scale
         spec, grid = QuadraticRadial(a_u, b_u, a_v, b_v), make_grid(R, N)
         F = np.array(spec.evaluate(grid))
@@ -315,11 +315,8 @@ class TestValidateInitialData:
         assert report.passed is (b_u >= 0 and b_v >= 0)
         if report.passed:
             params = ProblemParams(2.0, 2.0, R, n, FluxFamily.POWER, spec)
-            kernel = _Kernel(params, grid, SolverConfig(N=N))
-            kernel.states[0][:] = F
-            # the kernel's Laplacian: its rates after one step
-            kernel.march(0.0, float(np.abs(F).max()), one_step=True)
-            out = kernel.rates
+            # the stepper's Laplacian: its rates after one step
+            _, _, out, *_ = _march(params, grid, SolverConfig(N=N), F, 0.0)
             scale = 1.0 + F.max(axis=1, keepdims=True)
             assert np.all(np.diff(F) >= -1e-10 * scale)
             assert np.all(out[:, :-1] >= -1e-10 * scale / grid.dr**2)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowuplab.errors import (
@@ -23,6 +23,7 @@ from blowuplab.model import (
     QuadraticRadial,
     boundary_flux,
     make_grid,
+    rate_exponents,
 )
 from blowuplab import solver
 from blowuplab.solver import (
@@ -65,21 +66,19 @@ class _GivenFlux:
 
 
 def radial_laplacian(f, grid, n, flux):
-    """The kernel's Laplacian of f, shape (N,) or (rows, N), with flux,
+    """The stepper's Laplacian of f, shape (N,) or (rows, N), with flux,
     one value or one per row, into the boundary: the rates of one step
-    of the kernel's loop. Each row's ghost is ghost(row, grid, flux)."""
+    of the stepper's loop. Each row's ghost is ghost(row, grid, flux)."""
     F = np.array(f, dtype=float).reshape(-1, grid.N)
     fluxes = np.ravel(flux).tolist()
     params = SimpleNamespace(p=fluxes[0], q=fluxes[-1], n=n, flux=_GivenFlux)
-    kernel = solver._Kernel(params, grid, SolverConfig(N=grid.N), rows=len(F))
-    kernel.states[0][:] = F
     with mock.patch.object(solver, "boundary_flux", lambda family, w, e: e):
-        kernel.march(0.0, float(np.abs(F).max()), one_step=True)
-    return kernel.rates.reshape(np.shape(f))
+        _, _, G, *_ = solver._march(params, grid, SolverConfig(N=grid.N), F, 0.0)
+    return G.reshape(np.shape(f))
 
 
 def ghost(row, grid, flux):
-    """The ghost node the kernel's Neumann closure puts beyond row."""
+    """The ghost node the stepper's Neumann closure puts beyond row."""
     return float(row[-2]) + 2.0 * grid.dr * flux
 
 
@@ -407,6 +406,19 @@ class TestRun:
         times = [s.t for s in traj.states]
         assert times == traj.t[:-1:state_every].tolist() + [traj.t[-1]]
 
+    @pytest.mark.parametrize("state_every", [1, 3])
+    @pytest.mark.parametrize("q, rows", [(2.0, 1), (3.0, 2)], ids=["one_row", "two_rows"])
+    def test_snapshots_hold_only_snapshot_bytes(self, q, rows, state_every):
+        # the arrays behind the snapshots are the snapshots: no run keeps
+        # the unused slots of its last, partly filled sample block
+        params = exp_power_params(q=q, flux=FluxFamily.POWER)
+        config = SolverConfig(N=41, t_end=0.05, record_every=1, state_every=state_every)
+        traj = run(params, config)
+        assert len(traj) % SAMPLE_BLOCK
+        bases = {id(a.base): a.base for s in traj.states for a in (s.u, s.v)}
+        held = sum(base.nbytes for base in bases.values())
+        assert held == len(traj.states) * rows * config.N * 8
+
     @pytest.mark.parametrize("flux, exponent", [
         (FluxFamily.EXP_POWER, 2.0), (FluxFamily.EXP_LINEAR, 1.0),
     ])
@@ -596,10 +608,73 @@ class TestMirror:
             assert getattr(again, column) is getattr(other, column)
 
 
+# -- scale covariance ----------------------------------------------------------
+#
+# The power system is invariant under u -> lam^-alpha u(r/lam, t/lam^2),
+# v -> lam^-beta v(r/lam, t/lam^2), R -> lam R, since p beta = alpha + 1
+# and q alpha = beta + 1. On the same number of nodes the explicit step
+# keeps it up to the rounding of the mapped data while dt is the diffusion
+# limit cfl dr^2, which scales as lam^2 too; the growth cap's 1 + max(u, v)
+# does not scale.
+
+
+def _diffusion_limited(traj, R):
+    """The number of leading samples whose step took dt = cfl dr^2."""
+    limit = traj.config.cfl * make_grid(R, traj.config.N).dr ** 2
+    capped = np.flatnonzero(traj.dt[1:] < limit * (1.0 - 1e-9))
+    return 1 + (capped[0] if capped.size else len(traj) - 1)
+
+
+class TestScaleCovariance:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        p=st.floats(1.1, 4.0),
+        q=st.floats(1.1, 4.0),
+        n=st.sampled_from([1, 2, 3]),
+        lam=st.sampled_from([0.5, 2.0]),
+        coefficients=st.tuples(*[st.floats(0.1, 1.0)] * 4),
+    )
+    def test_power_runs_map_onto_the_scaled_ball(self, p, q, n, lam, coefficients):
+        a_u, b_u, a_v, b_v = coefficients
+        params = ProblemParams(p, q, 1.0, n, FluxFamily.POWER, QuadraticRadial(*coefficients))
+        # t_end, mapped too, keeps the slow runs of small p and q short
+        config = SolverConfig(N=41, cfl=_CFL[n], t_end=0.05, record_every=1, state_every=0)
+        alpha, beta = rate_exponents(p, q)
+
+        def scaled(su, sv):
+            # u0 -> lam^-su u0(r/lam) on the ball of radius lam, and v0
+            initial = QuadraticRadial(
+                lam**-su * a_u, lam ** (-su - 2) * b_u, lam**-sv * a_v, lam ** (-sv - 2) * b_v
+            )
+            return run(
+                dataclasses.replace(params, R=lam, initial=initial),
+                dataclasses.replace(config, t_end=lam**2 * config.t_end),
+            )
+
+        def misses(other):
+            # the largest relative miss of t, M and Nmax over the stepped
+            # samples that both runs reached at the diffusion limit
+            k = min(_diffusion_limited(base, 1.0), _diffusion_limited(other, lam))
+            assume(k >= 3)
+            return [
+                np.abs(got[1:k] * scale / want[1:k] - 1.0).max()
+                for got, want, scale in (
+                    (other.t, base.t, lam**-2),
+                    (other.M, base.M, lam**alpha),
+                    (other.Nmax, base.Nmax, lam**beta),
+                )
+            ]
+
+        base = run(params, config)
+        assert max(misses(scaled(alpha, beta))) <= 1e-10
+        # the test has power: a map off the exponent by 1 % misses
+        assert misses(scaled(1.01 * alpha, beta))[1] > 1e-10
+
+
 # -- bit-for-bit reference ---------------------------------------------------
 #
 # A plain per-field forward-Euler loop with the formulas of the original
-# two-array stepper, written out here so the fused (2, N) kernel is checked
+# two-array stepper, written out here so the fused (2, N) stepper is checked
 # against code it shares nothing with but boundary_flux.
 
 

@@ -46,7 +46,10 @@ reach the point only by its rotation onto the axis. The output has one
 one `name/stdout sha256` line per verb whose output is digested, a
 `name/stderr sha256` line where that verb wrote to stderr, one `name
 exit code` line per run and one `name/values sha256` line per layer
-call, in a fixed order.
+call, in a fixed order. The runs of SNAPSHOT_RUNS also get a
+`name/snapshots sha256` line: the step count, the stop and every
+snapshot's t, u and v, which the artifacts show only through the
+dominance minima.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ import numpy as np
 from blowuplab import cli
 from blowuplab.config import parse_config
 from blowuplab.potentials import jump_check, single_layer, sphere_quadrature
+from blowuplab.solver import Trajectory, run
 
 REPO = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO / "perfbench" / "configs" / "sweep_power_pq.ini"
@@ -103,6 +107,11 @@ def matrix() -> dict[str, str]:
     runs["pw_record1"] = _ini("power", 2, 2, N=41, record_every=1)
     runs["pw_p2q3_record1"] = _ini("power", 2, 3, N=41, record_every=1, state_every=2)
     return runs
+
+
+# the runs whose snapshots are digested: none, every third sample, every
+# sample on one row and every second on two
+SNAPSHOT_RUNS = ("state_every_0", "pw_p2q3_sparse", "pw_record1", "pw_p2q3_record1")
 
 
 # data that validation refuses: u0 = 1 - 1e-9 r^2 decreases, so both of
@@ -178,6 +187,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _snapshots(traj: Trajectory) -> str:
+    """The digest of the step count, the stop and every snapshot."""
+    digest = hashlib.sha256(repr((traj.steps, traj.stop)).encode())
+    for state in traj.states:
+        for data in (np.float64(state.t), state.u, state.v):
+            digest.update(data.tobytes())
+    return digest.hexdigest()
+
+
 def _verb(name: str, argv: list[str]) -> list[str]:
     """The digests of a verb's stdout and of any stderr, and its exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -202,13 +220,17 @@ def main() -> int:
         root = Path(tmp)
         root.mkdir(parents=True, exist_ok=True)
         for name, text in matrix().items():
-            out = root / name
+            out, traj = root / name, None
             try:
-                code = cli.run_experiment(parse_config(text), out).exit_code
+                config = parse_config(text)
+                traj = run(config.params, config.solver)
+                code = cli.run_experiment(config, out, traj).exit_code
             except Exception as exc:  # the digest lists failures, never hides them
                 code = f"1 ({type(exc).__name__}: {exc})"
             lines += _digests(out, name) if out.exists() else []
             lines.append(f"{name} exit {code}")
+            if name in SNAPSHOT_RUNS and traj is not None:
+                lines.append(f"{name}/snapshots {_snapshots(traj)}")
             ini = root / f"{name}.ini"
             ini.write_text(text)
             lines += _verb(f"validate_{name}", ["validate", str(ini)])
