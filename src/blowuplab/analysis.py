@@ -78,12 +78,7 @@ class RateBoundReport:
     trend_u: float
     trend_v: float
     tail_samples: int
-    passed_u: bool
-    passed_v: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.passed_u and self.passed_v
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -320,8 +315,7 @@ def rate_bound_check(
         trend_u=trend_u,
         trend_v=trend_v,
         tail_samples=int(tail.sum()),
-        passed_u=ok(sup_u, trend_u),
-        passed_v=ok(sup_v, trend_v),
+        passed=ok(sup_u, trend_u) and ok(sup_v, trend_v),
     )
 
 
@@ -353,7 +347,7 @@ def boundary_set_check(
     exp_linear, see FluxFamily.rate_targets) are evaluated for whichever
     prefactors are supplied. They are reported, not gated on.
     """
-    recorded = traj.config.in_ball(params.R).interior_radius
+    recorded = traj.config.for_problem(params).interior_radius
     if abs(a - recorded) > 1e-12 * params.R:
         raise BadRadius(
             f"the run recorded the interior suprema at a = {recorded}, got {a}"

@@ -278,9 +278,8 @@ def _sweep_point(
     except BlowupLabError as exc:
         row["status"] = f"error: {type(exc).__name__}"
         Path(run_dir).mkdir(parents=True, exist_ok=True)
-        (Path(run_dir) / "report.txt").write_text(
-            f"overall.status = error\noverall.detail = {exc}\n"
-        )
+        write_report({"overall.status": "error", "overall.detail": str(exc)},
+                     Path(run_dir) / "report.txt")
     return index, row
 
 

@@ -2,13 +2,14 @@
 
 `_KEYS` below lists every section and key, in the order the `config.ini`
 echo writes them, with the dataclass field each key sets; those fields
-hold the defaults, but an omitted [solver] cfl is DEFAULT_CFL[n] and
-an omitted [analysis] interior_radius is R/2. Only [problem] p, q, R,
-n and flux are required, and the [sweep] axes default to the base
-point. Values are plain `key = value` lines, lists comma-separated.
-Unknown sections or keys are refused, so a typo cannot silently revert
-a knob to its default, and so are non-finite numbers. Runs are seed-free and deterministic, so
-[output] deterministic accepts only true; the echo always writes it.
+hold the defaults, but SolverConfig.for_problem decides an omitted
+[solver] cfl and [analysis] interior_radius. Only [problem] p, q, R, n
+and flux are required, and the [sweep] axes default to the base point.
+Values are plain `key = value` lines, lists comma-separated. Unknown
+sections or keys are refused, so a typo cannot silently revert a knob to
+its default, and so are non-finite numbers. Runs are seed-free and
+deterministic, so [output] deterministic accepts only true; the echo
+always writes it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Callable, NamedTuple
 from .analysis import DEFAULT_RATE_TOL, DEFAULT_RESIDUAL_MAX
 from .errors import ConfigError
 from .model import FluxFamily, ProblemParams, QuadraticRadial
-from .solver import DEFAULT_CFL, SolverConfig, check_fits
+from .solver import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,8 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        # decide an unset interior radius, so the echo writes the one used
-        object.__setattr__(self, "solver", self.solver.in_ball(self.params.R))
-        check_fits(self.params, self.solver)
+        # fit cfl and the radius to the problem; the echo writes those used
+        object.__setattr__(self, "solver", self.solver.for_problem(self.params))
         # a tolerance no run can meet, or a non-finite one that no run can
         # fail, is a mistake in the config, not a run's verdict
         for key in ("rate_tol", "residual_max", "dominance_scale"):
@@ -216,7 +216,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         initial = QuadraticRadial(**given["params.initial"])
         params = ProblemParams(initial=initial, **given["params"])
-        solver = SolverConfig(**{"cfl": DEFAULT_CFL[params.n], **given["solver"]})
+        solver = SolverConfig(**given["solver"])
         sweep = SweepAxes(**{"p": (params.p,), "q": (params.q,), "N": (solver.N,),
                              "flux": (params.flux,), **given["sweep"]})
         return ExperimentConfig(params=params, solver=solver, sweep=sweep, **given[""])

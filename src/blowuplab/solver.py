@@ -55,13 +55,15 @@ on half the array, so the trajectory has the same bits.
 Stability note: the explicit step is stable for cfl below 2*dr^2/rho(n)
 where rho is the spectral radius of the discrete operator. Measured bounds
 are cfl < 0.50, 0.41, 0.33 for n = 1, 2, 3 (STABLE_CFL); run() refuses a
-larger cfl. A config file that leaves cfl out gets DEFAULT_CFL[n].
+larger cfl. SolverConfig.for_problem sets an unset cfl to DEFAULT_CFL[n]
+and refuses a ball that float64 cannot grid.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -87,7 +89,7 @@ UNDERFLOW_FACTOR = 1e-16
 CHECKED_ABOVE = 1e300
 
 # measured stability limits for the explicit step, by dimension, and the
-# cfl a config file gets when it leaves the key out
+# cfl a config that leaves it unset gets
 STABLE_CFL = {1: 0.50, 2: 0.41, 3: 1.0 / 3.0}
 DEFAULT_CFL = {1: 0.4, 2: 0.4, 3: 0.3}
 
@@ -106,19 +108,20 @@ class StopReason(enum.Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     N: int = 201
-    cfl: float = 0.4
+    # None is DEFAULT_CFL[n], decided by for_problem
+    cfl: float | None = None
     growth_cap: float = 0.1
     u_stop: float = 600.0
     t_end: float | None = None
     record_every: int = 10
     # the radius a at which a run records its interior suprema; None is
-    # R/2, decided by in_ball
+    # R/2, decided by for_problem
     interior_radius: float | None = None
     # full field snapshots every k-th recorded sample; 0 disables snapshots
     state_every: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 0.5:
+        if self.cfl is not None and not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         if not 0.0 < self.growth_cap <= 0.5:
             raise ValueError(
@@ -141,12 +144,28 @@ class SolverConfig:
                 f"interior_radius must be positive, got {self.interior_radius}"
             )
 
-    def in_ball(self, R: float) -> SolverConfig:
-        """This config on a ball of radius R: an unset interior_radius
-        becomes R/2, its one default."""
-        if self.interior_radius is not None:
+    def for_problem(self, params: ProblemParams) -> SolverConfig:
+        """This config on params' problem, self if nothing is unset: an
+        unset cfl becomes DEFAULT_CFL[n] and an unset interior_radius
+        R/2. Raises ValueError if float64 cannot grid the ball, if cfl
+        exceeds STABLE_CFL[n] or if the radius is not below R."""
+        n, R = params.n, params.R
+        dr = R / max(self.N - 1, 1)  # make_grid refuses N < MIN_NODES
+        if dr * dr < sys.float_info.min or not R * R < math.inf:
+            raise ValueError(f"R = {R:g} with N = {self.N} is beyond float64: "
+                             f"dr^2 = {dr * dr:.3g}, R^2 = {R * R:.3g}")
+        cfl = DEFAULT_CFL[n] if self.cfl is None else self.cfl
+        a = R / 2 if self.interior_radius is None else self.interior_radius
+        if cfl > STABLE_CFL[n] + 1e-12:
+            raise ValueError(
+                f"cfl = {cfl:g} exceeds the measured stability limit "
+                f"{STABLE_CFL[n]:g} for n = {n}"
+            )
+        if a >= R:
+            raise ValueError(f"interior_radius = {a} must be below R = {R}")
+        if (cfl, a) == (self.cfl, self.interior_radius):
             return self
-        return replace(self, interior_radius=R / 2)
+        return replace(self, cfl=cfl, interior_radius=a)
 
 
 @dataclass(frozen=True)
@@ -488,36 +507,23 @@ def step(
     config: SolverConfig,
 ) -> FieldState:
     """One forward-Euler update with the ghost-node Neumann closure: the
-    stepper's loop, run for one step."""
+    stepper's loop, run for one step, with config fitted to params."""
     F = np.array((state.u, state.v), dtype=float)
-    t, (u, v), *_ = _march(params, grid, config, F, state.t)
+    t, (u, v), *_ = _march(params, grid, config.for_problem(params), F, state.t)
     return FieldState(t=t, u=u, v=v)
-
-
-def check_fits(params: ProblemParams, config: SolverConfig) -> None:
-    """Raise ValueError unless cfl is within STABLE_CFL[params.n] and
-    the interior radius below R."""
-    n, a = params.n, config.in_ball(params.R).interior_radius
-    if config.cfl > STABLE_CFL[n] + 1e-12:
-        raise ValueError(
-            f"cfl = {config.cfl:g} exceeds the measured stability limit "
-            f"{STABLE_CFL[n]:g} for n = {n}"
-        )
-    if a >= params.R:
-        raise ValueError(f"interior_radius = {a} must be below R = {params.R}")
 
 
 def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
     """Integrate from the configured initial data until a stop condition.
 
     The trajectory records every record_every-th step plus the initial and
-    final states, and config.in_ball(params.R) as its config. Identical
+    final states, and config.for_problem(params) as its config. Identical
     inputs produce bitwise identical trajectories.
 
     Raises
     ------
     ValueError
-        If the config does not fit the problem (check_fits).
+        If the config does not fit the problem (SolverConfig.for_problem).
     InvalidInitialData
         If the initial data fail validation.
     FluxOverflow
@@ -526,8 +532,7 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         guard and each state's threshold test runs before its flux.
     """
     grid = make_grid(params.R, config.N)
-    config = config.in_ball(params.R)
-    check_fits(params, config)
+    config = config.for_problem(params)
     report = validate_initial_data(params.initial, grid, params.n, params)
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]

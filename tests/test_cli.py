@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,7 +24,7 @@ from blowuplab.analysis import rate_bound_check
 from blowuplab.comparison import dominance_check
 from blowuplab.config import parse_config, with_axes_point
 from blowuplab.errors import ConfigError
-from blowuplab.model import FluxFamily
+from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial
 from blowuplab.solver import COLUMNS
 
 REFERENCE = """\
@@ -321,6 +322,19 @@ class TestSweep:
         assert rows[0].split(",")[status] == "error: GridTooCoarse"
         assert rows[1].split(",")[status] == "inconclusive"
 
+    def test_point_that_float64_cannot_grid_keeps_its_row(self, tmp_path):
+        # dr^2 = 4.4e-307 at N = 16, 2.5e-309 below the normal range at 201
+        config = parse_config(
+            POWER_N3.replace("R = 1.0", "R = 1e-152")
+            + "[solver]\nN = 16\nt_end = 1e-306\n[sweep]\nN = 16, 201\n"
+        )
+        rows = sweep(config, tmp_path).read_text().splitlines()[1:]
+        status = SWEEP_COLUMNS.index("status")
+        assert rows[0].split(",")[status] == "inconclusive"
+        assert rows[1].split(",")[status].startswith(
+            "invalid: R = 1e-152 with N = 201 is beyond float64"
+        )
+
     def test_run_cap(self, tmp_path):
         config = parse_config(TINY + "\n[sweep]\np = 2, 3\nmax_runs = 1\n")
         with pytest.raises(ConfigError, match="cap is 1"):
@@ -602,6 +616,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: exponent argument 702 >= 700.0\n"
+
+    @pytest.mark.parametrize("R", [1e-200, 1e-160, 3e-153, 1.4e154, 1e200])
+    def test_ball_that_float64_cannot_grid_is_operational_error(
+        self, tmp_path, capsys, R
+    ):
+        # dr^2 below the smallest normal float or R^2 past the largest:
+        # the grid's arithmetic would divide by zero, lose the Laplacian
+        # to subnormals or overflow in the initial data
+        text = POWER_N3.replace("R = 1.0", f"R = {R!r}").replace("n = 3", "n = 2")
+        path = self.write(tmp_path, text + "[solver]\nN = 41\nt_end = 1e-3\n")
+        message = f"R = {R:g} with N = 41 is beyond float64: "
+        params = ProblemParams(2.0, 2.0, R, 2, FluxFamily.POWER, QuadraticRadial())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["validate", path],
+                         ["run", path, "--output-dir", str(tmp_path / "out")]):
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert len(err.splitlines()) == 1
+                assert err.startswith(f"error: {message}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                solver.run(params, solver.SolverConfig(N=41, t_end=1e-3))
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_is_operational_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "none.ini")])

@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import re
+import warnings
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blowuplab import solver
 from blowuplab.config import (
     ExperimentConfig,
     SweepAxes,
@@ -14,9 +17,9 @@ from blowuplab.config import (
     render_config,
     with_axes_point,
 )
-from blowuplab.errors import ConfigError
+from blowuplab.errors import BlowupLabError, ConfigError
 from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial
-from blowuplab.solver import EXP_GUARD, STABLE_CFL, SolverConfig
+from blowuplab.solver import DEFAULT_CFL, EXP_GUARD, STABLE_CFL, SolverConfig
 
 MINIMAL = """\
 [problem]
@@ -376,3 +379,40 @@ p = 2, 3
     def test_render_is_deterministic_text(self):
         config = parse_config(MINIMAL)
         assert render_config(config) == render_config(config)
+
+
+class TestRefusedOrRun:
+    @settings(deadline=None, max_examples=400)
+    @given(
+        flux=st.sampled_from(FluxFamily),
+        p=st.floats(1.1, 4.0),
+        q=st.floats(1.1, 4.0),
+        n=st.sampled_from((1, 2, 3)),
+        N=st.integers(16, 64),
+        u=st.floats(-170.0, 170.0),
+    )
+    def test_a_config_is_refused_or_runs(self, flux, p, q, n, N, u):
+        # on any ball R = 10^u, a config is refused by parse_config, or
+        # its run raises the package's error before the first step or
+        # returns; no other exception and no warning, whatever float64
+        # makes of the grid
+        R, dr = 10.0**u, 10.0**u / (N - 1)
+        t_end = 4.0 * DEFAULT_CFL[n] * dr * dr
+        if not 0.0 < t_end < math.inf:
+            t_end = 1.0
+        text = (f"[problem]\np = {p!r}\nq = {q!r}\nR = {R!r}\nn = {n}\n"
+                f"flux = {flux.value}\n[solver]\nN = {N}\nt_end = {t_end!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                config = parse_config(text)
+            except ConfigError:
+                return
+            with mock.patch.object(solver, "_march", wraps=solver._march) as march:
+                try:
+                    traj = solver.run(config.params, config.solver)
+                except BlowupLabError:
+                    assert not march.called
+                    return
+        # the parsed config is already fitted, so the run keeps it
+        assert traj.config is config.solver

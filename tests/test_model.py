@@ -316,7 +316,7 @@ class TestValidateInitialData:
         if report.passed:
             params = ProblemParams(2.0, 2.0, R, n, FluxFamily.POWER, spec)
             # the stepper's Laplacian: its rates after one step
-            _, _, out, *_ = _march(params, grid, SolverConfig(N=N), F, 0.0)
+            _, _, out, *_ = _march(params, grid, SolverConfig(N=N, cfl=0.4), F, 0.0)
             scale = 1.0 + F.max(axis=1, keepdims=True)
             assert np.all(np.diff(F) >= -1e-10 * scale)
             assert np.all(out[:, :-1] >= -1e-10 * scale / grid.dr**2)

@@ -28,6 +28,7 @@ from blowuplab.model import (
 from blowuplab import solver
 from blowuplab.solver import (
     COLUMNS,
+    DEFAULT_CFL,
     SAMPLE_BLOCK,
     STABLE_CFL,
     UNDERFLOW_FACTOR,
@@ -73,7 +74,7 @@ def radial_laplacian(f, grid, n, flux):
     fluxes = np.ravel(flux).tolist()
     params = SimpleNamespace(p=fluxes[0], q=fluxes[-1], n=n, flux=_GivenFlux)
     with mock.patch.object(solver, "boundary_flux", lambda family, w, e: e):
-        _, _, G, *_ = solver._march(params, grid, SolverConfig(N=grid.N), F, 0.0)
+        _, _, G, *_ = solver._march(params, grid, SolverConfig(N=grid.N, cfl=0.4), F, 0.0)
     return G.reshape(np.shape(f))
 
 
@@ -525,8 +526,21 @@ class TestRun:
         with pytest.raises(ValueError, match=match):
             SolverConfig(**{field: value})
 
+    def test_unset_cfl_is_the_default_for_n(self):
+        # SolverConfig() leaves cfl unset; run() steps at DEFAULT_CFL[n],
+        # while a cfl set above STABLE_CFL[n] is still refused
+        params = exp_power_params(n=3, flux=FluxFamily.POWER)
+        traj = run(params, SolverConfig(N=41, t_end=0.01))
+        assert traj.config.cfl == DEFAULT_CFL[3] == 0.3
+        assert traj.steps == 54
+        assert traj.stop.reason is StopReason.TIME_LIMIT
+        with pytest.raises(ValueError, match=re.escape(
+            "cfl = 0.4 exceeds the measured stability limit 0.333333 for n = 3"
+        )):
+            run(params, SolverConfig(N=41, cfl=0.4, t_end=0.01))
+
     def test_nan_interior_radius_refused(self):
-        # nan >= R is false, so check_fits would let it through and every
+        # nan >= R is false, so for_problem would let it through and every
         # node would count as interior
         with pytest.raises(ValueError, match="must be positive, got nan"):
             SolverConfig(interior_radius=math.nan)
@@ -541,7 +555,9 @@ class TestRun:
         # SolverConfig() leaves the radius unset; run() records at R/2
         params = exp_power_params(R=0.4, flux=FluxFamily.POWER)
         traj = run(params, SolverConfig(N=41))
-        assert traj.config == SolverConfig(N=41, interior_radius=0.2)
+        assert traj.config == SolverConfig(N=41, cfl=0.4, interior_radius=0.2)
+        # a fitted config fits as itself
+        assert traj.config.for_problem(params) is traj.config
         k = int(np.searchsorted(make_grid(0.4, 41).r, 0.2 * (1.0 + 1e-12),
                                 side="right"))
         assert k == 21
@@ -726,7 +742,9 @@ def _reference_step(t, u, v, params, grid, config):
 def _reference_run(params, config):
     """Columns, snapshots (t, u, v), their sample indices, steps and stop."""
     grid = make_grid(params.R, config.N)
-    # an unset interior radius is R/2
+    # an unset cfl is _CFL[n] and an unset interior radius R/2
+    if config.cfl is None:
+        config = dataclasses.replace(config, cfl=_CFL[params.n])
     a = params.R / 2 if config.interior_radius is None else config.interior_radius
     k = int(np.searchsorted(grid.r, a * (1.0 + 1e-12), side="right"))
     t, (u, v) = 0.0, params.initial.evaluate(grid)
@@ -770,7 +788,7 @@ def _reference_run(params, config):
     return columns, snapshots, samples, steps, stop
 
 
-# the default cfl of 0.4 is above STABLE_CFL[3]
+# DEFAULT_CFL, spelled out so that the reference loop does not read it
 _CFL = {1: 0.4, 2: 0.4, 3: 0.3}
 
 
@@ -880,7 +898,7 @@ class TestOnDemandReductions:
         # a dt 25 times smaller than the peak's
         grid = make_grid(1.0, 41)
         params = exp_power_params(flux=FluxFamily.POWER)
-        config = SolverConfig(N=41)
+        config = SolverConfig(N=41, cfl=0.4)
         u0, v0 = params.initial.evaluate(grid)
         u0[20] = 50.0
         state = FieldState(t=0.0, u=u0, v=v0)
@@ -907,7 +925,7 @@ class TestOnDemandReductions:
         grid = make_grid(1.0, 41)
         params = exp_power_params(p=1.001, q=1.001, flux=FluxFamily.POWER)
         state = FieldState(t=0.0, u=np.full(grid.N, level), v=np.ones(grid.N))
-        new = _matches_the_reference_step(state, params, grid, SolverConfig(N=41))
+        new = _matches_the_reference_step(state, params, grid, SolverConfig(N=41, cfl=0.4))
         assert len(calls) == checks
         assert new.t == 0.4 * grid.dr**2
         assert np.isfinite(new.v).all()
@@ -923,7 +941,7 @@ class TestOnDemandReductions:
         grid = make_grid(1e7, 41)
         params = exp_power_params(p=1.0, q=1.0, R=1e7, n=n, flux=FluxFamily.EXP_LINEAR)
         state = FieldState(t=0.0, u=np.full(grid.N, 699.0), v=np.full(grid.N, 699.0))
-        config = SolverConfig(N=41)
+        config = SolverConfig(N=41, cfl=0.4)
         for stepper in (step, _reference_step):
             args = (state,) if stepper is step else (state.t, state.u, state.v)
             # the reference's NumPy scalars warn on 0 * inf

@@ -21,7 +21,9 @@ records the interior suprema away from the default radius,
 `flat_data` starts from constant initial data, and `pw_record1` (power,
 p = q = 2) and `pw_p2q3_record1` (p = 2, q = 3, state_every = 2) record
 every step at N = 41, so full and partial sample blocks are digested
-with one row and with two. The verbs `validate`
+with one row and with two. `R_1e-200`, `R_1e-160` (t_end = 1e-3) and
+`R_1.4e154` (power, N = 41) are balls that float64 cannot grid, so the
+text and exit code of their refusal are pinned. The verbs `validate`
 and `run` also go over `dip_u0` (power, u0 = 1 - 1e-9 r^2), data
 that validation refuses, so the stdout, stderr and exit code of the
 refusal are pinned. Most runs are at
@@ -72,9 +74,9 @@ REPO = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO / "perfbench" / "configs" / "sweep_power_pq.ini"
 
 
-def _ini(flux: str, p: float, q: float, n: int = 2, N: int = 101,
+def _ini(flux: str, p: float, q: float, n: int = 2, N: int = 101, R: float = 1.0,
          problem: tuple[str, ...] = (), **solver) -> str:
-    lines = ["[problem]", f"p = {p}", f"q = {q}", "R = 1.0", f"n = {n}",
+    lines = ["[problem]", f"p = {p}", f"q = {q}", f"R = {R}", f"n = {n}",
              f"flux = {flux}", *problem, "[solver]", f"N = {N}"]
     lines += [f"{key} = {value}" for key, value in solver.items()]
     return "\n".join(lines) + "\n"
@@ -106,6 +108,11 @@ def matrix() -> dict[str, str]:
     # one row (u is v) and on two
     runs["pw_record1"] = _ini("power", 2, 2, N=41, record_every=1)
     runs["pw_p2q3_record1"] = _ini("power", 2, 3, N=41, record_every=1, state_every=2)
+    # balls that float64 cannot grid: dr^2 is zero or subnormal, or R^2
+    # overflows
+    runs["R_1e-200"] = _ini("power", 2, 2, N=41, R=1e-200)
+    runs["R_1e-160"] = _ini("power", 2, 2, N=41, R=1e-160, t_end=1e-3)
+    runs["R_1.4e154"] = _ini("power", 2, 2, N=41, R=1.4e154)
     return runs
 
 
