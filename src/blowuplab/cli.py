@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
@@ -54,17 +54,8 @@ from .solver import COLUMNS, StopReason, Trajectory, run
 
 SWEEP_COLUMNS = ("p", "q", "N", "flux", "T_hat", "alpha_hat", "beta_hat", "status")
 
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """The three files every run emits, the report entries and the verdict."""
-
-    trajectory: Path
-    report: Path
-    config_echo: Path
-    entries: dict[str, object]
-    status: str
-    exit_code: int
+# the files a run writes into its output directory
+TRAJECTORY, REPORT, CONFIG_ECHO = "trajectory.csv", "report.txt", "config.ini"
 
 
 def write_trajectory(traj: Trajectory, path: Path) -> None:
@@ -130,8 +121,10 @@ _STAGE_KEYS = {
 
 def run_experiment(
     config: ExperimentConfig, out_dir: Path, traj: Trajectory | None = None
-) -> RunArtifacts:
-    """Execute the full pipeline for one config and write the artifacts.
+) -> dict[str, object]:
+    """Execute the full pipeline for one config, write the artifacts
+    into out_dir and return the report, whose last two entries,
+    overall.status and overall.exit_code, are the verdict.
 
     The analysis stages run only when the solver actually reached the
     blow-up threshold; otherwise every check reports inconclusive and
@@ -238,22 +231,12 @@ def run_experiment(
     for name, status in statuses.items():
         report[f"{name}.status"] = status
     report["overall.status"] = overall
-    report["overall.exit_code"] = exit_code = 2 if failed else 0
+    report["overall.exit_code"] = 2 if failed else 0
 
-    trajectory_path = out_dir / "trajectory.csv"
-    report_path = out_dir / "report.txt"
-    config_path = out_dir / "config.ini"
-    write_trajectory(traj, trajectory_path)
-    write_report(report, report_path)
-    config_path.write_text(render_config(config))
-    return RunArtifacts(
-        trajectory=trajectory_path,
-        report=report_path,
-        config_echo=config_path,
-        entries=report,
-        status=overall,
-        exit_code=exit_code,
-    )
+    write_trajectory(traj, out_dir / TRAJECTORY)
+    write_report(report, out_dir / REPORT)
+    (out_dir / CONFIG_ECHO).write_text(render_config(config))
+    return report
 
 
 def _sweep_row(p: float, q: float, N: int, flux: FluxFamily) -> dict[str, str]:
@@ -270,16 +253,16 @@ def _sweep_point(
     params = config.params
     row = _sweep_row(params.p, params.q, config.solver.N, params.flux)
     try:
-        artifacts = run_experiment(config, Path(run_dir), traj)
-        row["T_hat"] = _report_text(artifacts.entries["blowup.T_hat"])
-        row["alpha_hat"] = _report_text(artifacts.entries["rate.alpha_hat"])
-        row["beta_hat"] = _report_text(artifacts.entries["rate.beta_hat"])
-        row["status"] = artifacts.status
+        report = run_experiment(config, Path(run_dir), traj)
+        row["T_hat"] = _report_text(report["blowup.T_hat"])
+        row["alpha_hat"] = _report_text(report["rate.alpha_hat"])
+        row["beta_hat"] = _report_text(report["rate.beta_hat"])
+        row["status"] = report["overall.status"]
     except BlowupLabError as exc:
         row["status"] = f"error: {type(exc).__name__}"
         Path(run_dir).mkdir(parents=True, exist_ok=True)
         write_report({"overall.status": "error", "overall.detail": str(exc)},
-                     Path(run_dir) / "report.txt")
+                     Path(run_dir) / REPORT)
     return index, row
 
 
@@ -303,8 +286,8 @@ def _sweep_job(job: tuple) -> list[tuple[int, dict]]:
     try:
         traj = run(config.params, config.solver)
     except BlowupLabError:
-        # run raises before its first step; an error names the field it
-        # checked first, so each point runs on its own and reports its own
+        # run raises before or on its first step; an error names the field
+        # it checked first, so each point runs on its own and reports its own
         return [_sweep_point(task) for task in tasks]
     return [
         _sweep_point(task, traj if task[1] == config else traj.mirrored())
@@ -376,9 +359,9 @@ def sweep(config: ExperimentConfig, out_dir: Path, max_parallel: int = 1) -> Pat
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.output_dir or config.output_dir)
-    artifacts = run_experiment(config, out_dir)
+    entries = run_experiment(config, out_dir)
     if not args.quiet:
-        report = {k: _report_text(v) for k, v in artifacts.entries.items()}
+        report = {k: _report_text(v) for k, v in entries.items()}
         print(f"stop: {report['run.stop_reason']} at t = {report['run.t_stop']}")
         if not report["rate.status"].startswith("inconclusive"):
             print(f"T_hat = {report.get('blowup.T_hat')}")
@@ -386,10 +369,10 @@ def _cmd_run(args) -> int:
             print(f"beta_hat = {report.get('rate.beta_hat')}")
         for name in ("rate", "boundary", "dominance"):
             print(f"{name}: {report[f'{name}.status']}")
-        print(f"wrote {artifacts.trajectory}")
-        print(f"wrote {artifacts.report}")
-        print(f"overall: {artifacts.status}")
-    return artifacts.exit_code
+        print(f"wrote {out_dir / TRAJECTORY}")
+        print(f"wrote {out_dir / REPORT}")
+        print(f"overall: {report['overall.status']}")
+    return entries["overall.exit_code"]
 
 
 def _cmd_sweep(args) -> int:

@@ -198,7 +198,8 @@ def dominance_check(
     if not 0 <= c1_scale < math.inf:
         raise ValueError(f"c1_scale must be nonnegative and finite, got {c1_scale}")
 
-    r = np.asarray(r, dtype=float)
+    # the t = 0 depth h + C2 T of every node, refusing r outside [0, R]
+    r, _, start_depth = _depth(r, 0.0, params)
     for s in states:
         nodes = len(getattr(s, field))
         if nodes != r.size:
@@ -210,9 +211,7 @@ def dominance_check(
         )
 
     h = boundary_weight(r, params.R)
-    initial_term = float(
-        (getattr(states[0], field) * (h + params.C2 * params.T) ** params.m).max()
-    )
+    initial_term = float((getattr(states[0], field) * start_depth**params.m).max())
     boundary_term = rate_sup * params.C2**params.m
     c1 = c1_scale * max(boundary_term, initial_term) * C1_HEADROOM
 

@@ -242,7 +242,8 @@ def validate_initial_data(
 
     When ``params`` is given, the flux each boundary value induces is
     computed too, v0's first, so data whose flux exponent argument
-    already reaches the overflow guard raise FluxOverflow.
+    already reaches the overflow guard raise FluxOverflow naming the
+    field, its value at r = R and the exponent.
     """
     u0, v0 = spec.evaluate(grid)
     for name, f in (("u0", u0), ("v0", v0)):
@@ -259,6 +260,11 @@ def validate_initial_data(
                    ConditionCheck(f"subharmonic_{name}", ok, 2.0 * n * b)]
 
     if params is not None:
-        boundary_flux(params.flux, float(v0[-1]), params.p)
-        boundary_flux(params.flux, float(u0[-1]), params.q)
+        # v0 drives u's flux with p, u0 drives v's with q
+        for field, w, name, e in (("v0", v0[-1], "p", params.p),
+                                  ("u0", u0[-1], "q", params.q)):
+            try:
+                boundary_flux(params.flux, float(w), e)
+            except FluxOverflow as exc:
+                raise FluxOverflow(f"{field}(R) = {w:.6g} with {name} = {e:g}: {exc}") from None
     return ValidationReport(all(c.passed for c in checks), tuple(checks))

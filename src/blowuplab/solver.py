@@ -14,7 +14,8 @@ argument at the boundary exceeds u_stop (the expected ending for blowing-up
 solutions), simulated time reaches t_end, or dt underflows: it falls below
 UNDERFLOW_FACTOR * dr^2, or t + dt rounds back to t. A step that cannot
 advance t is refused before it touches the fields, so every recorded
-sample after the first has dt > 0 and t strictly increases.
+sample after the first has dt > 0 and t strictly increases; if the
+first step is refused, run() raises StepUnderflow.
 
 The state is one (rows, N) float64 array F: u in row 0 and v in row 1,
 or u alone for a run that is its own mirror (below). One function,
@@ -252,7 +253,8 @@ def _march(params: ProblemParams, grid: RadialGrid, config: SolverConfig,
     and the stop state, dt being the step that reached it. Without
     record nothing is recorded, no stop condition is checked (they
     apply to stepped states) and StepUnderflow and NumericalBlowupGuard
-    propagate: that is step().
+    propagate: that is step(). StepUnderflow on the first step always
+    propagates: a run that never leaves its initial data shows nothing.
 
     An interior node's Laplacian is written on the two differences
     around it,
@@ -387,7 +389,7 @@ def _march(params: ProblemParams, grid: RadialGrid, config: SolverConfig,
                 if not bound < CHECKED_ABOVE:
                     bound = _finite_bound(flat[1 - i], t)
             except StepUnderflow as exc:
-                if record is None:
+                if record is None or not steps:
                     raise
                 reason, detail = StopReason.STEP_UNDERFLOW, str(exc)
             except NumericalBlowupGuard as exc:
@@ -530,6 +532,9 @@ def run(params: ProblemParams, config: SolverConfig) -> Trajectory:
         If the initial data already put a flux exponent argument at the
         overflow guard. A stepped state never does: u_stop lies below the
         guard and each state's threshold test runs before its flux.
+    StepUnderflow
+        If the first step cannot advance: its dt falls below
+        UNDERFLOW_FACTOR * dr^2.
     """
     grid = make_grid(params.R, config.N)
     config = config.for_problem(params)

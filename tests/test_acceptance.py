@@ -17,7 +17,7 @@ from blowuplab.analysis import (
     fit_rate,
     rate_bound_check,
 )
-from blowuplab.cli import run_experiment
+from blowuplab.cli import CONFIG_ECHO, REPORT, TRAJECTORY, run_experiment
 from blowuplab.comparison import (
     ComparisonParams,
     c2_min,
@@ -265,13 +265,14 @@ def test_criterion_09_cross_family_rates(capsys):
 
 def test_criterion_10_determinism(tmp_path, capsys):
     config = parse_config(REFERENCE_CONFIG)
-    first = run_experiment(config, tmp_path / "first")
-    second = run_experiment(config, tmp_path / "second")
+    first, second = tmp_path / "first", tmp_path / "second"
+    run_experiment(config, first)
+    run_experiment(config, second)
     _verdict(capsys, 10, "determinism", {
         "trajectory files byte-identical":
-            first.trajectory.read_bytes() == second.trajectory.read_bytes(),
+            (first / TRAJECTORY).read_bytes() == (second / TRAJECTORY).read_bytes(),
         "reports byte-identical":
-            first.report.read_bytes() == second.report.read_bytes(),
+            (first / REPORT).read_bytes() == (second / REPORT).read_bytes(),
         "config echoes byte-identical":
-            first.config_echo.read_bytes() == second.config_echo.read_bytes(),
+            (first / CONFIG_ECHO).read_bytes() == (second / CONFIG_ECHO).read_bytes(),
     })

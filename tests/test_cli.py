@@ -12,7 +12,11 @@ import pytest
 import blowuplab
 
 from blowuplab.cli import (
+    CONFIG_ECHO,
+    REPORT,
     SWEEP_COLUMNS,
+    TRAJECTORY,
+    _report_text,
     main,
     read_report,
     run_experiment,
@@ -64,14 +68,28 @@ flux = exp_power
 t_end = 1e-5
 """
 
+# exp_power, p = q = 1.5 at R = 10: v0(R)^p = 359, and the first dt
+# underflows
+FIRST_STEP_UNDERFLOW = """\
+[problem]
+p = 1.5
+q = 1.5
+R = 10
+n = 1
+flux = exp_power
+
+[solver]
+N = 16
+"""
+
 
 @pytest.fixture(scope="module")
 def ref_run(tmp_path_factory):
     """One full pipeline execution of the reference blow-up experiment."""
     config = parse_config(REFERENCE)
     out = tmp_path_factory.mktemp("ref")
-    artifacts = run_experiment(config, out)
-    return config, artifacts, read_report(artifacts.report)
+    run_experiment(config, out)
+    return config, out, read_report(out / REPORT)
 
 
 class TestReportIO:
@@ -90,9 +108,8 @@ class TestReportIO:
 
 class TestRunExperiment:
     def test_reference_run_passes(self, ref_run):
-        _, artifacts, report = ref_run
-        assert artifacts.exit_code == 0
-        assert artifacts.status == "pass"
+        _, _, report = ref_run
+        assert report["overall.exit_code"] == "0"
         assert report["overall.status"] == "pass"
         assert report["run.stop_reason"] == "blowup_threshold"
 
@@ -116,31 +133,31 @@ class TestRunExperiment:
         )
 
     def test_artifact_files_exist(self, ref_run):
-        _, artifacts, _ = ref_run
-        assert artifacts.trajectory.exists()
-        assert artifacts.report.exists()
-        assert artifacts.config_echo.exists()
+        _, out, _ = ref_run
+        assert (out / TRAJECTORY).exists()
+        assert (out / REPORT).exists()
+        assert (out / CONFIG_ECHO).exists()
 
     def test_trajectory_header(self, ref_run):
-        _, artifacts, _ = ref_run
-        header = artifacts.trajectory.read_text().splitlines()[0]
+        _, out, _ = ref_run
+        header = (out / TRAJECTORY).read_text().splitlines()[0]
         assert header == ",".join(COLUMNS)
 
     def test_config_echo_parses_back(self, ref_run):
-        config, artifacts, _ = ref_run
-        assert parse_config(artifacts.config_echo.read_text()) == config
+        config, out, _ = ref_run
+        assert parse_config((out / CONFIG_ECHO).read_text()) == config
 
     def test_repeat_runs_are_byte_identical(self, ref_run, tmp_path):
-        config, artifacts, _ = ref_run
-        again = run_experiment(config, tmp_path)
-        assert again.trajectory.read_bytes() == artifacts.trajectory.read_bytes()
-        assert again.report.read_bytes() == artifacts.report.read_bytes()
+        config, out, _ = ref_run
+        run_experiment(config, tmp_path)
+        for name in (TRAJECTORY, REPORT):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
     def test_time_limited_run_is_inconclusive(self, tmp_path):
-        artifacts = run_experiment(parse_config(TINY), tmp_path)
-        report = read_report(artifacts.report)
-        assert artifacts.exit_code == 0
-        assert artifacts.status == "inconclusive"
+        entries = run_experiment(parse_config(TINY), tmp_path)
+        report = read_report(tmp_path / REPORT)
+        assert entries["overall.exit_code"] == 0
+        assert entries["overall.status"] == "inconclusive"
         assert report["run.stop_reason"] == "time_limit"
         for name in ("rate", "boundary", "dominance"):
             assert report[f"{name}.status"].startswith("inconclusive")
@@ -148,9 +165,9 @@ class TestRunExperiment:
 
     def test_under_resolved_run_fails_with_diagnostic(self, tmp_path):
         config = parse_config(REFERENCE.replace("record_every = 2", "N = 16"))
-        artifacts = run_experiment(config, tmp_path)
-        assert artifacts.exit_code == 2
-        report = read_report(artifacts.report)
+        entries = run_experiment(config, tmp_path)
+        assert entries["overall.exit_code"] == 2
+        report = read_report(tmp_path / REPORT)
         assert report["rate.status"].startswith("fail")
 
     def test_dominance_failures_of_both_fields_are_reported(self, tmp_path):
@@ -159,9 +176,9 @@ class TestRunExperiment:
             "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n"
             "[solver]\nN = 41\n[analysis]\ndominance_scale = 0.5\n"
         )
-        artifacts = run_experiment(config, tmp_path)
-        report = read_report(artifacts.report)
-        assert artifacts.exit_code == 2
+        entries = run_experiment(config, tmp_path)
+        report = read_report(tmp_path / REPORT)
+        assert entries["overall.exit_code"] == 2
         assert report["dominance.status"] == (
             "fail: z - u reaches -8.997656e+00 at r = 1, t = 0.211561 "
             "with C1 = 1.66697; z - v reaches -8.997656e+00 at r = 1, "
@@ -189,8 +206,8 @@ class TestRunExperiment:
             "[problem]\np = 2\nq = 2\nR = 1.0\nn = 2\nflux = power\n"
             "[solver]\nN = 41\n"
         )
-        artifacts = run_experiment(config, tmp_path)
-        report = read_report(artifacts.report)
+        run_experiment(config, tmp_path)
+        report = read_report(tmp_path / REPORT)
         assert fields == ["v"]
         assert math.isnan(float(report["dominance.margin_u"]))
         assert math.isnan(float(report["dominance.c1_u"]))
@@ -236,9 +253,22 @@ _STATUS_KEYS = [
      _RUN_KEYS + _FIT_KEYS + _BOUNDARY_KEYS + _STATUS_KEYS),
 ], ids=["pass", "fit_failure", "t_end", "state_every_0"])
 def test_report_key_sequence(text, status, keys, tmp_path):
-    artifacts = run_experiment(parse_config(text), tmp_path)
-    assert artifacts.status == status
-    assert list(read_report(artifacts.report)) == keys
+    entries = run_experiment(parse_config(text), tmp_path)
+    assert entries["overall.status"] == status
+    assert list(read_report(tmp_path / REPORT)) == keys
+
+
+@pytest.mark.parametrize("text, code", [
+    (REFERENCE, 0),
+    (REFERENCE + "\n[analysis]\nresidual_max = 1e-9\n", 2),
+    (TINY, 0),
+], ids=["pass", "fit_failure", "t_end"])
+def test_returned_report_is_the_written_one(text, code, tmp_path):
+    report = run_experiment(parse_config(text), tmp_path)
+    written = read_report(tmp_path / REPORT)
+    assert list(written.items()) == [(k, _report_text(v)) for k, v in report.items()]
+    assert type(report["overall.exit_code"]) is int
+    assert report["overall.exit_code"] == code
 
 
 def serial_pool(sizes):
@@ -391,7 +421,7 @@ def assert_points_write_their_own_runs(config, sweep_dir, points, tmp_path):
     for index, (p, q) in enumerate(points):
         point = with_axes_point(config, p=p, q=q, N=41, flux=FluxFamily.POWER)
         run_experiment(point, tmp_path / f"direct_{index}")
-        for name in ("trajectory.csv", "report.txt", "config.ini"):
+        for name in (TRAJECTORY, REPORT, CONFIG_ECHO):
             got = sweep_dir / f"run_{index:03d}" / name
             assert got.read_bytes() == (tmp_path / f"direct_{index}" / name).read_bytes()
 
@@ -450,12 +480,13 @@ class TestSweepMirrors:
         status = SWEEP_COLUMNS.index("status")
         rows = summary.read_text().splitlines()[1:]
         assert [row.split(",")[status] for row in rows] == ["error: FluxOverflow"] * 4
-        details = ["930", "930", "2.84e+04", "2.84e+04"]
-        for index, arg in enumerate(details):
-            report = (tmp_path / f"run_{index:03d}" / "report.txt").read_text()
+        details = [(2, "930"), (2, "930"), (3, "2.84e+04"), (3, "2.84e+04")]
+        for index, (p, arg) in enumerate(details):
+            report = (tmp_path / f"run_{index:03d}" / REPORT).read_text()
             assert report == (
                 "overall.status = error\n"
-                f"overall.detail = exponent argument {arg} >= 700.0\n"
+                f"overall.detail = v0(R) = 30.5 with p = {p}: "
+                f"exponent argument {arg} >= 700.0\n"
             )
 
 
@@ -615,7 +646,58 @@ class TestMain:
         code = main(["run", path, "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: exponent argument 702 >= 700.0\n"
+        assert err == (
+            "error: v0(R) = 26.5 with p = 2: exponent argument 702 >= 700.0\n"
+        )
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_flux_past_float64_names_the_field_its_value_and_exponent(
+        self, tmp_path, capsys, verb
+    ):
+        # v0(R) = 8.45e307 squared leaves float64: the argument alone,
+        # inf >= inf, does not say which datum is too large
+        text = POWER_N3.replace("R = 1.0", "R = 1.3e154").replace("n = 3", "n = 2")
+        path = self.write(tmp_path, text + "[solver]\nN = 41\n")
+        code = main([verb, path, "--output-dir", str(tmp_path / "out")]
+                    if verb == "run" else [verb, path])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: v0(R) = 8.45e+307 with p = 2: exponent argument inf >= inf\n"
+        )
+
+    def test_first_step_that_cannot_advance_is_operational_error(
+        self, tmp_path, capsys
+    ):
+        # a run that never leaves its initial data has nothing to
+        # analyse: an error, not an inconclusive report with exit code 0
+        path = self.write(tmp_path, FIRST_STEP_UNDERFLOW)
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: dt = 2.396e-156 below 1e-16 * dr^2 at t = 0\n"
+        assert not (tmp_path / "out" / REPORT).exists()
+
+    def test_first_step_that_cannot_advance_is_a_sweep_point_error(
+        self, tmp_path, capsys
+    ):
+        # (1.4, 1.5) and (1.5, 1.4) share a job, whose solve raises: each
+        # point then runs on its own and reports its own error
+        path = self.write(tmp_path, FIRST_STEP_UNDERFLOW
+                          + "[sweep]\np = 1.4, 1.5\nq = 1.4, 1.5\n")
+        code = main(["sweep", path, "--output-dir", str(tmp_path / "sw"), "--quiet"])
+        assert code == 2
+        status = SWEEP_COLUMNS.index("status")
+        rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[status] for row in rows] == ["error: StepUnderflow"] * 4
+        for index in range(4):
+            report = read_report(tmp_path / "sw" / f"run_{index:03d}" / REPORT)
+            assert list(report) == ["overall.status", "overall.detail"]
+            assert report["overall.status"] == "error"
+            assert re.fullmatch(r"dt = \S+ below 1e-16 \* dr\^2 at t = 0",
+                                report["overall.detail"])
 
     @pytest.mark.parametrize("R", [1e-200, 1e-160, 3e-153, 1.4e154, 1e200])
     def test_ball_that_float64_cannot_grid_is_operational_error(

@@ -356,6 +356,16 @@ class TestDominanceCheck:
         report = dominance_check(states, r, comp, rate_sup=0.0)
         assert 0.0 <= report.margin < 1e-8
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0 + 1e-6), (-0.1, 1.0)])
+    def test_nodes_outside_the_ball_are_refused(self, lo, hi):
+        # h is no depth off [0, R]: the selection and the scan would
+        # check z where it is not a supersolution
+        r = np.linspace(lo, hi, 41)
+        states = (FieldState(t=0.0, u=np.full(41, 0.1), v=np.full(41, 0.1)),)
+        comp = ComparisonParams(C1=1.0, C2=41.0, m=1.0, T=0.01, R=1.0, n=2)
+        with pytest.raises(BadRadius, match=r"^r must lie in \[0, 1.0\]$"):
+            dominance_check(states, r, comp, rate_sup=0.0)
+
 
 # 2,000 states of 401 nodes: one field stacked is 6.4 MB
 SCAN_K, SCAN_N = 2000, 401

@@ -17,7 +17,7 @@ from blowuplab.config import (
     render_config,
     with_axes_point,
 )
-from blowuplab.errors import BlowupLabError, ConfigError
+from blowuplab.errors import BlowupLabError, ConfigError, StepUnderflow
 from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial
 from blowuplab.solver import DEFAULT_CFL, EXP_GUARD, STABLE_CFL, SolverConfig
 
@@ -393,9 +393,10 @@ class TestRefusedOrRun:
     )
     def test_a_config_is_refused_or_runs(self, flux, p, q, n, N, u):
         # on any ball R = 10^u, a config is refused by parse_config, or
-        # its run raises the package's error before the first step or
-        # returns; no other exception and no warning, whatever float64
-        # makes of the grid
+        # its run raises the package's error before the first step,
+        # StepUnderflow on a first step that cannot advance, or returns
+        # a run that took a step; no other exception and no warning,
+        # whatever float64 makes of the grid
         R, dr = 10.0**u, 10.0**u / (N - 1)
         t_end = 4.0 * DEFAULT_CFL[n] * dr * dr
         if not 0.0 < t_end < math.inf:
@@ -411,8 +412,14 @@ class TestRefusedOrRun:
             with mock.patch.object(solver, "_march", wraps=solver._march) as march:
                 try:
                     traj = solver.run(config.params, config.solver)
+                except StepUnderflow as exc:
+                    assert march.call_count == 1
+                    assert str(exc).endswith(" at t = 0")
+                    return
                 except BlowupLabError:
                     assert not march.called
                     return
         # the parsed config is already fitted, so the run keeps it
         assert traj.config is config.solver
+        if traj.stop.reason is solver.StopReason.STEP_UNDERFLOW:
+            assert traj.steps >= 1

@@ -575,6 +575,17 @@ class TestRun:
         with pytest.raises(FluxOverflow, match="exponent argument 702 >= 700"):
             run(params, SolverConfig(N=101))
 
+    @pytest.mark.parametrize("q", [1.5, 1.4], ids=["one_row", "two_rows"])
+    def test_a_first_step_that_cannot_advance_is_refused(self, q):
+        # v0(R)^p = 50.5^1.5 = 359 at R = 10 makes the first dt 1e-156,
+        # far below 1e-16 dr^2: a run that never leaves its initial data
+        # is an error, not a step_underflow ending with nothing to analyse
+        params = exp_power_params(p=1.5, q=q, R=10.0, n=1)
+        with pytest.raises(
+            StepUnderflow, match=r"^dt = 2\.396e-156 below 1e-16 \* dr\^2 at t = 0$"
+        ):
+            run(params, SolverConfig(N=16))
+
 
 class TestMirror:
     @settings(deadline=None, max_examples=30)

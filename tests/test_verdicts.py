@@ -34,14 +34,12 @@ def _five_keys(flux, e, n, R=1.0):
 
 @pytest.mark.parametrize("flux, e, n", VERDICTS)
 def test_five_key_verdict(flux, e, n, tmp_path):
-    entries = run_experiment(parse_config(_five_keys(flux, e, n)), tmp_path).entries
+    entries = run_experiment(parse_config(_five_keys(flux, e, n)), tmp_path)
     assert (entries["overall.status"], entries["run.stop_reason"]) == VERDICTS[
         flux, e, n]
 
 
 def test_five_key_power_passes_in_a_smaller_ball(tmp_path):
     # the interior radius defaults to R/2, inside any ball
-    entries = run_experiment(
-        parse_config(_five_keys("power", 2, 2, R=0.4)), tmp_path
-    ).entries
+    entries = run_experiment(parse_config(_five_keys("power", 2, 2, R=0.4)), tmp_path)
     assert (entries["overall.status"], entries["run.stop_reason"]) == PASS

@@ -23,7 +23,10 @@ p = q = 2) and `pw_p2q3_record1` (p = 2, q = 3, state_every = 2) record
 every step at N = 41, so full and partial sample blocks are digested
 with one row and with two. `R_1e-200`, `R_1e-160` (t_end = 1e-3) and
 `R_1.4e154` (power, N = 41) are balls that float64 cannot grid, so the
-text and exit code of their refusal are pinned. The verbs `validate`
+text and exit code of their refusal are pinned, as they are for two
+runs refused on a grid that fits: `first_step_underflow` (exp_power,
+p = q = 1.5, n = 1, R = 10, N = 16), whose first dt underflows, and
+`R_1.3e154` (power, N = 41), whose v0(R)^p leaves float64. The verbs `validate`
 and `run` also go over `dip_u0` (power, u0 = 1 - 1e-9 r^2), data
 that validation refuses, so the stdout, stderr and exit code of the
 refusal are pinned. Most runs are at
@@ -113,6 +116,9 @@ def matrix() -> dict[str, str]:
     runs["R_1e-200"] = _ini("power", 2, 2, N=41, R=1e-200)
     runs["R_1e-160"] = _ini("power", 2, 2, N=41, R=1e-160, t_end=1e-3)
     runs["R_1.4e154"] = _ini("power", 2, 2, N=41, R=1.4e154)
+    # refused runs: the first dt underflows, and v0(R)^p leaves float64
+    runs["first_step_underflow"] = _ini("exp_power", 1.5, 1.5, 1, N=16, R=10)
+    runs["R_1.3e154"] = _ini("power", 2, 2, N=41, R=1.3e154)
     return runs
 
 
@@ -231,7 +237,7 @@ def main() -> int:
             try:
                 config = parse_config(text)
                 traj = run(config.params, config.solver)
-                code = cli.run_experiment(config, out, traj).exit_code
+                code = cli.run_experiment(config, out, traj)["overall.exit_code"]
             except Exception as exc:  # the digest lists failures, never hides them
                 code = f"1 ({type(exc).__name__}: {exc})"
             lines += _digests(out, name) if out.exists() else []
