@@ -22,7 +22,9 @@ which the same run, stepped on, can no longer advance in float64.
 The fit window is the largest suffix of the samples on which M strictly
 increases, and it must span a growth of at least MIN_GROWTH in M. The
 rate law is asymptotic; early transients would otherwise bias T toward
-whatever flattens them.
+whatever flattens them. The three rate-side checks read only the
+window's samples before the T they are given, and all of them raise
+FitFailed for a run that did not stop at the blow-up threshold.
 
 The proven estimates are upper bounds. Rate products like
 e^M (T-t)^{alpha/2} may therefore decay toward the blow-up time without
@@ -108,13 +110,21 @@ class InteriorReport:
         return self.status == "pass"
 
 
-def tail_window(traj: Trajectory) -> int:
-    """Index where the fit window starts.
+def _window(
+    traj: Trajectory, params: ProblemParams, t_hat: float = math.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t and the transformed moduli y_u, y_v on the fit window before t_hat.
 
-    The window is the largest suffix over which M strictly increases.
-    Raises FitFailed when it has fewer than MIN_WINDOW_SAMPLES samples
-    or M grows by less than MIN_GROWTH across it.
+    The window is the largest suffix over which M strictly increases; its
+    samples before t_hat are a prefix of it, as t strictly increases.
+    FitFailed is raised unless the run stopped at the blow-up threshold,
+    the window holds MIN_WINDOW_SAMPLES samples and M grows by MIN_GROWTH
+    across it, and MIN_RATE_SAMPLES of them lie before t_hat (a nan: none).
     """
+    if traj.stop.reason is not StopReason.BLOWUP_THRESHOLD:
+        raise FitFailed(
+            f"run stopped on {traj.stop.reason.value}, not the blow-up threshold"
+        )
     M = traj.M
     i = len(M) - 1
     while i > 0 and M[i] > M[i - 1]:
@@ -129,16 +139,12 @@ def tail_window(traj: Trajectory) -> int:
         raise FitFailed(
             f"M grew by {growth:.3f} on the monotone suffix, need {MIN_GROWTH}"
         )
-    return i
-
-
-def _window(
-    traj: Trajectory, params: ProblemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t and the transformed moduli y_u, y_v on the fit window."""
-    i0 = tail_window(traj)
+    k = int(np.count_nonzero(traj.t[i:] < t_hat))
+    if k < MIN_RATE_SAMPLES:
+        raise FitFailed(f"{k} usable samples below t_hat, need {MIN_RATE_SAMPLES}")
+    w = slice(i, i + k)
     law = params.flux.transform
-    return traj.t[i0:], law(traj.M[i0:], params.q), law(traj.Nmax[i0:], params.p)
+    return traj.t[w], law(M[w], params.q), law(traj.Nmax[w], params.p)
 
 
 def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
@@ -176,18 +182,12 @@ def estimate_blowup_time(
     """Fit the family growth law for the blow-up time.
 
     Both fields are fitted simultaneously with a shared T. The returned
-    t_hat always exceeds the stop time.
-
-    Raises
-    ------
-    FitFailed
-        If the run did not stop at the blow-up threshold, the fit
-        window is unusable, or the RMS residual exceeds residual_max.
+    t_hat always exceeds the stop time. Raises FitFailed when the fit
+    window is unusable (see _window) or the RMS residual exceeds
+    residual_max, and ValueError unless residual_max is positive and finite.
     """
-    if traj.stop.reason is not StopReason.BLOWUP_THRESHOLD:
-        raise FitFailed(
-            f"run stopped on {traj.stop.reason.value}, not the blow-up threshold"
-        )
+    if not 0 < residual_max < math.inf:
+        raise ValueError(f"residual_max must be positive and finite, got {residual_max}")
     t, yu, yv = _window(traj, params)
     target_u, target_v = params.flux.rate_targets(params.p, params.q)
     su, sv = target_u / 2.0, target_v / 2.0
@@ -256,23 +256,18 @@ def fit_rate(
 ) -> tuple[float, float]:
     """Free-slope regression of the transformed moduli against -log(t_hat - t).
 
-    Returns (alpha_hat, beta_hat), each twice the fitted slope. For the
-    exponential-power and power families these estimate the rate
+    Returns (alpha_hat, beta_hat), each twice the slope fitted on the
+    fit window's samples before t_hat; FitFailed as for the window. For
+    the exponential-power and power families these estimate the rate
     exponents alpha and beta; for exp_linear the expected value of both
     is 1 (slope 1/2). The free slope is not bounded by these targets and
     lands on either side of them on real runs (power p = q = 2, n = 2,
     N = 201 gives 1.079 against 1); the one-sided test of the upper
     estimates is rate_bound_check.
     """
-    t, yu, yv = _window(traj, params)
-    usable = t < t_hat
-    if int(usable.sum()) < MIN_RATE_SAMPLES:
-        raise FitFailed(
-            f"{int(usable.sum())} usable samples below t_hat, "
-            f"need {MIN_RATE_SAMPLES}"
-        )
-    x = -np.log(t_hat - t[usable])
-    return 2.0 * slope(x, yu[usable]), 2.0 * slope(x, yv[usable])
+    t, yu, yv = _window(traj, params, t_hat)
+    x = -np.log(t_hat - t)
+    return 2.0 * slope(x, yu), 2.0 * slope(x, yv)
 
 
 def rate_bound_check(
@@ -286,18 +281,21 @@ def rate_bound_check(
     """Upper rate estimate diagnostic.
 
     Computes the rate products exp(y_u) (t_hat - t)^{alpha/2} and
-    exp(y_v) (t_hat - t)^{beta/2} over the fit window, where y is the
-    family transform of params.flux. Reports
-    their suprema and the trend-line change of each product across the
-    last half decade of (t_hat - t). A field passes when its supremum
-    is finite and the trend increase stays within tol; decreasing
-    products are consistent with an upper estimate and always pass.
+    exp(y_v) (t_hat - t)^{beta/2} on the fit window's samples before
+    t_hat, where y is the family transform of params.flux. Reports their
+    suprema and the trend-line change of each product across the last
+    half decade of (t_hat - t). A field passes when its supremum is
+    finite and the trend increase stays within tol; decreasing products
+    are consistent with an upper estimate and always pass.
 
-    Diagnostic only: never raises on bad data, the flags carry the
-    verdict. With fewer than MIN_TREND_SAMPLES tail samples the trends
-    are nan and the check fails.
+    Raises FitFailed as for the window and ValueError for a tol that is
+    not nonnegative and finite; past those the flags carry the verdict.
+    With fewer than MIN_TREND_SAMPLES tail samples the trends are nan
+    and the check fails.
     """
-    t, yu, yv = _window(traj, params)
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    t, yu, yv = _window(traj, params, t_hat)
     gap = t_hat - t
     log_pi_u = yu + 0.5 * alpha * np.log(gap)
     log_pi_v = yv + 0.5 * beta * np.log(gap)
@@ -348,7 +346,7 @@ def boundary_set_check(
     prefactors are supplied. They are reported, not gated on.
     """
     recorded = traj.config.for_problem(params).interior_radius
-    if abs(a - recorded) > 1e-12 * params.R:
+    if not abs(a - recorded) <= 1e-12 * params.R:
         raise BadRadius(
             f"the run recorded the interior suprema at a = {recorded}, got {a}"
         )

@@ -133,8 +133,6 @@ def run_experiment(
     given, is what run(config.params, config.solver) returns, solved
     beforehand (a sweep passes a mirror's, see sweep()).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, solver = config.params, config.solver
 
     if traj is None:
@@ -233,6 +231,9 @@ def run_experiment(
     report["overall.status"] = overall
     report["overall.exit_code"] = 2 if failed else 0
 
+    # made only now, so a run that raises leaves no empty directory behind
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(traj, out_dir / TRAJECTORY)
     write_report(report, out_dir / REPORT)
     (out_dir / CONFIG_ECHO).write_text(render_config(config))

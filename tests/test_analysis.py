@@ -14,7 +14,6 @@ from blowuplab.analysis import (
     estimate_blowup_time,
     fit_rate,
     rate_bound_check,
-    tail_window,
 )
 from blowuplab.errors import BadRadius, FitFailed, InvalidInitialData
 from blowuplab.model import (
@@ -138,6 +137,18 @@ class TestEstimateBlowupTime:
         M = 1.0 + 2.0 * -np.log(1.0 - t)
         with pytest.raises(FitFailed, match="residual"):
             estimate_blowup_time(synthetic(t, M, M), exp_power_params())
+
+    @pytest.mark.parametrize(
+        "residual_max", [0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_refuses_a_residual_gate_that_is_off(self, residual_max):
+        # a nan or infinite gate would pass any misfit
+        t = np.linspace(0.5, 0.995, 400)
+        M = 1.0 - 0.5 * np.log(1.0 - t)
+        with pytest.raises(ValueError, match="residual_max must be positive"):
+            estimate_blowup_time(
+                synthetic(t, M, M), exp_power_params(), residual_max=residual_max
+            )
 
     def test_reference_run_fit(self, reference_run):
         params, traj = reference_run
@@ -313,8 +324,8 @@ class TestFitRate:
         t = np.linspace(0.5, 0.995, 400)
         M = 1.0 - 0.5 * np.log(1.0 - t)
         traj = synthetic(t, M, M)
-        i0 = tail_window(traj)
-        t_hat_inside = float(traj.t[i0 + 5])
+        t_window = _window(traj, exp_power_params())[0]
+        t_hat_inside = float(t_window[5])
         with pytest.raises(FitFailed, match="usable"):
             fit_rate(traj, t_hat_inside, exp_power_params())
 
@@ -377,6 +388,17 @@ class TestRateBoundCheck:
         assert math.isnan(report.trend_u)
         assert not report.passed
 
+    @pytest.mark.parametrize("tol", [-0.1, math.nan, math.inf])
+    def test_refuses_a_tolerance_that_is_off(self, tol):
+        # an infinite tol would pass any rising trend
+        t = np.linspace(0.5, 0.999, 500)
+        M = 2.0 * -np.log(1.0 - t)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            rate_bound_check(
+                synthetic(t, M, M), 1.0, 1.0, 1.0,
+                params=exp_power_params(), tol=tol,
+            )
+
     def test_reference_run_flat_or_decreasing(self, reference_run):
         params, traj = reference_run
         fit = estimate_blowup_time(traj, params)
@@ -404,6 +426,60 @@ class TestRateBoundCheck:
         sub = rate_bound_check(half, fit.t_hat, 1.0, 1.0, params=params)
         assert sub.rate_sup_u == pytest.approx(full.rate_sup_u, rel=1e-2)
         assert sub.rate_sup_v == pytest.approx(full.rate_sup_v, rel=1e-2)
+
+
+class TestWindowBeforeT:
+    """The samples fit_rate and rate_bound_check read: the fit window's
+    before the T they are given."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(deadline=None)
+    @given(frac=st.floats(0.0, 1.2))
+    # T = t_stop exactly: the last sample sits at T and is left out
+    @example(frac=1.0)
+    # T = the window's first sample: no sample before it
+    @example(frac=0.0)
+    def test_rate_checks_read_the_window_before_T(self, reference_run, frac):
+        params, traj = reference_run
+        t, yu, yv = _window(traj, params)
+        t_stop = traj.stop.t_stop
+        T = t_stop - (1.0 - frac) * (t_stop - t[0])
+        before = t < T
+        k = int(before.sum())
+        if k < 10:
+            for check in (
+                lambda: fit_rate(traj, T, params),
+                lambda: rate_bound_check(traj, T, 1.0, 1.0, params=params),
+            ):
+                with pytest.raises(
+                    FitFailed, match=f"^{k} usable samples below t_hat, need 10$"
+                ):
+                    check()
+            return
+        fit_rate(traj, T, params)
+        report = rate_bound_check(traj, T, 1.0, 1.0, params=params)
+        log_gap = np.log(T - t[before])
+        assert report.rate_sup_u == float(np.exp(yu[before] + 0.5 * log_gap).max())
+        assert report.rate_sup_v == float(np.exp(yv[before] + 0.5 * log_gap).max())
+
+    def test_time_limited_run_fails_every_rate_check_alike(self):
+        params = exp_power_params()
+        config = SolverConfig(N=101, t_end=2e-4, record_every=5, state_every=0)
+        traj = run(params, config)
+        assert traj.stop.reason is StopReason.TIME_LIMIT
+        T = 2.0 * traj.stop.t_stop
+        messages = []
+        for check in (
+            lambda: estimate_blowup_time(traj, params),
+            lambda: fit_rate(traj, T, params),
+            lambda: rate_bound_check(traj, T, 1.0, 1.0, params=params),
+        ):
+            with pytest.raises(FitFailed) as info:
+                check()
+            messages.append(str(info.value))
+        assert messages == [
+            "run stopped on time_limit, not the blow-up threshold"
+        ] * 3
 
 
 class TestBoundarySetCheck:
@@ -465,6 +541,9 @@ class TestBoundarySetCheck:
         for t in (traj, dataclasses.replace(traj, states=())):
             with pytest.raises(BadRadius, match="at a = 0.5, got 0.3"):
                 boundary_set_check(t, params, 0.3)
+        # a nan radius is no radius the run recorded at
+        with pytest.raises(BadRadius, match="at a = 0.5, got nan"):
+            boundary_set_check(traj, params, math.nan)
         # within 1e-12 R of the recorded radius is the recorded radius
         boundary_set_check(traj, params, 0.5 * (1.0 + 1e-13))
 

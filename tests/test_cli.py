@@ -27,7 +27,7 @@ from blowuplab import solver
 from blowuplab.analysis import rate_bound_check
 from blowuplab.comparison import dominance_check
 from blowuplab.config import parse_config, with_axes_point
-from blowuplab.errors import ConfigError
+from blowuplab.errors import ConfigError, StepUnderflow
 from blowuplab.model import FluxFamily, ProblemParams, QuadraticRadial
 from blowuplab.solver import COLUMNS
 
@@ -162,6 +162,14 @@ class TestRunExperiment:
         for name in ("rate", "boundary", "dominance"):
             assert report[f"{name}.status"].startswith("inconclusive")
         assert math.isnan(float(report["blowup.T_hat"]))
+
+    def test_refused_run_makes_no_directory(self, tmp_path):
+        # the run raises before anything is written, so out_dir never
+        # appears, let alone empty
+        out = tmp_path / "out"
+        with pytest.raises(StepUnderflow):
+            run_experiment(parse_config(FIRST_STEP_UNDERFLOW), out)
+        assert not out.exists()
 
     def test_under_resolved_run_fails_with_diagnostic(self, tmp_path):
         config = parse_config(REFERENCE.replace("record_every = 2", "N = 16"))
@@ -679,6 +687,15 @@ class TestMain:
         assert out == ""
         assert err == "error: dt = 2.396e-156 below 1e-16 * dr^2 at t = 0\n"
         assert not (tmp_path / "out" / REPORT).exists()
+
+    @pytest.mark.parametrize("text", [FIRST_STEP_UNDERFLOW, POWER_DIP],
+                             ids=["first_step_underflow", "dip_u0"])
+    def test_refused_run_leaves_no_output_dir(self, tmp_path, capsys, text):
+        path = self.write(tmp_path, text)
+        code = main(["run", path, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_first_step_that_cannot_advance_is_a_sweep_point_error(
         self, tmp_path, capsys
